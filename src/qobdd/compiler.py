@@ -30,14 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModulusMismatchError
-from .goodsets import GoodSet
+from .goodsets import GoodSet, check_error_rate
 from .polynomials import Characteristic, LinearPolynomial
 from .programs import (
     Instruction,
     QuantumBranchingProgram,
     basis_state,
     hadamard_layer,
-    ry,
 )
 
 # int64 batch paths are exact as long as intermediate products stay below 2^63.
@@ -58,17 +57,31 @@ class GeneralCompilation:
     program: QuantumBranchingProgram
 
 
-def _branch_rotation_block(
-    good_set: GoodSet, coefficient: int, angle_numerator: float
+def _branch_block(
+    good_set: GoodSet, coefficients: tuple[int, ...], angle_numerator: float
 ) -> np.ndarray:
-    """Block-diagonal over branches: branch i rotates by numer*(k_i c mod m)/m."""
+    """Read-only block-diagonal matrix over branches: branch i applies the
+    tensor product over s of R_y(numer * (k_i c_s mod m) / m)."""
     m = good_set.modulus
     t = good_set.size
-    block = np.zeros((2 * t, 2 * t), dtype=np.complex128)
-    for i, k in enumerate(good_set.parameters):
-        ratio = ((k * coefficient) % m) / m
-        block[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = ry(angle_numerator * ratio)
-    return block
+    values = np.array(coefficients, dtype=np.int64 if m <= _INT64_SAFE else object)
+    half_angles = angle_numerator * _residue_products(values, good_set) / 2.0
+    blocks = np.ones((t, 1, 1))
+    for c, s in zip(np.cos(half_angles), np.sin(half_angles)):
+        rotations = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+        size = 2 * blocks.shape[1]
+        blocks = np.einsum("tij,tkl->tikjl", blocks, rotations).reshape(t, size, size)
+    matrix = np.zeros((t * size, t * size), dtype=np.complex128)
+    branches = np.arange(t)
+    matrix.reshape(t, size, t, size)[branches, :, branches, :] = blocks
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _frozen_identity(dimension: int) -> np.ndarray:
+    identity = np.eye(dimension, dtype=np.complex128)
+    identity.setflags(write=False)
+    return identity
 
 
 def compile_single(
@@ -82,19 +95,17 @@ def compile_single(
     t = good_set.size
     log_t = t.bit_length() - 1
     dimension = 2 * t
-    identity = np.eye(dimension, dtype=np.complex128)
+    identity = _frozen_identity(dimension)
     h_layer = np.kron(hadamard_layer(log_t), np.eye(2, dtype=np.complex128))
     instructions = tuple(
         Instruction(
             variable_index=j,
             on_zero=identity,
-            on_one=_branch_rotation_block(good_set, polynomial.coefficients[j], 4.0 * math.pi),
+            on_one=_branch_block(good_set, (polynomial.coefficients[j],), 4.0 * math.pi),
         )
         for j in range(1, polynomial.arity + 1)
     )
-    constant_block = _branch_rotation_block(
-        good_set, polynomial.coefficients[0], 4.0 * math.pi
-    )
+    constant_block = _branch_block(good_set, (polynomial.coefficients[0],), 4.0 * math.pi)
     program = QuantumBranchingProgram(
         dimension=dimension,
         arity=polynomial.arity,
@@ -105,23 +116,6 @@ def compile_single(
         post_transform=h_layer @ constant_block,
     )
     return SingleCompilation(polynomial=polynomial, good_set=good_set, program=program)
-
-
-def _branch_tensor_block(
-    good_set: GoodSet, coefficients: tuple[int, ...]
-) -> np.ndarray:
-    """Block-diagonal over branches of the per-polynomial rotation tensor product."""
-    m = good_set.modulus
-    t = good_set.size
-    block_dim = 2 ** len(coefficients)
-    matrix = np.zeros((t * block_dim, t * block_dim), dtype=np.complex128)
-    for i, k in enumerate(good_set.parameters):
-        block = np.array([[1.0]], dtype=np.complex128)
-        for c in coefficients:
-            ratio = ((k * c) % m) / m
-            block = np.kron(block, ry(2.0 * math.pi * ratio))
-        matrix[i * block_dim : (i + 1) * block_dim, i * block_dim : (i + 1) * block_dim] = block
-    return matrix
 
 
 def compile_general(
@@ -138,20 +132,23 @@ def compile_general(
     l = len(characteristic)
     block_dim = 2**l
     dimension = t * block_dim
-    identity = np.eye(dimension, dtype=np.complex128)
+    identity = _frozen_identity(dimension)
     instructions = tuple(
         Instruction(
             variable_index=j,
             on_zero=identity,
-            on_one=_branch_tensor_block(
+            on_one=_branch_block(
                 good_set,
                 tuple(poly.coefficients[j] for poly in characteristic.polynomials),
+                2.0 * math.pi,
             ),
         )
         for j in range(1, characteristic.arity + 1)
     )
-    constant_block = _branch_tensor_block(
-        good_set, tuple(poly.coefficients[0] for poly in characteristic.polynomials)
+    constant_block = _branch_block(
+        good_set,
+        tuple(poly.coefficients[0] for poly in characteristic.polynomials),
+        2.0 * math.pi,
     )
     program = QuantumBranchingProgram(
         dimension=dimension,
@@ -203,8 +200,7 @@ def closed_form_general(
 
 def error_bound_general(epsilon: float) -> float:
     """False-accept ceiling 1/2 + sqrt(eps)/2 of the generalized construction."""
-    if not (0.0 < epsilon < 1.0):
-        raise ValueError(f"error rate must be in (0, 1), got {epsilon}")
+    check_error_rate(epsilon)
     return 0.5 + math.sqrt(epsilon) / 2.0
 
 

@@ -25,14 +25,14 @@ from .errors import (
 DEFAULT_VERIFY_LIMIT = 2**20
 
 
-def _check_error_rate(epsilon: float) -> None:
+def check_error_rate(epsilon: float) -> None:
     if not (0.0 < epsilon < 1.0):
         raise InvalidErrorRateError(f"error rate must be in (0, 1), got {epsilon}")
 
 
 def required_size_raw(epsilon: float, modulus: int) -> int:
     """ceil((2/eps) ln 2m), the random-set size the Azuma bound asks for."""
-    _check_error_rate(epsilon)
+    check_error_rate(epsilon)
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     return math.ceil((2.0 / epsilon) * math.log(2 * modulus))
@@ -65,7 +65,7 @@ class GoodSet:
     parameters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_error_rate(self.error_rate)
+        check_error_rate(self.error_rate)
         if self.modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         t = len(self.parameters)

@@ -17,7 +17,7 @@ from qobdd.compiler import (
     compile_single,
     error_bound_general,
 )
-from qobdd.errors import ModulusMismatchError
+from qobdd.errors import InvalidErrorRateError, ModulusMismatchError
 from qobdd.goodsets import GoodSet, sample, sample_good, verify_exhaustive
 from qobdd.polynomials import Characteristic, LinearPolynomial, mod_polynomial
 from qobdd.programs import (
@@ -229,3 +229,8 @@ def test_zero_coefficient_variables_still_read():
     assert len(program.instructions) == 4
     assert sorted(i.variable_index for i in program.instructions) == [1, 2, 3, 4]
     assert is_read_once(program)
+
+
+def test_error_bound_general_raises_the_package_error_type():
+    with pytest.raises(InvalidErrorRateError):
+        error_bound_general(1.0)
