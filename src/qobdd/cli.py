@@ -42,43 +42,11 @@ def _cmd_goodset(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_single_bundle(polynomial, good_set) -> dict:
-    compilation = compiler.compile_single(polynomial, good_set)
-    bundle = programs.program_to_json_dict(compilation.program)
-    bundle["fingerprint"] = {
-        "kind": "single",
-        "polynomials": [polynomial.to_json_dict()],
-        "goodset": {
-            "m": str(good_set.modulus),
-            "epsilon": good_set.error_rate,
-            "params": [str(k) for k in good_set.parameters],
-        },
-    }
-    return bundle
-
-
-def _build_general_bundle(characteristic, good_set) -> dict:
-    compilation = compiler.compile_general(characteristic, good_set)
-    bundle = programs.program_to_json_dict(compilation.program)
-    bundle["fingerprint"] = {
-        "kind": "general",
-        "polynomials": characteristic.to_json_list(),
-        "goodset": {
-            "m": str(good_set.modulus),
-            "epsilon": good_set.error_rate,
-            "params": [str(k) for k in good_set.parameters],
-        },
-    }
-    return bundle
-
-
 def _cmd_build(args: argparse.Namespace) -> int:
     if args.function in ("mod", "eq", "palindrome", "perm"):
         if args.n is None:
             raise ValueError(f"--function {args.function} requires --n")
-        polynomial, _, _ = verification.named_function(args.function, args.n, args.m)
-        good_set = goodsets.sample(args.epsilon, polynomial.modulus, args.seed)
-        bundle = _build_single_bundle(polynomial, good_set)
+        source, _, _ = verification.named_function(args.function, args.n, args.m)
     elif args.function == "sop-file":
         if args.file is None:
             raise ValueError("--function sop-file requires --file")
@@ -88,50 +56,51 @@ def _cmd_build(args: argparse.Namespace) -> int:
                 "SOP expands to a nonlinear polynomial; the linear-polynomial "
                 "circuit cannot compile it"
             )
-        polynomial = multilinear.to_linear()
-        good_set = goodsets.sample(args.epsilon, polynomial.modulus, args.seed)
-        bundle = _build_single_bundle(polynomial, good_set)
+        source = multilinear.to_linear()
     elif args.function == "char-file":
         if args.file is None:
             raise ValueError("--function char-file requires --file")
-        characteristic = polynomials.load_characteristic(args.file)
-        good_set = goodsets.sample(args.epsilon, characteristic.modulus, args.seed)
-        bundle = _build_general_bundle(characteristic, good_set)
+        source = polynomials.load_characteristic(args.file)
     else:
         raise ValueError(f"unknown function {args.function!r}")
+    compiler.check_budget(source, goodsets.required_size(args.epsilon, source.modulus))
+    good_set = goodsets.sample(args.epsilon, source.modulus, args.seed)
+    recipe = compiler.recipe_to_json_dict(source, good_set)
+    program = compiler.recipe_from_json_dict(recipe).program
     with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(bundle, handle)
-    _emit({"written": args.out, "width": bundle["dimension"], "arity": bundle["arity"]})
+        json.dump({"fingerprint": recipe}, handle)
+    _emit({"written": args.out, "width": program.dimension, "arity": program.arity})
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     with open(args.program, "r", encoding="utf-8") as handle:
         bundle = json.load(handle)
-    program = programs.program_from_json_dict(bundle)
+    if not isinstance(bundle, dict):
+        raise ValueError("a program file must hold a JSON object")
     bits = _parse_bits(args.input)
+    # A file with a recipe is rebuilt from it, whatever else it holds; a
+    # dense-only file (programs.save_program) has no closed form.
+    if bundle.get("fingerprint") is None:
+        compilation = None
+        program = programs.program_from_json_dict(bundle)
+        violations = programs.validate(program)
+        if violations:
+            raise ValueError("invalid program file: " + "; ".join(violations))
+    else:
+        compilation = compiler.recipe_from_json_dict(bundle["fingerprint"])
+        program = compilation.program
     probability = programs.accept_probability(program, bits)
-    closed_form = None
-    meta = bundle.get("fingerprint")
-    if meta is not None:
-        good_set = goodsets.GoodSet(
-            modulus=int(meta["goodset"]["m"]),
-            error_rate=float(meta["goodset"]["epsilon"]),
-            parameters=tuple(int(k) for k in meta["goodset"]["params"]),
+    if compilation is None:
+        closed_form = None
+    elif isinstance(compilation, compiler.SingleCompilation):
+        closed_form = compiler.closed_form_single(
+            compilation.polynomial, compilation.good_set, bits
         )
-        polys = [
-            polynomials.LinearPolynomial.from_json_dict(entry)
-            for entry in meta["polynomials"]
-        ]
-        if meta["kind"] == "single":
-            closed_form = compiler.closed_form_single(polys[0], good_set, bits)
-        else:
-            characteristic = polynomials.Characteristic(
-                modulus=polys[0].modulus,
-                arity=polys[0].arity,
-                polynomials=tuple(polys),
-            )
-            closed_form = compiler.closed_form_general(characteristic, good_set, bits)
+    else:
+        closed_form = compiler.closed_form_general(
+            compilation.characteristic, compilation.good_set, bits
+        )
     _emit({"accept_probability": probability, "closed_form": closed_form})
     return 0
 

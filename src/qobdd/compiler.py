@@ -20,6 +20,10 @@ Rotation angles use the exact residue (k_i c_j mod m): the reduction shifts
 single-construction angles by multiples of 4 pi (the R_y period, so exactly
 nothing) and generalized angles by multiples of 2 pi (a per-branch sign that
 squares away in the measurement).
+
+Both constructions are rebuilt from a recipe, the polynomial(s) and the
+parameter set, which is what a program file stores: O(n + t) numbers instead
+of the dense matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModulusMismatchError
+from .errors import ModulusMismatchError, TooLargeError
 from .goodsets import GoodSet, check_error_rate
 from .polynomials import Characteristic, LinearPolynomial
 from .programs import (
@@ -41,6 +45,10 @@ from .programs import (
 
 # int64 batch paths are exact as long as intermediate products stay below 2^63.
 _INT64_SAFE = 2**62
+
+# The most bytes of dense complex matrices a compiled program may hold; the
+# benchmark's widest programs (PERM_4 and HSF Z_8/<4>, width 512) need 80 MB.
+DENSE_BUDGET_BYTES = 2**29
 
 
 @dataclass(frozen=True)
@@ -57,10 +65,27 @@ class GeneralCompilation:
     program: QuantumBranchingProgram
 
 
-def _branch_block(
+def check_budget(source: LinearPolynomial | Characteristic, t: int) -> None:
+    """Raise TooLargeError when compiling source over t parameters would need
+    more than DENSE_BUDGET_BYTES of dense matrices.
+
+    Cheap in t, so callers check before they sample t parameters.
+    """
+    targets = 1 if isinstance(source, LinearPolynomial) else len(source)
+    dimension = t << targets
+    # One on_one matrix per read, the shared identity, and the two transforms.
+    needed = (source.arity + 3) * dimension * dimension * 16
+    if needed > DENSE_BUDGET_BYTES:
+        raise TooLargeError(
+            f"a width-{dimension} program with {source.arity} reads needs {needed} "
+            f"bytes of dense matrices, over the budget of {DENSE_BUDGET_BYTES}"
+        )
+
+
+def _branch_blocks(
     good_set: GoodSet, coefficients: tuple[int, ...], angle_numerator: float
 ) -> np.ndarray:
-    """Read-only block-diagonal matrix over branches: branch i applies the
+    """The (t, b, b) real stack of per-branch blocks: branch i's block is the
     tensor product over s of R_y(numer * (k_i c_s mod m) / m)."""
     m = good_set.modulus
     t = good_set.size
@@ -71,6 +96,12 @@ def _branch_block(
         rotations = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
         size = 2 * blocks.shape[1]
         blocks = np.einsum("tij,tkl->tikjl", blocks, rotations).reshape(t, size, size)
+    return blocks
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """Read-only dense complex matrix with the (t, b, b) blocks on its diagonal."""
+    t, size, _ = blocks.shape
     matrix = np.zeros((t * size, t * size), dtype=np.complex128)
     branches = np.arange(t)
     matrix.reshape(t, size, t, size)[branches, :, branches, :] = blocks
@@ -84,6 +115,74 @@ def _frozen_identity(dimension: int) -> np.ndarray:
     return identity
 
 
+def _fingerprint_program(
+    characteristic: Characteristic, good_set: GoodSet, single: bool
+) -> QuantumBranchingProgram:
+    """The circuit both constructions share, width t * 2^l.
+
+    Reading x_j = 1 rotates target s of branch i by numer * (k_i c_sj mod m)
+    / m, and the post-transform rotates in the constant coefficients.  The
+    single-polynomial circuit (one polynomial, single=True) uses twice the
+    generalized angle and ends with a Hadamard layer on the branch register,
+    accepting only the all-zero state; the generalized one accepts every
+    branch whose targets all read zero.
+    """
+    check_budget(characteristic, good_set.size)
+    t = good_set.size
+    log_t = t.bit_length() - 1
+    block_dim = 2 ** len(characteristic)
+    dimension = t * block_dim
+    numerator = (4.0 if single else 2.0) * math.pi
+    # The transforms come before the reads: allocated in this order, PERM_4
+    # certification loops peaked about 16 MB (12%) lower in RSS.
+    constant_blocks = _branch_blocks(
+        good_set,
+        tuple(poly.coefficients[0] for poly in characteristic.polynomials),
+        numerator,
+    )
+    hadamard = hadamard_layer(log_t)
+    pre_transform = np.kron(hadamard, np.eye(block_dim, dtype=np.complex128))
+    if single:
+        # Block (i, j) of (H (x) I_2) times the block-diagonal constant
+        # rotation is H[i, j] B_j: O(d^2) instead of a dense O(d^3) product,
+        # written straight into a read-only complex array the program keeps.
+        post_transform = np.empty((dimension, dimension), dtype=np.complex128)
+        np.multiply(
+            hadamard.real[:, None, :, None],
+            constant_blocks.transpose(1, 0, 2)[None],
+            out=post_transform.reshape(t, 2, t, 2),
+        )
+        post_transform.setflags(write=False)
+        accepting = (0,)
+    else:
+        post_transform = _block_diagonal(constant_blocks)
+        accepting = tuple(i * block_dim for i in range(t))
+    identity = _frozen_identity(dimension)
+    instructions = tuple(
+        Instruction(
+            variable_index=j,
+            on_zero=identity,
+            on_one=_block_diagonal(
+                _branch_blocks(
+                    good_set,
+                    tuple(poly.coefficients[j] for poly in characteristic.polynomials),
+                    numerator,
+                )
+            ),
+        )
+        for j in range(1, characteristic.arity + 1)
+    )
+    return QuantumBranchingProgram(
+        dimension=dimension,
+        arity=characteristic.arity,
+        instructions=instructions,
+        initial_state=basis_state(dimension, 0),
+        accepting=accepting,
+        pre_transform=pre_transform,
+        post_transform=post_transform,
+    )
+
+
 def compile_single(
     polynomial: LinearPolynomial, good_set: GoodSet
 ) -> SingleCompilation:
@@ -92,29 +191,10 @@ def compile_single(
         raise ModulusMismatchError(
             f"polynomial modulus {polynomial.modulus} != good set modulus {good_set.modulus}"
         )
-    t = good_set.size
-    log_t = t.bit_length() - 1
-    dimension = 2 * t
-    identity = _frozen_identity(dimension)
-    h_layer = np.kron(hadamard_layer(log_t), np.eye(2, dtype=np.complex128))
-    instructions = tuple(
-        Instruction(
-            variable_index=j,
-            on_zero=identity,
-            on_one=_branch_block(good_set, (polynomial.coefficients[j],), 4.0 * math.pi),
-        )
-        for j in range(1, polynomial.arity + 1)
+    characteristic = Characteristic(
+        modulus=polynomial.modulus, arity=polynomial.arity, polynomials=(polynomial,)
     )
-    constant_block = _branch_block(good_set, (polynomial.coefficients[0],), 4.0 * math.pi)
-    program = QuantumBranchingProgram(
-        dimension=dimension,
-        arity=polynomial.arity,
-        instructions=instructions,
-        initial_state=basis_state(dimension, 0),
-        accepting=(0,),
-        pre_transform=h_layer,
-        post_transform=h_layer @ constant_block,
-    )
+    program = _fingerprint_program(characteristic, good_set, single=True)
     return SingleCompilation(polynomial=polynomial, good_set=good_set, program=program)
 
 
@@ -127,43 +207,64 @@ def compile_general(
             f"characteristic modulus {characteristic.modulus} != "
             f"good set modulus {good_set.modulus}"
         )
-    t = good_set.size
-    log_t = t.bit_length() - 1
-    l = len(characteristic)
-    block_dim = 2**l
-    dimension = t * block_dim
-    identity = _frozen_identity(dimension)
-    instructions = tuple(
-        Instruction(
-            variable_index=j,
-            on_zero=identity,
-            on_one=_branch_block(
-                good_set,
-                tuple(poly.coefficients[j] for poly in characteristic.polynomials),
-                2.0 * math.pi,
-            ),
-        )
-        for j in range(1, characteristic.arity + 1)
-    )
-    constant_block = _branch_block(
-        good_set,
-        tuple(poly.coefficients[0] for poly in characteristic.polynomials),
-        2.0 * math.pi,
-    )
-    program = QuantumBranchingProgram(
-        dimension=dimension,
-        arity=characteristic.arity,
-        instructions=instructions,
-        initial_state=basis_state(dimension, 0),
-        accepting=tuple(i * block_dim for i in range(t)),
-        pre_transform=np.kron(
-            hadamard_layer(log_t), np.eye(block_dim, dtype=np.complex128)
-        ),
-        post_transform=constant_block,
-    )
+    program = _fingerprint_program(characteristic, good_set, single=False)
     return GeneralCompilation(
         characteristic=characteristic, good_set=good_set, program=program
     )
+
+
+def recipe_to_json_dict(
+    source: LinearPolynomial | Characteristic, good_set: GoodSet
+) -> dict:
+    """The program-file recipe: the polynomial (kind "single") or the
+    characteristic (kind "general") and the parameter set, from which
+    recipe_from_json_dict rebuilds the program."""
+    single = isinstance(source, LinearPolynomial)
+    return {
+        "kind": "single" if single else "general",
+        "polynomials": [source.to_json_dict()] if single else source.to_json_list(),
+        "goodset": {
+            "m": str(good_set.modulus),
+            "epsilon": good_set.error_rate,
+            "params": [str(k) for k in good_set.parameters],
+        },
+    }
+
+
+def recipe_from_json_dict(recipe: dict) -> SingleCompilation | GeneralCompilation:
+    """Compile the program a recipe describes.
+
+    Raises ValueError on a missing key, a wrong type or an unknown kind, and
+    TooLargeError, before anything of the program's size is allocated, when
+    it would exceed DENSE_BUDGET_BYTES.
+    """
+    try:
+        kind = recipe["kind"]
+        entries = recipe["polynomials"]
+        if kind == "single" and len(entries) == 1:
+            source = LinearPolynomial.from_json_dict(entries[0])
+        elif kind == "general" and len(entries) >= 1:
+            source = Characteristic.from_json_list(entries)
+        else:
+            raise ValueError(
+                f"recipe kind {kind!r} with {len(entries)} polynomials is neither "
+                f"'single' with one nor 'general' with at least one"
+            )
+        goodset = recipe["goodset"]
+        params = goodset["params"]
+        check_budget(source, len(params))
+        good_set = GoodSet(
+            modulus=int(goodset["m"]),
+            error_rate=float(goodset["epsilon"]),
+            parameters=tuple(int(k) for k in params),
+        )
+    except (KeyError, TypeError) as error:
+        raise ValueError(
+            f"malformed program recipe: {type(error).__name__} {error}"
+        ) from error
+    if isinstance(source, LinearPolynomial):
+        return compile_single(source, good_set)
+    return compile_general(source, good_set)
 
 
 def closed_form_single(

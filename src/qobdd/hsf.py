@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .compiler import GeneralCompilation, compile_general
+from .compiler import GeneralCompilation, check_budget, compile_general
 from .errors import LengthMismatchError, NotNormalError, PromiseViolation
-from .goodsets import sample
+from .goodsets import required_size, sample
 from .polynomials import Characteristic, LinearPolynomial
 
 ASSOCIATIVITY_CHECK_LIMIT = 64
@@ -270,6 +270,7 @@ def hsf_characteristic(instance: HSFInstance) -> Characteristic:
 def compile_hsf(instance: HSFInstance, epsilon: float, seed: int) -> GeneralCompilation:
     """Sample a parameter set over Z_(2^n) and compile the two-polynomial circuit."""
     characteristic = hsf_characteristic(instance)
+    check_budget(characteristic, required_size(epsilon, instance.modulus))
     good_set = sample(epsilon, instance.modulus, seed)
     return compile_general(characteristic, good_set)
 

@@ -187,13 +187,15 @@ class SOPFormula:
     """Sum-of-products formula; each product is a tuple of signed literals.
 
     Literal +j is the variable x_j, literal -j its negation.  Products must be
-    nonempty and may not repeat a variable.
+    nonempty, may not repeat a variable, and may not repeat each other (as
+    literal sets, so [1, -2] and [-2, 1] are the same product).
     """
 
     arity: int
     products: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        seen: set[frozenset[int]] = set()
         for product in self.products:
             if not product:
                 raise ValueError("empty product in SOP formula")
@@ -202,6 +204,10 @@ class SOPFormula:
                 raise ValueError(f"literal out of range in {product}")
             if len(set(indices)) != len(indices):
                 raise ValueError(f"variable repeated within product {product}")
+            literals = frozenset(product)
+            if literals in seen:
+                raise ValueError(f"product {product} repeats an earlier product")
+            seen.add(literals)
 
     def evaluate(self, bits: Sequence[int]) -> int:
         _check_bits(bits, self.arity)
@@ -221,8 +227,9 @@ def sop_to_polynomial(sop: SOPFormula) -> MultilinearPolynomial:
     (1 - x_j); the expanded monomials are summed and merged.  The result is 0
     on sigma exactly when every product evaluates to 0, i.e. when f(sigma)=1.
     The guarantee needs the number of simultaneously satisfied products to
-    stay below 2^n, which holds for the minterm formulas produced by
-    :func:`truth_table_to_sop`.
+    stay below 2^n.  It does: the products sigma satisfies are distinct
+    (SOPFormula rejects repeats) nonempty subsets of the n literals true at
+    sigma, so at most 2^n - 1 of them hold at once.
     """
     modulus = 2**sop.arity
     accumulated: dict[tuple[int, ...], int] = {}
@@ -327,11 +334,6 @@ def perm_polynomial(n: int) -> LinearPolynomial:
         for j in range(1, n + 1):
             coeffs[(i - 1) * n + j] = (base ** (i - 1) + base ** (n + j - 1)) % modulus
     return LinearPolynomial(modulus=modulus, arity=n * n, coefficients=tuple(coeffs))
-
-
-def load_polynomial(path: str) -> LinearPolynomial:
-    with open(path, "r", encoding="utf-8") as handle:
-        return LinearPolynomial.from_json_dict(json.load(handle))
 
 
 def load_characteristic(path: str) -> Characteristic:

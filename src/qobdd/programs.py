@@ -396,30 +396,39 @@ def program_to_json_dict(program: QuantumBranchingProgram) -> dict:
 
 
 def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
-    return QuantumBranchingProgram(
-        dimension=int(data["dimension"]),
-        arity=int(data["arity"]),
-        instructions=tuple(
-            Instruction(
-                variable_index=int(entry["variable"]),
-                on_zero=_matrix_from_json(entry["on_zero"]),
-                on_one=_matrix_from_json(entry["on_one"]),
-            )
-            for entry in data["instructions"]
-        ),
-        initial_state=np.array(
-            [complex(re, im) for re, im in data["initial_state"]], dtype=np.complex128
-        ),
-        accepting=tuple(int(i) for i in data["accepting"]),
-        pre_transform=(
-            None if data.get("pre_transform") is None else _matrix_from_json(data["pre_transform"])
-        ),
-        post_transform=(
-            None
-            if data.get("post_transform") is None
-            else _matrix_from_json(data["post_transform"])
-        ),
-    )
+    """The program program_to_json_dict wrote; ValueError on a missing key or
+    a wrong type.  The result is not validated: see validate()."""
+    try:
+        return QuantumBranchingProgram(
+            dimension=int(data["dimension"]),
+            arity=int(data["arity"]),
+            instructions=tuple(
+                Instruction(
+                    variable_index=int(entry["variable"]),
+                    on_zero=_matrix_from_json(entry["on_zero"]),
+                    on_one=_matrix_from_json(entry["on_one"]),
+                )
+                for entry in data["instructions"]
+            ),
+            initial_state=np.array(
+                [complex(re, im) for re, im in data["initial_state"]], dtype=np.complex128
+            ),
+            accepting=tuple(int(i) for i in data["accepting"]),
+            pre_transform=(
+                None
+                if data.get("pre_transform") is None
+                else _matrix_from_json(data["pre_transform"])
+            ),
+            post_transform=(
+                None
+                if data.get("post_transform") is None
+                else _matrix_from_json(data["post_transform"])
+            ),
+        )
+    except (KeyError, TypeError) as error:
+        raise ValueError(
+            f"malformed program file: {type(error).__name__} {error}"
+        ) from error
 
 
 def save_program(program: QuantumBranchingProgram, path: str) -> None:

@@ -18,6 +18,7 @@ import numpy as np
 from .compiler import (
     GeneralCompilation,
     SingleCompilation,
+    check_budget,
     closed_form_general_batch,
     closed_form_single_batch,
     compile_general,
@@ -26,7 +27,7 @@ from .compiler import (
     evaluate_linear_batch,
 )
 from .errors import TooLargeError
-from .goodsets import GoodSet, sample_good
+from .goodsets import GoodSet, required_size, sample_good
 from .hsf import HSFInstance, hsf_characteristic, hsf_eval, satisfies_promise
 from .polynomials import (
     Characteristic,
@@ -307,6 +308,7 @@ def certify_single(
     'realized' spot-verifies it on exactly the nonzero residues the polynomial
     takes on the swept inputs.
     """
+    check_budget(polynomial, required_size(epsilon, polynomial.modulus))
     if mode == "exhaustive":
         bits = all_inputs(polynomial.arity)
     else:
@@ -352,6 +354,7 @@ def certify_general(
     nonzero residues every polynomial of the characteristic realizes on the
     swept inputs (exactly what the bound needs for those inputs).
     """
+    check_budget(characteristic, required_size(epsilon, characteristic.modulus))
     if mode == "exhaustive":
         bits = all_inputs(characteristic.arity)
     else:

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import time
 
+import numpy as np
 import pytest
 
-from qobdd import cli, verification
+from qobdd import cli, compiler, programs, verification
+from qobdd.goodsets import sample
+from qobdd.polynomials import mod_polynomial
 
 
 def run_cli(capsys, argv):
@@ -243,3 +247,116 @@ def test_missing_required_n(capsys):
         ["build", "--function", "mod", "--epsilon", "0.2", "--seed", "0", "--out", "/tmp/x.json"]
     )
     assert code == 2
+
+
+def test_build_writes_only_the_recipe(capsys, tmp_path):
+    out = tmp_path / "perm3.json"
+    code, payload = run_cli(
+        capsys,
+        [
+            "build", "--function", "perm", "--n", "3",
+            "--epsilon", "0.2", "--seed", "3", "--out", str(out),
+        ],
+    )
+    assert code == 0
+    assert (payload["width"], payload["arity"]) == (256, 9)
+    assert out.stat().st_size < 10_000
+    data = json.loads(out.read_text())
+    assert list(data) == ["fingerprint"]
+    assert set(data["fingerprint"]) == {"kind", "polynomials", "goodset"}
+
+
+def test_eval_reads_files_with_and_without_a_recipe(capsys, tmp_path):
+    polynomial = mod_polynomial(4, 3)
+    good_set = sample(0.2, 3, seed=2)
+    recipe = compiler.recipe_to_json_dict(polynomial, good_set)
+    dense = programs.program_to_json_dict(compiler.compile_single(polynomial, good_set).program)
+    files = {
+        "recipe": {"fingerprint": recipe},
+        # What build wrote before program files were recipes.
+        "dense_and_recipe": {**dense, "fingerprint": recipe},
+        "dense": dense,
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    for bits in ("0000", "1110", "1000", "1011"):
+        outputs = {}
+        for name in files:
+            code = cli.main(["eval", "--program", str(tmp_path / f"{name}.json"), "--input", bits])
+            assert code == 0
+            outputs[name] = capsys.readouterr().out
+        assert outputs["dense_and_recipe"] == outputs["recipe"]
+        from_recipe = json.loads(outputs["recipe"])
+        assert from_recipe["closed_form"] is not None
+        assert json.loads(outputs["dense"]) == {
+            "accept_probability": from_recipe["accept_probability"],
+            "closed_form": None,
+        }
+
+
+def _non_unitary_dense_file() -> dict:
+    identity = np.eye(2, dtype=np.complex128)
+    program = programs.QuantumBranchingProgram(
+        dimension=2,
+        arity=1,
+        instructions=(programs.Instruction(1, identity, 0.5 * identity),),
+        initial_state=programs.basis_state(2, 0),
+        accepting=(0,),
+    )
+    return programs.program_to_json_dict(program)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"dimension": 4}, "malformed program file"),
+        ([1, 2], "JSON object"),
+        (
+            {
+                "fingerprint": {
+                    "kind": "bogus",
+                    "polynomials": [{"m": "3", "n": 1, "coeffs": ["0", "1"]}],
+                    "goodset": {"m": "3", "epsilon": 0.2, "params": ["1", "2"]},
+                }
+            },
+            "bogus",
+        ),
+        ({"fingerprint": {"kind": "single"}}, "malformed program recipe"),
+        (_non_unitary_dense_file(), "non-unitary"),
+    ],
+)
+def test_eval_malformed_program_file_is_a_usage_error(capsys, tmp_path, data, message):
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["eval", "--program", str(path), "--input", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_build_sop_file_rejects_repeated_products(capsys, tmp_path):
+    sop_path = tmp_path / "twice.json"
+    sop_path.write_text(json.dumps({"n": 1, "products": [[1], [1]]}))
+    out = tmp_path / "program.json"
+    code = cli.main(
+        [
+            "build", "--function", "sop-file", "--file", str(sop_path),
+            "--epsilon", "0.5", "--seed", "0", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert "repeats" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_size_budget_is_checked_before_sampling(capsys, tmp_path, command):
+    # t = 4,194,304 parameters: width 8.4M, far beyond the dense budget.
+    argv = [command, "--function", "mod", "--n", "4", "--m", "3", "--epsilon", "1e-6"]
+    out = tmp_path / "program.json"
+    if command == "build":
+        argv += ["--out", str(out)]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "budget" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
 import numpy as np
 import pytest
 
+from qobdd import compiler
 from qobdd.compiler import (
+    _block_diagonal,
+    _branch_blocks,
+    check_budget,
     closed_form_general,
     closed_form_general_batch,
     closed_form_single,
@@ -16,12 +21,21 @@ from qobdd.compiler import (
     compile_general,
     compile_single,
     error_bound_general,
+    recipe_from_json_dict,
+    recipe_to_json_dict,
 )
-from qobdd.errors import InvalidErrorRateError, ModulusMismatchError
-from qobdd.goodsets import GoodSet, sample, sample_good, verify_exhaustive
-from qobdd.polynomials import Characteristic, LinearPolynomial, mod_polynomial
+from qobdd.errors import InvalidErrorRateError, ModulusMismatchError, TooLargeError
+from qobdd.goodsets import GoodSet, required_size, sample, sample_good, verify_exhaustive
+from qobdd.hsf import FiniteGroup, HSFInstance, cyclic_subgroup, hsf_characteristic
+from qobdd.polynomials import (
+    Characteristic,
+    LinearPolynomial,
+    mod_polynomial,
+    perm_polynomial,
+)
 from qobdd.programs import (
     accept_probability,
+    hadamard_layer,
     is_read_once,
     metrics,
     sweep_accept_probabilities,
@@ -234,3 +248,103 @@ def test_zero_coefficient_variables_still_read():
 def test_error_bound_general_raises_the_package_error_type():
     with pytest.raises(InvalidErrorRateError):
         error_bound_general(1.0)
+
+
+def test_single_post_transform_equals_the_dense_hadamard_product():
+    """The block-wise post-transform against the dense O(d^3) product it replaced."""
+    polynomial = perm_polynomial(4)
+    good_set = sample(0.2, polynomial.modulus, seed=3)
+    program = compile_single(polynomial, good_set).program
+    t = good_set.size
+    h_layer = np.kron(hadamard_layer(t.bit_length() - 1), np.eye(2, dtype=np.complex128))
+    constant_block = _block_diagonal(
+        _branch_blocks(good_set, (polynomial.coefficients[0],), 4.0 * math.pi)
+    )
+    assert np.array_equal(program.post_transform, h_layer @ constant_block)
+
+
+def _general_source() -> Characteristic:
+    return Characteristic(
+        modulus=5,
+        arity=3,
+        polynomials=(
+            LinearPolynomial(5, 3, (1, 2, 3, 4)),
+            LinearPolynomial(5, 3, (0, 1, 0, 4)),
+        ),
+    )
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_recipe_round_trip_rebuilds_the_same_program(general):
+    source = _general_source() if general else mod_polynomial(4, 5)
+    good_set = sample(0.3, 5, seed=4)
+    expected = (compile_general if general else compile_single)(source, good_set)
+    recipe = json.loads(json.dumps(recipe_to_json_dict(source, good_set)))
+    assert set(recipe) == {"kind", "polynomials", "goodset"}
+    loaded = recipe_from_json_dict(recipe)
+    assert type(loaded) is type(expected)
+    assert loaded.good_set == good_set
+    a, b = loaded.program, expected.program
+    assert (a.dimension, a.arity, a.accepting) == (b.dimension, b.arity, b.accepting)
+    for x, y in zip(a.instructions, b.instructions):
+        assert x.variable_index == y.variable_index
+        assert np.array_equal(x.on_zero, y.on_zero) and np.array_equal(x.on_one, y.on_one)
+    assert np.array_equal(a.pre_transform, b.pre_transform)
+    assert np.array_equal(a.post_transform, b.post_transform)
+
+
+def _recipe(**changes) -> dict:
+    recipe = recipe_to_json_dict(mod_polynomial(4, 5), sample(0.3, 5, seed=4))
+    recipe.update(changes)
+    return recipe
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        {},
+        [],
+        _recipe(kind="bogus"),
+        _recipe(kind=["single"]),
+        _recipe(polynomials=[]),
+        _recipe(polynomials=5),
+        _recipe(polynomials=[{"m": "5"}]),
+        _recipe(polynomials=["x"]),
+        _recipe(kind="single", polynomials=_general_source().to_json_list()),
+        _recipe(kind="general", polynomials=[]),
+        _recipe(goodset={"m": "5", "epsilon": 0.3}),
+        _recipe(goodset={"m": "5", "epsilon": 0.3, "params": 7}),
+        _recipe(goodset={"m": "5", "epsilon": None, "params": ["1", "2"]}),
+        _recipe(goodset={"m": "5", "epsilon": 0.3, "params": ["1", "2", "3"]}),
+        _recipe(goodset={"m": "7", "epsilon": 0.3, "params": ["1", "2"]}),
+    ],
+)
+def test_recipe_loader_raises_value_error_on_malformed_recipes(recipe):
+    with pytest.raises(ValueError):
+        recipe_from_json_dict(recipe)
+
+
+def test_size_budget_is_checked_before_compiling(monkeypatch):
+    polynomial = mod_polynomial(5, 3)
+    good_set = sample(0.2, 3, seed=0)
+    characteristic = Characteristic(modulus=3, arity=5, polynomials=(polynomial,))
+    needed = (5 + 3) * (2 * good_set.size) ** 2 * 16
+    monkeypatch.setattr(compiler, "DENSE_BUDGET_BYTES", needed - 1)
+    with pytest.raises(TooLargeError):
+        compile_single(polynomial, good_set)
+    with pytest.raises(TooLargeError):
+        compile_general(characteristic, good_set)
+    with pytest.raises(TooLargeError):
+        recipe_from_json_dict(recipe_to_json_dict(polynomial, good_set))
+    monkeypatch.setattr(compiler, "DENSE_BUDGET_BYTES", needed)
+    compile_single(polynomial, good_set)
+    compile_general(characteristic, good_set)
+
+
+def test_size_budget_admits_the_widest_benchmark_programs():
+    perm = perm_polynomial(4)
+    check_budget(perm, required_size(0.2, perm.modulus))
+    z8 = hsf_characteristic(HSFInstance.create(FiniteGroup.cyclic(8), cyclic_subgroup(8, 4)))
+    check_budget(z8, required_size(0.25, z8.modulus))
+    with pytest.raises(TooLargeError):
+        check_budget(mod_polynomial(4, 3), required_size(1e-6, 3))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -237,3 +238,32 @@ def test_polynomial_json_round_trip():
     assert again_multi == multi
     chi = Characteristic(modulus=3, arity=3, polynomials=(mod_polynomial(3, 3),))
     assert Characteristic.from_json_list(chi.to_json_list()) == chi
+
+
+def test_sop_rejects_repeated_products():
+    # Two copies of x_1 sum to 2 = 0 mod 2^1 at x_1 = 1, so the polynomial
+    # would vanish on an input where NOT f holds.
+    with pytest.raises(ValueError, match="repeats"):
+        SOPFormula(arity=1, products=((1,), (1,)))
+    with pytest.raises(ValueError, match="repeats"):
+        SOPFormula(arity=2, products=((1, -2), (-2, 1)))
+    SOPFormula(arity=2, products=((1, -2), (1, 2), (-2,)))
+
+
+def test_sop_polynomial_vanishes_exactly_off_any_distinct_products():
+    """Not only minterms: any set of distinct products over n = 3."""
+    arity = 3
+    literal_choices = (0, 1, -1)
+    all_products = [
+        tuple(sign * (j + 1) for j, sign in enumerate(signs) if sign)
+        for signs in itertools.product(literal_choices, repeat=arity)
+        if any(signs)
+    ]
+    rng = random.Random(11)
+    for _ in range(200):
+        products = rng.sample(all_products, rng.randint(1, len(all_products)))
+        sop = SOPFormula(arity=arity, products=tuple(products))
+        poly = sop_to_polynomial(sop)
+        for v in range(1 << arity):
+            bits = [(v >> (arity - 1 - j)) & 1 for j in range(arity)]
+            assert (poly.evaluate(bits) == 0) == (sop.evaluate(bits) == 0)

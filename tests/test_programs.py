@@ -201,3 +201,17 @@ def test_program_arrays_are_frozen():
         program.initial_state[0] = 0.0
     with pytest.raises(ValueError):
         program.instructions[0].on_one[0, 0] = 5.0
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dimension": 4},
+        {"dimension": 2, "arity": 1, "instructions": 5, "initial_state": [], "accepting": []},
+        {"dimension": 2, "arity": 1, "instructions": [{"variable": 1}], "initial_state": [], "accepting": []},
+        [],
+    ],
+)
+def test_program_from_json_dict_raises_value_error_on_malformed_data(data):
+    with pytest.raises(ValueError, match="malformed program file"):
+        program_from_json_dict(data)
