@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import compiler, goodsets, hsf, polynomials, programs, verification
-from .errors import LengthMismatchError, TooLargeError
+from .errors import _malformed
 
 
 def _emit(payload) -> None:
@@ -132,8 +132,9 @@ def _load_hsf_instance(args: argparse.Namespace) -> hsf.HSFInstance:
     if args.cayley_file is not None:
         with open(args.cayley_file, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-        group = hsf.FiniteGroup.from_table(data["table"])
-        subgroup = tuple(int(s) for s in data["subgroup"])
+        with _malformed(f"Cayley file {args.cayley_file}"):
+            group = hsf.FiniteGroup.from_table(data["table"])
+            subgroup = tuple(int(s) for s in data["subgroup"])
     elif args.cyclic is not None:
         if args.subgroup_generator is None:
             raise ValueError("--cyclic requires --subgroup-generator")
@@ -255,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, LengthMismatchError, TooLargeError, OSError) as error:
+    except (ValueError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

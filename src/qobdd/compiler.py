@@ -33,8 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModulusMismatchError, TooLargeError
-from .goodsets import GoodSet, check_error_rate
+from .errors import (
+    LengthMismatchError,
+    ModulusMismatchError,
+    TooLargeError,
+    _malformed,
+)
+from .goodsets import (
+    _INT64_SAFE,
+    GoodSet,
+    _cosine_kernel,
+    _residue_products,
+    check_error_rate,
+)
 from .polynomials import Characteristic, LinearPolynomial
 from .programs import (
     Instruction,
@@ -42,9 +53,6 @@ from .programs import (
     basis_state,
     hadamard_layer,
 )
-
-# int64 batch paths are exact as long as intermediate products stay below 2^63.
-_INT64_SAFE = 2**62
 
 # The most bytes of dense complex matrices a compiled program may hold; the
 # benchmark's widest programs (PERM_4 and HSF Z_8/<4>, width 512) need 80 MB.
@@ -87,10 +95,8 @@ def _branch_blocks(
 ) -> np.ndarray:
     """The (t, b, b) real stack of per-branch blocks: branch i's block is the
     tensor product over s of R_y(numer * (k_i c_s mod m) / m)."""
-    m = good_set.modulus
     t = good_set.size
-    values = np.array(coefficients, dtype=np.int64 if m <= _INT64_SAFE else object)
-    half_angles = angle_numerator * _residue_products(values, good_set) / 2.0
+    half_angles = angle_numerator * _residue_products(coefficients, good_set) / 2.0
     blocks = np.ones((t, 1, 1))
     for c, s in zip(np.cos(half_angles), np.sin(half_angles)):
         rotations = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
@@ -234,11 +240,11 @@ def recipe_to_json_dict(
 def recipe_from_json_dict(recipe: dict) -> SingleCompilation | GeneralCompilation:
     """Compile the program a recipe describes.
 
-    Raises ValueError on a missing key, a wrong type or an unknown kind, and
-    TooLargeError, before anything of the program's size is allocated, when
-    it would exceed DENSE_BUDGET_BYTES.
+    Raises ValueError on a missing key, a wrong type, a missing entry or an
+    unknown kind, and TooLargeError, before anything of the program's size is
+    allocated, when it would exceed DENSE_BUDGET_BYTES.
     """
-    try:
+    with _malformed("program recipe"):
         kind = recipe["kind"]
         entries = recipe["polynomials"]
         if kind == "single" and len(entries) == 1:
@@ -258,45 +264,9 @@ def recipe_from_json_dict(recipe: dict) -> SingleCompilation | GeneralCompilatio
             error_rate=float(goodset["epsilon"]),
             parameters=tuple(int(k) for k in params),
         )
-    except (KeyError, TypeError) as error:
-        raise ValueError(
-            f"malformed program recipe: {type(error).__name__} {error}"
-        ) from error
     if isinstance(source, LinearPolynomial):
         return compile_single(source, good_set)
     return compile_general(source, good_set)
-
-
-def closed_form_single(
-    polynomial: LinearPolynomial, good_set: GoodSet, bits
-) -> float:
-    """(1/t^2) (sum_i cos(2 pi k_i g(sigma) / m))^2, with exact residues."""
-    if polynomial.modulus != good_set.modulus:
-        raise ModulusMismatchError("polynomial and good set moduli differ")
-    m = good_set.modulus
-    value = polynomial.evaluate(bits)
-    total = sum(
-        math.cos(2.0 * math.pi * (((k * value) % m) / m))
-        for k in good_set.parameters
-    )
-    return (total / good_set.size) ** 2
-
-
-def closed_form_general(
-    characteristic: Characteristic, good_set: GoodSet, bits
-) -> float:
-    """(1/t) sum_i prod_s cos^2(pi k_i g_s(sigma) / m), with exact residues."""
-    if characteristic.modulus != good_set.modulus:
-        raise ModulusMismatchError("characteristic and good set moduli differ")
-    m = good_set.modulus
-    values = characteristic.evaluate(bits)
-    total = 0.0
-    for k in good_set.parameters:
-        term = 1.0
-        for value in values:
-            term *= math.cos(math.pi * (((k * value) % m) / m)) ** 2
-        total += term
-    return total / good_set.size
 
 
 def error_bound_general(epsilon: float) -> float:
@@ -309,6 +279,10 @@ def evaluate_linear_batch(
     polynomial: LinearPolynomial, bit_matrix: np.ndarray
 ) -> np.ndarray:
     """Residues g(sigma) for every row of bit_matrix, as int64 when safe."""
+    if bit_matrix.shape[1] != polynomial.arity:
+        raise LengthMismatchError(
+            f"expected {polynomial.arity} bits, got {bit_matrix.shape[1]}"
+        )
     m = polynomial.modulus
     if (polynomial.arity + 1) * (m - 1) < _INT64_SAFE:
         coeffs = np.array(polynomial.coefficients[1:], dtype=np.int64)
@@ -319,37 +293,37 @@ def evaluate_linear_batch(
     )
 
 
-def _residue_products(values: np.ndarray, good_set: GoodSet) -> np.ndarray:
-    """(k_i * g(sigma)) mod m for every input row and parameter, as float ratios."""
-    m = good_set.modulus
-    if values.dtype == object or (m - 1) * (m - 1) >= _INT64_SAFE:
-        rows = [
-            [(int(k) * int(v)) % m for k in good_set.parameters] for v in values
-        ]
-        return np.array([[r / m for r in row] for row in rows], dtype=np.float64)
-    params = np.array(good_set.parameters, dtype=np.int64)
-    products = (values[:, None] * params[None, :]) % m
-    return products.astype(np.float64) / m
-
-
 def closed_form_single_batch(
     polynomial: LinearPolynomial, good_set: GoodSet, bit_matrix: np.ndarray
 ) -> np.ndarray:
+    """(1/t^2) (sum_i cos(2 pi k_i g(sigma) / m))^2 for every row sigma."""
     if polynomial.modulus != good_set.modulus:
         raise ModulusMismatchError("polynomial and good set moduli differ")
-    values = evaluate_linear_batch(polynomial, bit_matrix)
-    ratios = _residue_products(values, good_set)
-    return np.mean(np.cos(2.0 * math.pi * ratios), axis=1) ** 2
+    return _cosine_kernel(evaluate_linear_batch(polynomial, bit_matrix), good_set)
 
 
 def closed_form_general_batch(
     characteristic: Characteristic, good_set: GoodSet, bit_matrix: np.ndarray
 ) -> np.ndarray:
+    """(1/t) sum_i prod_s cos^2(pi k_i g_s(sigma) / m) for every row sigma."""
     if characteristic.modulus != good_set.modulus:
         raise ModulusMismatchError("characteristic and good set moduli differ")
     product = np.ones((bit_matrix.shape[0], good_set.size), dtype=np.float64)
     for polynomial in characteristic.polynomials:
         values = evaluate_linear_batch(polynomial, bit_matrix)
-        ratios = _residue_products(values, good_set)
-        product *= np.cos(math.pi * ratios) ** 2
+        product *= np.cos(math.pi * _residue_products(values, good_set)) ** 2
     return np.mean(product, axis=1)
+
+
+def closed_form_single(polynomial: LinearPolynomial, good_set: GoodSet, bits) -> float:
+    """The single closed form on one input: a 1-row closed_form_single_batch."""
+    return float(closed_form_single_batch(polynomial, good_set, np.asarray([bits]))[0])
+
+
+def closed_form_general(
+    characteristic: Characteristic, good_set: GoodSet, bits
+) -> float:
+    """The generalized closed form on one input: a 1-row closed_form_general_batch."""
+    return float(
+        closed_form_general_batch(characteristic, good_set, np.asarray([bits]))[0]
+    )

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class LengthMismatchError(ValueError):
     """An input bit string does not match the expected arity."""
@@ -31,3 +33,13 @@ class PromiseViolation(ValueError):
 
 class InvalidErrorRateError(ValueError):
     """An error rate outside the open interval (0, 1)."""
+
+
+@contextmanager
+def _malformed(what: str):
+    """Re-raise a missing key, a wrong type or a missing entry met while
+    parsing `what` as the ValueError every loader raises on bad input."""
+    try:
+        yield
+    except (KeyError, TypeError, IndexError) as error:
+        raise ValueError(f"malformed {what}: {type(error).__name__} {error}") from error

@@ -2,10 +2,12 @@
 
 A parameter set K = {k_1, ..., k_t} over Z_m is good for a residue b != 0 when
 the squared normalized cosine sum (1/t^2) (sum_i cos(2 pi k_i b / m))^2 stays
-below the error rate.  Sets are drawn uniformly at random; an Azuma-type
-bound makes a random set good for every b with positive probability once
-t >= ceil((2/eps) ln 2m).  t is then padded to the next power of two so the
-compiled branch register supports an exact Hadamard layer.
+below the error rate; at b = g(sigma) it is the single-polynomial program's
+acceptance, so one kernel over residue arrays serves goodness and closed forms.
+Sets are drawn uniformly at random; an Azuma-type bound makes a random set
+good for every b with positive probability once t >= ceil((2/eps) ln 2m).
+t is then padded to the next power of two so the compiled branch register
+supports an exact Hadamard layer.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     InvalidErrorRateError,
     NonPowerOfTwoError,
@@ -23,6 +27,9 @@ from .errors import (
 )
 
 DEFAULT_VERIFY_LIMIT = 2**20
+
+# int64 batch paths are exact as long as intermediate products stay below 2^63.
+_INT64_SAFE = 2**62
 
 
 def check_error_rate(epsilon: float) -> None:
@@ -79,21 +86,31 @@ class GoodSet:
         return len(self.parameters)
 
 
-def cosine_sum(good_set: GoodSet, b: int) -> float:
-    """(1/t^2) (sum_i cos(2 pi (k_i b mod m) / m))^2 for b != 0 mod m.
-
-    The product k_i * b is reduced mod m exactly before the angle is formed,
-    so the cosine argument never loses precision to a large product.
-    """
+def _residue_products(values, good_set: GoodSet) -> np.ndarray:
+    """(k_i * v mod m) / m for every residue v and parameter k_i, shape (rows, t):
+    exact products (int64 while they cannot overflow), then one rounding."""
     m = good_set.modulus
-    if b % m == 0:
+    if (m - 1) * (m - 1) >= _INT64_SAFE:
+        params = [int(k) for k in good_set.parameters]
+        rows = [[(k * int(v)) % m / m for k in params] for v in values]
+        return np.array(rows, dtype=np.float64).reshape(len(rows), len(params))
+    params = np.array(good_set.parameters, dtype=np.int64)
+    products = (np.asarray(values, dtype=np.int64)[:, None] * params[None, :]) % m
+    return products.astype(np.float64) / m
+
+
+def _cosine_kernel(values, good_set: GoodSet) -> np.ndarray:
+    """(mean_i cos(2 pi (k_i v mod m) / m))^2 for every residue v in values."""
+    ratios = _residue_products(values, good_set)
+    return np.mean(np.cos(2.0 * math.pi * ratios), axis=1) ** 2
+
+
+def cosine_sum(good_set: GoodSet, b: int) -> float:
+    """(1/t^2) (sum_i cos(2 pi (k_i b mod m) / m))^2 for b != 0 mod m."""
+    residue = b % good_set.modulus
+    if residue == 0:
         raise ZeroResidueError("goodness is undefined for b == 0 (mod m)")
-    total = 0.0
-    for k in good_set.parameters:
-        # exact big-int ratio first, then one rounding into double
-        total += math.cos(2.0 * math.pi * (((k * b) % m) / m))
-    t = good_set.size
-    return (total / t) ** 2
+    return float(_cosine_kernel([residue], good_set)[0])
 
 
 def is_good_for(good_set: GoodSet, b: int) -> bool:

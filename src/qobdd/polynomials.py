@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import LengthMismatchError
+from .errors import LengthMismatchError, _malformed
 
 
 def reduce_mod(x: int, modulus: int) -> int:
@@ -337,15 +337,17 @@ def perm_polynomial(n: int) -> LinearPolynomial:
 
 
 def load_characteristic(path: str) -> Characteristic:
+    """Read a characteristic from JSON: a list of linear polynomial objects."""
     with open(path, "r", encoding="utf-8") as handle:
-        return Characteristic.from_json_list(json.load(handle))
+        data = json.load(handle)
+    with _malformed(f"characteristic file {path}"):
+        return Characteristic.from_json_list(data)
 
 
 def load_sop(path: str) -> SOPFormula:
     """Read an SOP formula from JSON: {"n": arity, "products": [[lit, ...], ...]}."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    return SOPFormula(
-        arity=int(data["n"]),
-        products=tuple(tuple(int(lit) for lit in product) for product in data["products"]),
-    )
+    with _malformed(f"SOP file {path}"):
+        products = tuple(tuple(int(lit) for lit in p) for p in data["products"])
+        return SOPFormula(arity=int(data["n"]), products=products)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError
+from .errors import LengthMismatchError, _malformed
 
 UNITARY_TOL = 1e-9
 NORM_TOL = 1e-9
@@ -396,9 +396,9 @@ def program_to_json_dict(program: QuantumBranchingProgram) -> dict:
 
 
 def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
-    """The program program_to_json_dict wrote; ValueError on a missing key or
-    a wrong type.  The result is not validated: see validate()."""
-    try:
+    """The program program_to_json_dict wrote; ValueError on a missing key, a
+    wrong type or a missing entry.  The result is not validated: see validate()."""
+    with _malformed("program file"):
         return QuantumBranchingProgram(
             dimension=int(data["dimension"]),
             arity=int(data["arity"]),
@@ -425,10 +425,6 @@ def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
                 else _matrix_from_json(data["post_transform"])
             ),
         )
-    except (KeyError, TypeError) as error:
-        raise ValueError(
-            f"malformed program file: {type(error).__name__} {error}"
-        ) from error
 
 
 def save_program(program: QuantumBranchingProgram, path: str) -> None:

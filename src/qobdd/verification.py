@@ -11,7 +11,7 @@ the partition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -134,9 +134,8 @@ def input_block(arity: int, start: int, stop: int) -> np.ndarray:
 
 
 def all_inputs(arity: int) -> np.ndarray:
-    if arity > EXHAUSTIVE_GUARD:
-        raise TooLargeError(f"exhaustive enumeration capped at n <= {EXHAUSTIVE_GUARD}")
-    return input_block(arity, 0, 1 << arity)
+    _, (bits,) = _input_walk(arity, "exhaustive", chunk_size=1 << arity)
+    return bits
 
 
 def sampled_inputs(arity: int, samples: int, seed: int) -> np.ndarray:
@@ -151,10 +150,37 @@ def realized_residues(
     residues: set[int] = set()
     for polynomial in polynomials:
         values = evaluate_linear_batch(polynomial, bit_matrix)
-        if values.dtype == object:
-            residues.update(int(v) for v in values if v != 0)
-        else:
-            residues.update(int(v) for v in np.unique(values) if v != 0)
+        residues.update(int(v) for v in np.unique(values) if v != 0)
+    return sorted(residues)
+
+
+def _input_walk(
+    arity: int, mode: str, samples=DEFAULT_SAMPLES, seed=0, chunk_size=DEFAULT_CHUNK
+) -> tuple[dict, Iterator[np.ndarray]]:
+    """The report's mode entry and the mode's inputs, chunk by chunk; the one
+    place the exhaustive guard is checked, before anything is allocated."""
+    if mode == "exhaustive":
+        if arity > EXHAUSTIVE_GUARD:
+            raise TooLargeError(
+                f"exhaustive enumeration capped at n <= {EXHAUSTIVE_GUARD}, got {arity}"
+            )
+        total, mode_dict = 1 << arity, {"kind": "exhaustive"}
+        block = lambda a, b: input_block(arity, a, b)
+    elif mode == "sampled":
+        pool = sampled_inputs(arity, samples, seed)
+        total, mode_dict = samples, {"kind": "sampled", "samples": samples, "seed": seed}
+        block = lambda a, b: pool[a:b]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    starts = range(0, total, chunk_size)
+    return mode_dict, (block(a, min(a + chunk_size, total)) for a in starts)
+
+
+def _walk_residues(polynomials, chunks: Iterable[np.ndarray]) -> list[int]:
+    """realized_residues over every chunk, without holding all inputs at once."""
+    residues: set[int] = set()
+    for bits in chunks:
+        residues.update(realized_residues(polynomials, bits))
     return sorted(residues)
 
 
@@ -183,29 +209,13 @@ def verify(
     recorded.
     """
     n = program.arity
-    if mode == "exhaustive":
-        if n > EXHAUSTIVE_GUARD:
-            raise TooLargeError(
-                f"exhaustive mode capped at n <= {EXHAUSTIVE_GUARD}, got {n}"
-            )
-        total = 1 << n
-        mode_dict: dict = {"kind": "exhaustive"}
-        block = lambda a, b: input_block(n, a, b)
-    elif mode == "sampled":
-        pool = sampled_inputs(n, samples, seed)
-        total = samples
-        mode_dict = {"kind": "sampled", "samples": samples, "seed": seed}
-        block = lambda a, b: pool[a:b]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    mode_dict, chunks = _input_walk(n, mode, samples, seed, chunk_size)
     ones = ClassStats()
     zeros = ClassStats()
     filtered = 0
     max_drift = 0.0
     max_gap: float | None = None
-    for start in range(0, total, chunk_size):
-        bits = block(start, min(start + chunk_size, total))
+    for bits in chunks:
         if promise is not None:
             keep = np.fromiter(
                 (promise(row) for row in bits), dtype=bool, count=bits.shape[0]
@@ -291,6 +301,39 @@ def named_function(
     raise ValueError(f"unknown function {function!r}")
 
 
+def _certify(
+    source: LinearPolynomial | Characteristic, oracle, epsilon: float, seed: int, *,
+    function: str, goodness: str, mode: str, samples: int, promise=None,
+) -> tuple[VerificationReport, SingleCompilation | GeneralCompilation]:
+    """Pick a good set, compile the source, and verify the contract; the
+    source type picks the compiler, the bound and the closed form."""
+    check_budget(source, required_size(epsilon, source.modulus))
+    _, chunks = _input_walk(source.arity, mode, samples, seed)
+    single = isinstance(source, LinearPolynomial)
+    if goodness == "exhaustive":
+        good_set, _ = sample_good(epsilon, source.modulus, seed)
+    elif goodness == "realized":
+        residues = _walk_residues([source] if single else source.polynomials, chunks)
+        good_set, _ = sample_good(epsilon, source.modulus, seed, residues=residues)
+    else:
+        raise ValueError(f"unknown goodness policy {goodness!r}")
+    if single:
+        compilation = compile_single(source, good_set)
+        bound = epsilon
+        closed_form_batch = closed_form_single_batch
+    else:
+        compilation = compile_general(source, good_set)
+        bound = error_bound_general(epsilon)
+        closed_form_batch = closed_form_general_batch
+    report = verify(
+        oracle, compilation.program, bound=bound, mode=mode, function=function,
+        epsilon=epsilon, t=good_set.size, samples=samples, seed=seed, promise=promise,
+        closed_form=lambda rows: closed_form_batch(source, good_set, rows),
+        goodness=goodness,
+    )
+    return report, compilation
+
+
 def certify_single(
     polynomial: LinearPolynomial,
     oracle: Callable[[Sequence[int]], int],
@@ -302,39 +345,14 @@ def certify_single(
     mode: str = "exhaustive",
     samples: int = DEFAULT_SAMPLES,
 ) -> tuple[VerificationReport, SingleCompilation]:
-    """Pick a good set, compile the polynomial, and verify the contract.
+    """Certify a polynomial's program against the false-accept bound eps.
 
     goodness='exhaustive' verifies the set on every b in [1, m-1] (small m);
     'realized' spot-verifies it on exactly the nonzero residues the polynomial
     takes on the swept inputs.
     """
-    check_budget(polynomial, required_size(epsilon, polynomial.modulus))
-    if mode == "exhaustive":
-        bits = all_inputs(polynomial.arity)
-    else:
-        bits = sampled_inputs(polynomial.arity, samples, seed)
-    if goodness == "exhaustive":
-        good_set, _ = sample_good(epsilon, polynomial.modulus, seed)
-    elif goodness == "realized":
-        residues = realized_residues([polynomial], bits)
-        good_set, _ = sample_good(epsilon, polynomial.modulus, seed, residues=residues)
-    else:
-        raise ValueError(f"unknown goodness policy {goodness!r}")
-    compilation = compile_single(polynomial, good_set)
-    report = verify(
-        oracle,
-        compilation.program,
-        bound=epsilon,
-        mode=mode,
-        function=function,
-        epsilon=epsilon,
-        t=good_set.size,
-        samples=samples,
-        seed=seed,
-        closed_form=lambda rows: closed_form_single_batch(polynomial, good_set, rows),
-        goodness=goodness,
-    )
-    return report, compilation
+    return _certify(polynomial, oracle, epsilon, seed, function=function,
+                    goodness=goodness, mode=mode, samples=samples)
 
 
 def certify_general(
@@ -348,37 +366,14 @@ def certify_general(
     mode: str = "exhaustive",
     samples: int = DEFAULT_SAMPLES,
 ) -> tuple[VerificationReport, GeneralCompilation]:
-    """Spot-verified good set + generalized compilation + sweep.
+    """Certify a characteristic's program against 1/2 + sqrt(eps)/2.
 
-    The false-accept bound is 1/2 + sqrt(eps)/2; goodness is checked on the
-    nonzero residues every polynomial of the characteristic realizes on the
-    swept inputs (exactly what the bound needs for those inputs).
+    Goodness is checked on the nonzero residues every polynomial of the
+    characteristic realizes on the swept inputs (exactly what the bound needs
+    for those inputs); an optional promise restricts the checked inputs.
     """
-    check_budget(characteristic, required_size(epsilon, characteristic.modulus))
-    if mode == "exhaustive":
-        bits = all_inputs(characteristic.arity)
-    else:
-        bits = sampled_inputs(characteristic.arity, samples, seed)
-    residues = realized_residues(characteristic.polynomials, bits)
-    good_set, _ = sample_good(epsilon, characteristic.modulus, seed, residues=residues)
-    compilation = compile_general(characteristic, good_set)
-    report = verify(
-        oracle,
-        compilation.program,
-        bound=error_bound_general(epsilon),
-        mode=mode,
-        function=function,
-        epsilon=epsilon,
-        t=good_set.size,
-        samples=samples,
-        seed=seed,
-        promise=promise,
-        closed_form=lambda rows: closed_form_general_batch(
-            characteristic, good_set, rows
-        ),
-        goodness="realized",
-    )
-    return report, compilation
+    return _certify(characteristic, oracle, epsilon, seed, function=function,
+                    goodness="realized", mode=mode, samples=samples, promise=promise)
 
 
 def certify_hsf(

@@ -360,3 +360,29 @@ def test_size_budget_is_checked_before_sampling(capsys, tmp_path, command):
     assert code == 2
     assert "budget" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("sop-file", {"products": [[1]]}),
+        ("sop-file", {"n": 1, "products": [1]}),
+        ("char-file", [{"m": "3"}]),
+        ("char-file", []),
+        ("cayley-file", {"table": [[0]]}),
+    ],
+    ids=["sop-missing-n", "sop-flat-products", "char-missing-keys", "char-empty", "cayley-no-subgroup"],
+)
+def test_malformed_input_files_are_usage_errors(capsys, tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if command == "cayley-file":
+        argv = ["hsf", "--cayley-file", str(path)]
+    else:
+        argv = ["build", "--function", command, "--file", str(path), "--epsilon", "0.5",
+                "--out", str(tmp_path / "program.json")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed ")
+    assert str(path) in captured.err

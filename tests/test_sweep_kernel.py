@@ -18,11 +18,14 @@ from hypothesis import strategies as st
 
 from qobdd.compiler import (
     _INT64_SAFE,
+    closed_form_general,
     closed_form_general_batch,
+    closed_form_single,
     closed_form_single_batch,
     compile_general,
     compile_single,
 )
+from qobdd.errors import LengthMismatchError, ModulusMismatchError
 from qobdd.goodsets import GoodSet, cosine_sum, sample_good
 from qobdd.polynomials import Characteristic, LinearPolynomial, mod_polynomial
 from qobdd.programs import (
@@ -348,3 +351,78 @@ def test_compiled_reads_share_one_frozen_identity():
     for instruction in program.instructions:
         assert not instruction.on_zero.flags.writeable
         assert not instruction.on_one.flags.writeable
+
+
+# The scalar closed forms, their batch forms and the goodness measure share one
+# residue/cosine kernel, so they agree exactly, not just to rounding.
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_scalar_closed_form_is_the_goodness_measure_exactly(data):
+    modulus = data.draw(MODULI)
+    arity = data.draw(st.integers(min_value=1, max_value=6))
+    polynomial = draw_polynomial(data, modulus, arity)
+    good_set = draw_good_set(data, modulus)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=arity, max_size=arity))
+    residue = polynomial.evaluate(bits)
+    if residue != 0:
+        assert closed_form_single(polynomial, good_set, bits) == cosine_sum(good_set, residue)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_scalar_closed_forms_equal_their_batch_rows(data):
+    modulus = data.draw(MODULI)
+    arity = data.draw(st.integers(min_value=1, max_value=5))
+    polynomials = tuple(
+        draw_polynomial(data, modulus, arity) for _ in range(data.draw(st.integers(1, 3)))
+    )
+    characteristic = Characteristic(modulus=modulus, arity=arity, polynomials=polynomials)
+    t = data.draw(st.sampled_from([1, 8, 64]))
+    parameters = data.draw(
+        st.lists(st.integers(min_value=0, max_value=modulus - 1), min_size=t, max_size=t)
+    )
+    good_set = GoodSet(modulus=modulus, error_rate=0.3, parameters=tuple(parameters))
+    bits = all_inputs(arity)
+    single = closed_form_single_batch(polynomials[0], good_set, bits)
+    general = closed_form_general_batch(characteristic, good_set, bits)
+    for row, single_row, general_row in zip(bits.tolist(), single, general):
+        assert closed_form_single(polynomials[0], good_set, row) == single_row
+        assert closed_form_general(characteristic, good_set, row) == general_row
+
+
+def test_scalar_closed_forms_equal_rows_of_a_large_batch():
+    # 4,096 rows of 256 parameters: numpy's blocked sums and vector loops must
+    # not make a row's value depend on the rows around it.
+    modulus = 3**9
+    coefficients = tuple(7**j % modulus for j in range(13))
+    polynomial = LinearPolynomial(modulus=modulus, arity=12, coefficients=coefficients)
+    characteristic = Characteristic(
+        modulus=modulus, arity=12, polynomials=(polynomial, mod_polynomial(12, modulus))
+    )
+    parameters = np.random.default_rng(4).integers(0, modulus, size=256).tolist()
+    good_set = GoodSet(modulus=modulus, error_rate=0.3, parameters=tuple(parameters))
+    bits = all_inputs(12)
+    single = closed_form_single_batch(polynomial, good_set, bits)
+    general = closed_form_general_batch(characteristic, good_set, bits)
+    for index in range(0, 4096, 97):
+        row = bits[index].tolist()
+        assert closed_form_single(polynomial, good_set, row) == single[index]
+        assert closed_form_general(characteristic, good_set, row) == general[index]
+
+
+def test_scalar_closed_forms_keep_their_errors():
+    polynomial = mod_polynomial(3, 5)
+    characteristic = Characteristic(modulus=5, arity=3, polynomials=(polynomial,))
+    good_set = GoodSet(modulus=5, error_rate=0.3, parameters=(1, 2))
+    for bits in ([0, 1], [0, 1, 1, 0], []):
+        with pytest.raises(LengthMismatchError):
+            closed_form_single(polynomial, good_set, bits)
+        with pytest.raises(LengthMismatchError):
+            closed_form_general(characteristic, good_set, bits)
+    other = GoodSet(modulus=7, error_rate=0.3, parameters=(1, 2))
+    with pytest.raises(ModulusMismatchError):
+        closed_form_single(polynomial, other, [0, 1, 1])
+    with pytest.raises(ModulusMismatchError):
+        closed_form_general(characteristic, other, [0, 1, 1])

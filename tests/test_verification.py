@@ -4,16 +4,27 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qobdd import verification
 from qobdd.compiler import compile_single
 from qobdd.errors import TooLargeError
 from qobdd.goodsets import sample
-from qobdd.polynomials import LinearPolynomial, mod_polynomial
+from qobdd.polynomials import (
+    LinearPolynomial,
+    mod_polynomial,
+    palindrome_polynomial,
+    perm_polynomial,
+)
 from qobdd.verification import (
     ClassStats,
+    _input_walk,
+    _walk_residues,
     DETERMINISTIC_WIDTH_BOUNDS,
     all_inputs,
     certify_hsf,
@@ -166,3 +177,76 @@ def test_width_table_rows():
         }
     ]
     assert width_table([]) == []
+
+
+def test_residue_pass_walks_its_inputs_in_chunks():
+    # All 2^20 inputs at once and their int64 copy took 188 MB; one chunk at a
+    # time the pass holds a few MB.
+    polynomial = mod_polynomial(20, 3)
+    tracemalloc.start()
+    try:
+        residues = _walk_residues([polynomial], _input_walk(20, "exhaustive")[1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert residues == [1, 2]
+    assert peak < 16 * 2**20
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_chunked_residues_equal_residues_of_all_inputs(data):
+    arity = data.draw(st.integers(min_value=1, max_value=12))
+    modulus = data.draw(st.sampled_from([2, 3, 7, 2**12, 3**40]))
+    polynomials = [
+        LinearPolynomial(
+            modulus=modulus,
+            arity=arity,
+            coefficients=tuple(
+                data.draw(st.integers(0, modulus - 1)) for _ in range(arity + 1)
+            ),
+        )
+        for _ in range(data.draw(st.integers(1, 2)))
+    ]
+    chunk_size = data.draw(st.integers(min_value=1, max_value=700))
+    chunks = _input_walk(arity, "exhaustive", chunk_size=chunk_size)[1]
+    assert _walk_residues(polynomials, chunks) == realized_residues(
+        polynomials, all_inputs(arity)
+    )
+    chunks = _input_walk(arity, "sampled", 300, 5, chunk_size)[1]
+    assert _walk_residues(polynomials, chunks) == realized_residues(
+        polynomials, sampled_inputs(arity, 300, 5)
+    )
+
+
+@pytest.mark.parametrize(
+    "polynomial", [palindrome_polynomial(10), perm_polynomial(3)], ids=["pal10", "perm3"]
+)
+def test_chunked_residues_of_named_functions(polynomial):
+    chunks = _input_walk(polynomial.arity, "exhaustive", chunk_size=100)[1]
+    assert _walk_residues([polynomial], chunks) == realized_residues(
+        [polynomial], all_inputs(polynomial.arity)
+    )
+
+
+def test_exhaustive_goodness_skips_the_residue_pass(monkeypatch):
+    def no_residue_pass(polynomials, bits):
+        raise AssertionError("realized residues collected under exhaustive goodness")
+
+    monkeypatch.setattr(verification, "realized_residues", no_residue_pass)
+    poly, oracle, name = named_function("mod", 8, 3)
+    report, _ = certify_single(poly, oracle, 0.2, seed=0, function=name, goodness="exhaustive")
+    assert report.passed and report.goodness == "exhaustive"
+
+
+def test_certify_checks_the_exhaustive_guard_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a good set past the exhaustive guard")
+
+    monkeypatch.setattr(verification, "sample_good", no_sampling)
+    poly, oracle, _ = named_function("mod", 25, 3)
+    for goodness in ("exhaustive", "realized"):
+        with pytest.raises(TooLargeError):
+            certify_single(poly, oracle, 0.2, seed=0, goodness=goodness)
+    with pytest.raises(ValueError, match="unknown mode"):
+        certify_single(poly, oracle, 0.2, seed=0, mode="bogus")
