@@ -21,9 +21,11 @@ single-construction angles by multiples of 4 pi (the R_y period, so exactly
 nothing) and generalized angles by multiples of 2 pi (a per-branch sign that
 squares away in the measurement).
 
-Both constructions are rebuilt from a recipe, the polynomial(s) and the
-parameter set, which is what a program file stores: O(n + t) numbers instead
-of the dense matrices.
+Every read, and the generalized post-transform, is stored as the (t, 2^l,
+2^l) stack of per-branch blocks the compiler builds; only the single
+post-transform, which interferes the branches, is dense.  Both constructions
+are rebuilt from a recipe, the polynomial(s) and the parameter set, which is
+what a program file stores: O(n + t) numbers instead of the matrices.
 """
 
 from __future__ import annotations
@@ -50,12 +52,12 @@ from .polynomials import Characteristic, LinearPolynomial
 from .programs import (
     Instruction,
     QuantumBranchingProgram,
-    basis_state,
     hadamard_layer,
 )
 
-# The most bytes of dense complex matrices a compiled program may hold; the
-# benchmark's widest programs (PERM_4 and HSF Z_8/<4>, width 512) need 80 MB.
+# The most bytes a compiled program may take with every matrix counted as
+# dense complex d x d (see check_budget); the benchmark's widest programs
+# (PERM_4 and HSF Z_8/<4>, width 512) count 80 MB.
 DENSE_BUDGET_BYTES = 2**29
 
 
@@ -81,7 +83,9 @@ def check_budget(source: LinearPolynomial | Characteristic, t: int) -> None:
     """
     targets = 1 if isinstance(source, LinearPolynomial) else len(source)
     dimension = t << targets
-    # One on_one matrix per read, the shared identity, and the two transforms.
+    # One on_one matrix per read, the shared identity, and the two transforms,
+    # counted as dense complex d x d: an over-count, since only the single
+    # post-transform is stored dense and every other array is a stack.
     needed = (source.arity + 3) * dimension * dimension * 16
     if needed > DENSE_BUDGET_BYTES:
         raise TooLargeError(
@@ -105,75 +109,58 @@ def _branch_blocks(
     return blocks
 
 
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """Read-only dense complex matrix with the (t, b, b) blocks on its diagonal."""
-    t, size, _ = blocks.shape
-    matrix = np.zeros((t * size, t * size), dtype=np.complex128)
-    branches = np.arange(t)
-    matrix.reshape(t, size, t, size)[branches, :, branches, :] = blocks
-    matrix.setflags(write=False)
-    return matrix
-
-
-def _frozen_identity(dimension: int) -> np.ndarray:
-    identity = np.eye(dimension, dtype=np.complex128)
-    identity.setflags(write=False)
-    return identity
-
-
 def _fingerprint_program(
     characteristic: Characteristic, good_set: GoodSet, single: bool
 ) -> QuantumBranchingProgram:
     """The circuit both constructions share, width t * 2^l.
 
+    The initial state is the branch register's uniform superposition.
     Reading x_j = 1 rotates target s of branch i by numer * (k_i c_sj mod m)
     / m, and the post-transform rotates in the constant coefficients.  The
     single-polynomial circuit (one polynomial, single=True) uses twice the
     generalized angle and ends with a Hadamard layer on the branch register,
     accepting only the all-zero state; the generalized one accepts every
-    branch whose targets all read zero.
+    branch whose targets all read zero.  Reads are (t, 2^l, 2^l) stacks of
+    per-branch blocks, and every on_zero read shares one identity stack.
     """
     check_budget(characteristic, good_set.size)
     t = good_set.size
-    log_t = t.bit_length() - 1
     block_dim = 2 ** len(characteristic)
     dimension = t * block_dim
     numerator = (4.0 if single else 2.0) * math.pi
-    # The transforms come before the reads: allocated in this order, PERM_4
-    # certification loops peaked about 16 MB (12%) lower in RSS.
     constant_blocks = _branch_blocks(
         good_set,
         tuple(poly.coefficients[0] for poly in characteristic.polynomials),
         numerator,
     )
-    hadamard = hadamard_layer(log_t)
-    pre_transform = np.kron(hadamard, np.eye(block_dim, dtype=np.complex128))
+    hadamard = hadamard_layer(t.bit_length() - 1)
+    initial_state = np.zeros(dimension)
+    initial_state[::block_dim] = hadamard[:, 0]
     if single:
         # Block (i, j) of (H (x) I_2) times the block-diagonal constant
         # rotation is H[i, j] B_j: O(d^2) instead of a dense O(d^3) product,
-        # written straight into a read-only complex array the program keeps.
-        post_transform = np.empty((dimension, dimension), dtype=np.complex128)
+        # written straight into a read-only array the program keeps.
+        post_transform = np.empty((dimension, dimension))
         np.multiply(
-            hadamard.real[:, None, :, None],
+            hadamard[:, None, :, None],
             constant_blocks.transpose(1, 0, 2)[None],
             out=post_transform.reshape(t, 2, t, 2),
         )
         post_transform.setflags(write=False)
         accepting = (0,)
     else:
-        post_transform = _block_diagonal(constant_blocks)
+        post_transform = constant_blocks
         accepting = tuple(i * block_dim for i in range(t))
-    identity = _frozen_identity(dimension)
+    identity = np.repeat(np.eye(block_dim)[None], t, axis=0)
+    identity.setflags(write=False)
     instructions = tuple(
         Instruction(
             variable_index=j,
             on_zero=identity,
-            on_one=_block_diagonal(
-                _branch_blocks(
-                    good_set,
-                    tuple(poly.coefficients[j] for poly in characteristic.polynomials),
-                    numerator,
-                )
+            on_one=_branch_blocks(
+                good_set,
+                tuple(poly.coefficients[j] for poly in characteristic.polynomials),
+                numerator,
             ),
         )
         for j in range(1, characteristic.arity + 1)
@@ -182,9 +169,8 @@ def _fingerprint_program(
         dimension=dimension,
         arity=characteristic.arity,
         instructions=instructions,
-        initial_state=basis_state(dimension, 0),
+        initial_state=initial_state,
         accepting=accepting,
-        pre_transform=pre_transform,
         post_transform=post_transform,
     )
 

@@ -7,13 +7,17 @@ indices.  Running a program on a bit string applies the matrix selected by
 each read bit in sequence order; the acceptance probability is the squared
 norm of the projection onto the accepting indices.
 
-Programs store dense complex128 matrices, and run() simulates one input with
-them.  Batched sweeps simulate the same steps on the program's block form:
-every read of a compiled program acts on each branch's target register alone,
-so its matrices are block diagonal and a read costs O(d b) per input instead
-of O(d^2).  The input-independent pre/post transforms exist so Hadamard layers
-and constant-coefficient rotations do not consume a variable read, keeping
-compiled programs read-once.
+Every matrix is stored as a stack of diagonal blocks, shape (d/b, b, b): a
+compiled read acts on each branch's target register alone, so it is t
+independent 2 x 2 (or 2^l x 2^l) rotations and costs O(d b) per input
+instead of O(d^2).  A dense (d, d) matrix is the one-block stack.  Arrays are
+float64 when they have no imaginary part, so real programs are simulated in
+real arithmetic.  sweep_accept_probabilities simulates a batch of inputs on
+the stacks, and accept_probability is its 1-row case; run() expands every
+stack to its dense matrix and is kept as the independent per-input
+reference.  The input-independent pre/post transforms exist so Hadamard
+layers and constant-coefficient rotations do not consume a variable read,
+keeping compiled programs read-once.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,39 +44,67 @@ def ry(theta: float) -> np.ndarray:
 
 def hadamard_layer(num_qubits: int) -> np.ndarray:
     """H tensored num_qubits times (the 1x1 identity for zero qubits)."""
-    h1 = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
-    layer = np.array([[1.0]], dtype=np.complex128)
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    layer = np.array([[1.0]])
     for _ in range(num_qubits):
         layer = np.kron(layer, h1)
     return layer
 
 
-def _frozen(matrix: np.ndarray) -> np.ndarray:
-    """A read-only C-ordered complex128 array: the argument itself when it
-    already is one and owns its data, so shared matrices are stored once."""
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """A read-only C-ordered array, float64 when no entry has a nonzero
+    imaginary part and complex128 otherwise: the argument itself when it
+    already is one and owns its data, so shared stacks are stored once."""
+    array = np.asarray(array)
+    if np.iscomplexobj(array) and not np.any(array.imag):
+        array = array.real
+    dtype = np.complex128 if np.iscomplexobj(array) else np.float64
     if (
-        isinstance(matrix, np.ndarray)
-        and matrix.dtype == np.complex128
-        and matrix.flags.c_contiguous
-        and matrix.flags.owndata
-        and not matrix.flags.writeable
+        array.dtype == dtype
+        and array.flags.c_contiguous
+        and array.flags.owndata
+        and not array.flags.writeable
     ):
-        return matrix
-    out = np.array(matrix, dtype=np.complex128, order="C")
+        return array
+    out = np.array(array, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
 
+def _blocks(stack: np.ndarray) -> np.ndarray:
+    """A stack of b x b diagonal blocks as (d/b, b, b); a (d, d) matrix is
+    the one-block stack."""
+    size = stack.shape[-1]
+    return stack.reshape(-1, size, size)
+
+
+def _block_diagonal(stack: np.ndarray) -> np.ndarray:
+    """The dense d x d matrix with the stack's blocks on its diagonal."""
+    blocks = _blocks(stack)
+    count, size, _ = blocks.shape
+    matrix = np.zeros((count * size, count * size), dtype=blocks.dtype)
+    branches = np.arange(count)
+    matrix.reshape(count, size, count, size)[branches, :, branches, :] = blocks
+    return matrix
+
+
 def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    d = matrix.shape[0]
-    if matrix.shape != (d, d):
+    """Whether a square matrix, or every block of a (n, b, b) stack, is unitary."""
+    size = matrix.shape[-1]
+    if matrix.ndim not in (2, 3) or matrix.shape[-2] != size:
         return False
-    return bool(np.max(np.abs(matrix.conj().T @ matrix - np.eye(d))) <= tol)
+    blocks = _blocks(matrix)
+    gram = blocks.conj().transpose(0, 2, 1) @ blocks
+    return bool(np.max(np.abs(gram - np.eye(size)), initial=0.0) <= tol)
 
 
 @dataclass(frozen=True)
 class Instruction:
-    """One variable read: apply on_zero or on_one depending on the bit."""
+    """One variable read: apply on_zero or on_one depending on the bit.
+
+    Each matrix is a stack of diagonal blocks, (d/b, b, b), or a dense (d, d)
+    matrix, the one-block stack.
+    """
 
     variable_index: int
     on_zero: np.ndarray
@@ -93,6 +124,9 @@ class ProgramMetrics:
 
 @dataclass(frozen=True)
 class QuantumBranchingProgram:
+    """A width-d program; every matrix, the transforms included, is a stack of
+    diagonal blocks as in Instruction."""
+
     dimension: int
     arity: int
     instructions: tuple[Instruction, ...]
@@ -109,91 +143,6 @@ class QuantumBranchingProgram:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, _frozen(value))
-
-    @cached_property
-    def block_form(self) -> "BlockForm":
-        """The matrices as diagonal blocks; derived on first use, then kept."""
-        return _derive_block_form(self)
-
-
-@dataclass(frozen=True)
-class BlockForm:
-    """A program's steps as stacks of diagonal blocks, for batched sweeps.
-
-    Every instruction matrix is zero outside its b x b diagonal blocks, so a
-    read is d/b independent b x b products.  ``reads`` holds one entry per
-    instruction: the input column it reads, the (d/b, b, b) on_zero blocks
-    (None for the identity) and the on_one blocks.  ``start`` is the initial
-    state after the pre-transform; ``post`` is the post-transform at its own
-    block size.  Arrays are float64 when no matrix or state of the program has
-    an imaginary part, complex128 otherwise.
-    """
-
-    block: int
-    start: np.ndarray
-    reads: tuple[tuple[int, np.ndarray | None, np.ndarray], ...]
-    post: np.ndarray | None
-    accepting: np.ndarray
-
-
-def _block_size(support: np.ndarray) -> int:
-    """Smallest power of two b dividing d such that the d x d support has no
-    entry outside its b x b diagonal blocks; d when there is none.
-
-    Entry (i, j) lies in a diagonal block of size 2^k exactly when i and j
-    agree above their low k bits, that is when i XOR j < 2^k.
-    """
-    dimension = support.shape[0]
-    rows, cols = np.nonzero(support)
-    size = 1 << int(np.max(rows ^ cols, initial=0)).bit_length()
-    return size if dimension % size == 0 else dimension
-
-
-def _diagonal_blocks(matrix: np.ndarray, size: int, real: bool) -> np.ndarray:
-    """The (d/b, b, b) stack of a matrix's diagonal b x b blocks."""
-    count = matrix.shape[0] // size
-    blocks = matrix.reshape(count, size, count, size).diagonal(axis1=0, axis2=2)
-    if real:
-        blocks = blocks.real
-    return np.ascontiguousarray(blocks.transpose(2, 0, 1))
-
-
-def _derive_block_form(program: QuantumBranchingProgram) -> BlockForm:
-    d = program.dimension
-    steps = [(i.on_zero, i.on_one) for i in program.instructions]
-    # One pass over each distinct read matrix: which real and which imaginary
-    # parts are nonzero, interleaved as in memory.
-    flags = np.zeros((d, 2 * d), dtype=bool)
-    for matrix in {id(m): m for pair in steps for m in pair}.values():
-        flags |= matrix.view(np.float64) != 0
-    flags = flags.reshape(d, d, 2)
-    others = (program.initial_state, program.pre_transform, program.post_transform)
-    real = not flags[..., 1].any() and not any(
-        np.any(m.imag) for m in others if m is not None
-    )
-    size = _block_size(flags[..., 0] | flags[..., 1])
-    identity = np.eye(size)
-    reads = []
-    for instruction, (on_zero, on_one) in zip(program.instructions, steps):
-        zero_blocks = _diagonal_blocks(on_zero, size, real)
-        if np.array_equal(zero_blocks, np.broadcast_to(identity, zero_blocks.shape)):
-            zero_blocks = None
-        reads.append(
-            (instruction.variable_index - 1, zero_blocks, _diagonal_blocks(on_one, size, real))
-        )
-    start = program.initial_state
-    if program.pre_transform is not None:
-        start = program.pre_transform @ start
-    post = program.post_transform
-    if post is not None:
-        post = _diagonal_blocks(post, _block_size(post != 0), real)
-    return BlockForm(
-        block=size,
-        start=start.real.copy() if real else start,
-        reads=tuple(reads),
-        post=post,
-        accepting=np.array(program.accepting, dtype=np.intp),
-    )
 
 
 def basis_state(dimension: int, index: int) -> np.ndarray:
@@ -216,29 +165,34 @@ def validate(program: QuantumBranchingProgram) -> list[str]:
         violations.append("accepting set is empty")
     if any(not (0 <= idx < d) for idx in program.accepting):
         violations.append("accepting index out of range")
-    for label, matrix in (
+    if len(set(program.accepting)) != len(program.accepting):
+        violations.append("accepting index repeated")
+    labelled = [
         ("pre-transform", program.pre_transform),
         ("post-transform", program.post_transform),
-    ):
-        if matrix is not None:
-            if matrix.shape != (d, d):
-                violations.append(f"{label} has shape {matrix.shape}, expected ({d}, {d})")
-            elif not is_unitary(matrix):
-                violations.append(f"{label} is non-unitary")
+    ]
     for step, instruction in enumerate(program.instructions, start=1):
         if not (1 <= instruction.variable_index <= program.arity):
             violations.append(
                 f"instruction {step}: variable index {instruction.variable_index} "
                 f"out of range [1, {program.arity}]"
             )
-        for label, matrix in (("U(0)", instruction.on_zero), ("U(1)", instruction.on_one)):
-            if matrix.shape != (d, d):
-                violations.append(
-                    f"instruction {step}: {label} has shape {matrix.shape}, "
-                    f"expected ({d}, {d})"
-                )
-            elif not is_unitary(matrix):
-                violations.append(f"instruction {step}: {label} is non-unitary")
+        labelled.append((f"instruction {step}: U(0)", instruction.on_zero))
+        labelled.append((f"instruction {step}: U(1)", instruction.on_one))
+    for label, matrix in labelled:
+        if matrix is None:
+            continue
+        if (
+            matrix.ndim not in (2, 3)
+            or matrix.shape[-2] != matrix.shape[-1]
+            or math.prod(matrix.shape[:-1]) != d
+        ):
+            violations.append(
+                f"{label} has shape {matrix.shape}, expected ({d}, {d}) "
+                f"or (n, b, b) with n * b = {d}"
+            )
+        elif not is_unitary(matrix):
+            violations.append(f"{label} is non-unitary")
     return violations
 
 
@@ -252,36 +206,52 @@ def run(
     bits: Sequence[int],
     check_norm: bool = True,
 ) -> np.ndarray:
-    """Final state after reading the input bits in instruction order."""
+    """Final state after reading the input bits in instruction order.
+
+    The dense per-input reference: every stack is expanded to its d x d
+    matrix.  Sweeps and accept_probability do not use it.
+    """
     if len(bits) != program.arity:
         raise LengthMismatchError(
             f"expected {program.arity} bits, got {len(bits)}"
         )
     state = program.initial_state.copy()
     if program.pre_transform is not None:
-        state = program.pre_transform @ state
+        state = _block_diagonal(program.pre_transform) @ state
     for instruction in program.instructions:
         bit = bits[instruction.variable_index - 1]
-        state = (instruction.on_one if bit else instruction.on_zero) @ state
+        state = _block_diagonal(instruction.on_one if bit else instruction.on_zero) @ state
         if check_norm:
             drift = abs(np.linalg.norm(state) - 1.0)
             if drift > NORM_TOL:
                 raise ArithmeticError(f"state norm drifted by {drift:.3e}")
     if program.post_transform is not None:
-        state = program.post_transform @ state
+        state = _block_diagonal(program.post_transform) @ state
     return state
 
 
 def accept_probability(program: QuantumBranchingProgram, bits: Sequence[int]) -> float:
-    state = run(program, bits)
-    amplitudes = state[list(program.accepting)]
-    return float(np.sum(np.abs(amplitudes) ** 2))
+    """The acceptance probability of one input: a 1-row sweep.
+
+    Raises LengthMismatchError on a wrong-length input and ArithmeticError
+    when the state norm drifts from 1 by more than NORM_TOL.
+    """
+    probabilities, drift = sweep_accept_probabilities(program, np.asarray([bits]))
+    if drift > NORM_TOL:
+        raise ArithmeticError(f"state norm drifted by {drift:.3e}")
+    return float(probabilities[0])
 
 
-def _apply_blocks(blocks: np.ndarray, states: np.ndarray) -> np.ndarray:
+def _apply_blocks(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
     """Each b x b block times its own b rows of every column of states."""
+    blocks = _blocks(stack)
     count, size, _ = blocks.shape
     return np.matmul(blocks, states.reshape(count, size, -1)).reshape(states.shape)
+
+
+def _is_identity(stack: np.ndarray) -> bool:
+    blocks = _blocks(stack)
+    return np.array_equal(blocks, np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape))
 
 
 def _squared_norms(states: np.ndarray) -> np.ndarray:
@@ -295,11 +265,15 @@ def _norm_drift(states: np.ndarray) -> float:
 
 
 def _sweep_tile(
-    form: BlockForm, bit_matrix: np.ndarray, track_norms: bool
+    program: QuantumBranchingProgram,
+    start: np.ndarray,
+    reads: list[tuple[int, np.ndarray | None, np.ndarray]],
+    bit_matrix: np.ndarray,
+    track_norms: bool,
 ) -> tuple[np.ndarray, float]:
-    states = np.repeat(form.start[:, None], bit_matrix.shape[0], axis=1)
+    states = np.repeat(start[:, None], bit_matrix.shape[0], axis=1)
     max_drift = 0.0
-    for column, on_zero, on_one in form.reads:
+    for column, on_zero, on_one in reads:
         ones = bit_matrix[:, column].astype(bool)
         if ones.all():
             states = _apply_blocks(on_one, states)
@@ -310,11 +284,11 @@ def _sweep_tile(
             states = on_zeros
         if track_norms:
             max_drift = max(max_drift, _norm_drift(states))
-    if form.post is not None:
-        states = _apply_blocks(form.post, states)
+    if program.post_transform is not None:
+        states = _apply_blocks(program.post_transform, states)
     if track_norms:
         max_drift = max(max_drift, _norm_drift(states))
-    return _squared_norms(states[form.accepting]), max_drift
+    return _squared_norms(states[list(program.accepting)]), max_drift
 
 
 def sweep_accept_probabilities(
@@ -325,26 +299,37 @@ def sweep_accept_probabilities(
     """Acceptance probabilities for a whole batch of inputs at once.
 
     bit_matrix has one input per row.  Column v of the internal state matrix
-    goes through the same steps run() applies to input v, on the program's
-    block form: each read multiplies the column by the on_one blocks when the
-    bit is 1 and by the on_zero blocks otherwise.  The results match
-    accept_probability up to floating-point rounding.  Returns the
+    goes through the same steps run() applies to input v, each read as d/b
+    independent b x b products: the on_one blocks when the bit is 1 and the
+    on_zero blocks otherwise (skipped when they are the identity).  The
+    arithmetic is float64 exactly when every array of the program is.  The
+    results match run() up to floating-point rounding.  Returns the
     probabilities and the largest norm drift observed after any read or the
     post-transform.
     """
     count, width = bit_matrix.shape
     if width != program.arity:
         raise LengthMismatchError(f"expected arity {program.arity}, got {width}")
-    form = program.block_form
+    start = program.initial_state
+    if program.pre_transform is not None:
+        start = _apply_blocks(program.pre_transform, start[:, None])[:, 0]
+    reads = [
+        (
+            instruction.variable_index - 1,
+            None if _is_identity(instruction.on_zero) else instruction.on_zero,
+            instruction.on_one,
+        )
+        for instruction in program.instructions
+    ]
     # Inputs go through in tiles whose states stay in a core's cache across
     # all reads, instead of streaming the whole batch from memory per read.
     tile = max(1, _TILE_ENTRIES // program.dimension)
     probabilities = np.empty(count)
     max_drift = 0.0
-    for start in range(0, count, tile):
-        stop = min(start + tile, count)
-        probabilities[start:stop], drift = _sweep_tile(
-            form, bit_matrix[start:stop], track_norms
+    for first in range(0, count, tile):
+        stop = min(first + tile, count)
+        probabilities[first:stop], drift = _sweep_tile(
+            program, start, reads, bit_matrix[first:stop], track_norms
         )
         max_drift = max(max_drift, drift)
     return probabilities, max_drift
@@ -358,14 +343,21 @@ def metrics(program: QuantumBranchingProgram) -> ProgramMetrics:
     )
 
 
-def _matrix_to_json(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+def _array_to_json(array: np.ndarray) -> list:
+    """The array in its own shape, each entry a [re, im] pair."""
+    return np.stack((array.real, array.imag), axis=-1).tolist()
 
 
-def _matrix_from_json(data: list) -> np.ndarray:
-    return np.array(
-        [[complex(re, im) for re, im in row] for row in data], dtype=np.complex128
-    )
+def _array_from_json(data: list) -> np.ndarray:
+    """The array _array_to_json wrote; TypeError unless every innermost entry
+    is a [re, im] pair of numbers."""
+    try:
+        pairs = np.array(data)
+    except ValueError as error:  # ragged nesting
+        raise TypeError(str(error)) from error
+    if pairs.dtype.kind not in "biuf" or pairs.ndim < 2 or pairs.shape[-1] != 2:
+        raise TypeError("expected nested lists of [re, im] number pairs")
+    return pairs[..., 0] + 1j * pairs[..., 1]
 
 
 def program_to_json_dict(program: QuantumBranchingProgram) -> dict:
@@ -373,31 +365,31 @@ def program_to_json_dict(program: QuantumBranchingProgram) -> dict:
         "dimension": program.dimension,
         "arity": program.arity,
         "pre_transform": (
-            None if program.pre_transform is None else _matrix_to_json(program.pre_transform)
+            None if program.pre_transform is None else _array_to_json(program.pre_transform)
         ),
         "instructions": [
             {
                 "variable": instruction.variable_index,
-                "on_zero": _matrix_to_json(instruction.on_zero),
-                "on_one": _matrix_to_json(instruction.on_one),
+                "on_zero": _array_to_json(instruction.on_zero),
+                "on_one": _array_to_json(instruction.on_one),
             }
             for instruction in program.instructions
         ],
         "post_transform": (
             None
             if program.post_transform is None
-            else _matrix_to_json(program.post_transform)
+            else _array_to_json(program.post_transform)
         ),
-        "initial_state": [
-            [float(z.real), float(z.imag)] for z in program.initial_state
-        ],
+        "initial_state": _array_to_json(program.initial_state),
         "accepting": list(program.accepting),
     }
 
 
 def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
-    """The program program_to_json_dict wrote; ValueError on a missing key, a
-    wrong type or a missing entry.  The result is not validated: see validate()."""
+    """The program program_to_json_dict wrote, its matrices as dense (d, d)
+    arrays or as (n, b, b) stacks; ValueError on a missing key, a wrong type,
+    a missing entry or an entry that is not a [re, im] pair.  The result is
+    not validated: see validate()."""
     with _malformed("program file"):
         return QuantumBranchingProgram(
             dimension=int(data["dimension"]),
@@ -405,24 +397,22 @@ def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
             instructions=tuple(
                 Instruction(
                     variable_index=int(entry["variable"]),
-                    on_zero=_matrix_from_json(entry["on_zero"]),
-                    on_one=_matrix_from_json(entry["on_one"]),
+                    on_zero=_array_from_json(entry["on_zero"]),
+                    on_one=_array_from_json(entry["on_one"]),
                 )
                 for entry in data["instructions"]
             ),
-            initial_state=np.array(
-                [complex(re, im) for re, im in data["initial_state"]], dtype=np.complex128
-            ),
+            initial_state=_array_from_json(data["initial_state"]),
             accepting=tuple(int(i) for i in data["accepting"]),
             pre_transform=(
                 None
                 if data.get("pre_transform") is None
-                else _matrix_from_json(data["pre_transform"])
+                else _array_from_json(data["pre_transform"])
             ),
             post_transform=(
                 None
                 if data.get("post_transform") is None
-                else _matrix_from_json(data["post_transform"])
+                else _array_from_json(data["post_transform"])
             ),
         )
 

@@ -167,6 +167,8 @@ def _input_walk(
         total, mode_dict = 1 << arity, {"kind": "exhaustive"}
         block = lambda a, b: input_block(arity, a, b)
     elif mode == "sampled":
+        if samples < 1:
+            raise ValueError(f"sampled mode needs at least 1 sample, got {samples}")
         pool = sampled_inputs(arity, samples, seed)
         total, mode_dict = samples, {"kind": "sampled", "samples": samples, "seed": seed}
         block = lambda a, b: pool[a:b]

@@ -294,14 +294,61 @@ def test_eval_reads_files_with_and_without_a_recipe(capsys, tmp_path):
         }
 
 
-def _non_unitary_dense_file() -> dict:
+def test_eval_reads_the_dense_layout_of_earlier_files(capsys, tmp_path):
+    """Files whose matrices are dense d x d, with the branch Hadamard as a
+    pre-transform, as program files held them before reads became stacks."""
+    polynomial = mod_polynomial(4, 3)
+    good_set = sample(0.2, 3, seed=2)
+    compiled = compiler.compile_single(polynomial, good_set).program
+    t = good_set.size
+    dense = programs.QuantumBranchingProgram(
+        dimension=compiled.dimension,
+        arity=compiled.arity,
+        instructions=tuple(
+            programs.Instruction(
+                i.variable_index,
+                programs._block_diagonal(i.on_zero),
+                programs._block_diagonal(i.on_one),
+            )
+            for i in compiled.instructions
+        ),
+        initial_state=programs.basis_state(compiled.dimension, 0),
+        accepting=compiled.accepting,
+        pre_transform=np.kron(programs.hadamard_layer(t.bit_length() - 1), np.eye(2)),
+        post_transform=compiled.post_transform,
+    )
+    data = programs.program_to_json_dict(dense)
+    assert np.shape(data["instructions"][0]["on_one"]) == (2 * t, 2 * t, 2)
+    dense_path, recipe_path = tmp_path / "dense.json", tmp_path / "recipe.json"
+    dense_path.write_text(json.dumps(data))
+    recipe = compiler.recipe_to_json_dict(polynomial, good_set)
+    recipe_path.write_text(json.dumps({"fingerprint": recipe}))
+    for bits in ("0000", "1110", "1000", "1011"):
+        _, from_dense = run_cli(capsys, ["eval", "--program", str(dense_path), "--input", bits])
+        _, from_recipe = run_cli(capsys, ["eval", "--program", str(recipe_path), "--input", bits])
+        assert from_dense["accept_probability"] == pytest.approx(
+            from_recipe["accept_probability"], rel=0, abs=1e-12
+        )
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_needs_at_least_one_sample(capsys, samples):
+    argv = ["verify", "--function", "mod", "--n", "4", "--m", "3", "--epsilon", "0.2",
+            "--mode", "sampled", "--samples", samples]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 1 sample" in captured.err
+
+
+def _dense_file(on_one_scale: float = 1.0, accepting=(0,)) -> dict:
     identity = np.eye(2, dtype=np.complex128)
     program = programs.QuantumBranchingProgram(
         dimension=2,
         arity=1,
-        instructions=(programs.Instruction(1, identity, 0.5 * identity),),
+        instructions=(programs.Instruction(1, identity, on_one_scale * identity),),
         initial_state=programs.basis_state(2, 0),
-        accepting=(0,),
+        accepting=accepting,
     )
     return programs.program_to_json_dict(program)
 
@@ -322,7 +369,9 @@ def _non_unitary_dense_file() -> dict:
             "bogus",
         ),
         ({"fingerprint": {"kind": "single"}}, "malformed program recipe"),
-        (_non_unitary_dense_file(), "non-unitary"),
+        (_dense_file(on_one_scale=0.5), "non-unitary"),
+        # Each repeat would add its probability again.
+        (_dense_file(accepting=(0, 0)), "accepting index repeated"),
     ],
 )
 def test_eval_malformed_program_file_is_a_usage_error(capsys, tmp_path, data, message):

@@ -60,6 +60,22 @@ def test_validate_flags_non_unitary_matrix():
     assert any("non-unitary" in v for v in validate(program))
 
 
+def test_validate_checks_stack_shapes_and_every_block():
+    def with_on_one(on_one):
+        return QuantumBranchingProgram(
+            dimension=4,
+            arity=1,
+            instructions=(Instruction(variable_index=1, on_zero=np.eye(4), on_one=on_one),),
+            initial_state=basis_state(4, 0),
+            accepting=(0,),
+        )
+
+    assert validate(with_on_one(np.stack([I2, ry(0.5)]))) == []
+    assert any("non-unitary" in v for v in validate(with_on_one(np.stack([I2, 0.5 * I2]))))
+    for shape in ((3, 2, 2), (2, 2, 3), (4, 4, 4), (2, 2)):
+        assert any("has shape" in v for v in validate(with_on_one(np.ones(shape))))
+
+
 def test_validate_flags_variable_index_out_of_range():
     program = QuantumBranchingProgram(
         dimension=2,
@@ -167,7 +183,8 @@ def test_sweep_matches_per_input_runs():
     program = compile_single(poly, good_set).program
     bits = all_inputs(6)
     batch, drift = sweep_accept_probabilities(program, bits)
-    single = np.array([accept_probability(program, row) for row in bits])
+    accepting = list(program.accepting)
+    single = np.array([np.sum(np.abs(run(program, row)[accepting]) ** 2) for row in bits])
     assert drift <= 1e-9
     np.testing.assert_allclose(batch, single, atol=1e-12)
 
@@ -195,6 +212,28 @@ def test_program_json_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.initial_state, program.initial_state)
 
 
+def test_program_json_reads_dense_matrices_and_block_stacks():
+    stack = np.stack([ry(0.3), ry(1.1)])
+    program = QuantumBranchingProgram(
+        dimension=4,
+        arity=1,
+        instructions=(Instruction(variable_index=1, on_zero=np.eye(4), on_one=stack),),
+        initial_state=basis_state(4, 0),
+        accepting=(0, 2),
+        post_transform=1j * np.eye(4),
+    )
+    data = program_to_json_dict(program)
+    assert np.shape(data["instructions"][0]["on_zero"]) == (4, 4, 2)
+    assert np.shape(data["instructions"][0]["on_one"]) == (2, 2, 2, 2)
+    again = program_from_json_dict(data)
+    assert again.instructions[0].on_zero.dtype == np.float64
+    assert again.post_transform.dtype == np.complex128
+    assert np.array_equal(again.instructions[0].on_one, program.instructions[0].on_one)
+    assert validate(again) == []
+    for bits in ([0], [1]):
+        assert accept_probability(again, bits) == accept_probability(program, bits)
+
+
 def test_program_arrays_are_frozen():
     program = identity_program()
     with pytest.raises(ValueError):
@@ -210,6 +249,11 @@ def test_program_arrays_are_frozen():
         {"dimension": 2, "arity": 1, "instructions": 5, "initial_state": [], "accepting": []},
         {"dimension": 2, "arity": 1, "instructions": [{"variable": 1}], "initial_state": [], "accepting": []},
         [],
+        # Innermost entries that are not [re, im] pairs of numbers.
+        {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [[1, 0, 0], [0, 0, 0]], "accepting": [0]},
+        {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [1, 0], "accepting": [0]},
+        {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [[1, 0], [0]], "accepting": [0]},
+        {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [["1", "0"], ["0", "0"]], "accepting": [0]},
     ],
 )
 def test_program_from_json_dict_raises_value_error_on_malformed_data(data):

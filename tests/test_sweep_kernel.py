@@ -1,15 +1,18 @@
 """Differential tests of the block-structured sweep kernel.
 
-sweep_accept_probabilities simulates every read on the program's block form.
-These tests hold it against three references that share none of its code: the
-dense per-input simulation (run / accept_probability), the compiler's closed
-forms, and the class a brute-force oracle gives each input.  Moduli straddle
-the int64 / Python-integer switches of the residue arithmetic.
+sweep_accept_probabilities simulates every read on the program's stacks of
+diagonal blocks, and accept_probability is its 1-row case.  These tests hold
+it against three references that share none of its code: the dense per-input
+simulation (run, which expands every stack to its d x d matrix), the
+compiler's closed forms, and the class a brute-force oracle gives each input.
+Moduli straddle the int64 / Python-integer switches of the residue
+arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,11 +29,17 @@ from qobdd.compiler import (
     compile_single,
 )
 from qobdd.errors import LengthMismatchError, ModulusMismatchError
-from qobdd.goodsets import GoodSet, cosine_sum, sample_good
-from qobdd.polynomials import Characteristic, LinearPolynomial, mod_polynomial
+from qobdd.goodsets import GoodSet, cosine_sum, sample, sample_good
+from qobdd.polynomials import (
+    Characteristic,
+    LinearPolynomial,
+    mod_polynomial,
+    perm_polynomial,
+)
 from qobdd.programs import (
     Instruction,
     QuantumBranchingProgram,
+    _block_diagonal,
     accept_probability,
     program_from_json_dict,
     program_to_json_dict,
@@ -70,7 +79,8 @@ def draw_good_set(data, modulus: int) -> GoodSet:
 
 
 def dense_probabilities(program: QuantumBranchingProgram, bits: np.ndarray) -> np.ndarray:
-    return np.array([accept_probability(program, row) for row in bits])
+    accepting = list(program.accepting)
+    return np.array([np.sum(np.abs(run(program, row)[accepting]) ** 2) for row in bits])
 
 
 def assert_matches_dense(program: QuantumBranchingProgram, bits: np.ndarray) -> np.ndarray:
@@ -115,7 +125,6 @@ def test_general_sweep_matches_dense_closed_form_and_oracle(data):
     )
     good_set = draw_good_set(data, modulus)
     program = compile_general(characteristic, good_set).program
-    assert program.block_form.block <= 2**count
     bits = all_inputs(arity)
     swept = assert_matches_dense(program, bits)
     np.testing.assert_allclose(
@@ -160,10 +169,8 @@ def test_unstructured_complex_program_takes_the_full_width_path(d, arity, seed):
         pre_transform=random_unitary(rng, d),
         post_transform=random_unitary(rng, d),
     )
-    form = program.block_form
-    assert form.block == d
-    assert form.start.dtype == np.complex128
-    assert all(on_zero is not None for _, on_zero, _ in form.reads)
+    assert program.instructions[0].on_one.shape == (d, d)
+    assert program.initial_state.dtype == np.complex128
     assert_matches_dense(program, all_inputs(arity))
 
 
@@ -187,10 +194,11 @@ def test_non_identity_on_zero_is_applied_on_the_real_block_path():
         pre_transform=compiled.pre_transform,
         post_transform=compiled.post_transform,
     )
-    form = program.block_form
-    assert form.block == 2
-    assert form.start.dtype == np.float64
-    assert all(on_zero is not None for _, on_zero, _ in form.reads)
+    assert all(
+        instruction.on_zero.shape == (good_set.size, 2, 2)
+        and instruction.on_zero.dtype == np.float64
+        for instruction in program.instructions
+    )
     swept = assert_matches_dense(program, all_inputs(5))
     identity_swept, _ = sweep_accept_probabilities(compiled, all_inputs(5))
     assert np.max(np.abs(swept - identity_swept)) > 1e-3
@@ -200,9 +208,10 @@ def test_non_identity_on_zero_is_applied_on_the_real_block_path():
 def test_one_complex_array_selects_complex_arithmetic(field):
     good_set, _ = sample_good(0.2, 3, seed=0)
     compiled = compile_single(mod_polynomial(4, 3), good_set).program
+    assert compiled.pre_transform is None
     fields = {
         "initial_state": compiled.initial_state,
-        "pre_transform": compiled.pre_transform,
+        "pre_transform": np.repeat(np.eye(2)[None], good_set.size, axis=0),
         "post_transform": compiled.post_transform,
     }
     # A global phase of i changes no probability but leaves no real part.
@@ -214,7 +223,9 @@ def test_one_complex_array_selects_complex_arithmetic(field):
         accepting=compiled.accepting,
         **fields,
     )
-    assert program.block_form.start.dtype == np.complex128
+    for name, value in fields.items():
+        expected = np.complex128 if name == field else np.float64
+        assert getattr(program, name).dtype == expected
     swept = assert_matches_dense(program, all_inputs(4))
     np.testing.assert_allclose(
         swept, sweep_accept_probabilities(compiled, all_inputs(4))[0], rtol=0, atol=DENSE_TOL
@@ -238,13 +249,17 @@ def test_norm_drift_is_measured_after_every_read():
     assert drift == pytest.approx(0.01)
 
 
-def test_detected_block_sizes():
+def test_compiled_stacks_have_per_branch_block_sizes():
     good_set, _ = sample_good(0.2, 3, seed=0)
+    t = good_set.size
     single = compile_single(mod_polynomial(6, 3), good_set).program
-    assert single.block_form.block == 2
-    assert single.block_form.post.shape == (1, single.dimension, single.dimension)
-    assert all(on_zero is None for _, on_zero, _ in single.block_form.reads)
-    assert single.block_form is single.block_form
+    for instruction in single.instructions:
+        assert instruction.on_one.shape == (t, 2, 2)
+        assert instruction.on_one.dtype == np.float64
+    assert single.pre_transform is None
+    assert single.post_transform.shape == (single.dimension, single.dimension)
+    assert single.post_transform.dtype == np.float64
+    assert single.initial_state.dtype == np.float64
     for count in (1, 2, 3):
         modulus = 7
         polynomials = tuple(
@@ -258,16 +273,38 @@ def test_detected_block_sizes():
         characteristic = Characteristic(modulus=modulus, arity=3, polynomials=polynomials)
         good_set, _ = sample_good(0.3, modulus, seed=1)
         program = compile_general(characteristic, good_set).program
-        assert program.block_form.block == 2**count
-        assert program.block_form.start.dtype == np.float64
+        shape = (good_set.size, 2**count, 2**count)
+        assert all(instruction.on_one.shape == shape for instruction in program.instructions)
+        assert program.post_transform.shape == shape
+        assert all(
+            array.dtype == np.float64
+            for array in (program.initial_state, program.post_transform)
+        )
+
+
+def test_compiled_perm4_holds_stacks_not_dense_matrices():
+    polynomial = perm_polynomial(4)
+    good_set = sample(0.2, polynomial.modulus, seed=3)
+    tracemalloc.start()
+    try:
+        program = compile_single(polynomial, good_set).program
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    for instruction in program.instructions:
+        assert instruction.on_one.shape == (good_set.size, 2, 2)
+        assert instruction.on_one.dtype == np.float64
 
 
 def test_json_loaded_program_keeps_its_block_form():
     good_set, _ = sample_good(0.2, 3, seed=2)
     program = compile_single(mod_polynomial(4, 3), good_set).program
     loaded = program_from_json_dict(program_to_json_dict(program))
-    assert loaded.block_form.block == 2
-    assert all(on_zero is None for _, on_zero, _ in loaded.block_form.reads)
+    for ours, theirs in zip(loaded.instructions, program.instructions):
+        assert ours.on_one.dtype == np.float64
+        assert np.array_equal(ours.on_zero, theirs.on_zero)
+        assert np.array_equal(ours.on_one, theirs.on_one)
     bits = all_inputs(4)
     np.testing.assert_allclose(
         sweep_accept_probabilities(loaded, bits)[0],
@@ -277,11 +314,27 @@ def test_json_loaded_program_keeps_its_block_form():
     )
 
 
+@pytest.mark.parametrize("general", [False, True])
+def test_accept_probability_is_a_row_of_the_sweep(general):
+    polynomial = mod_polynomial(6, 5)
+    good_set, _ = sample_good(0.3, 5, seed=4)
+    if general:
+        other = LinearPolynomial(modulus=5, arity=6, coefficients=(1, 0, 2, 0, 3, 0, 4))
+        characteristic = Characteristic(modulus=5, arity=6, polynomials=(polynomial, other))
+        program = compile_general(characteristic, good_set).program
+    else:
+        program = compile_single(polynomial, good_set).program
+    bits = all_inputs(6)
+    swept, _ = sweep_accept_probabilities(program, bits)
+    for row, probability in zip(bits.tolist(), swept):
+        assert abs(accept_probability(program, row) - probability) <= 1e-15
+
+
 def test_non_unitary_block_shows_in_norm_drift():
     good_set, _ = sample_good(0.2, 3, seed=0)
     compiled = compile_single(mod_polynomial(4, 3), good_set).program
     scaled = compiled.instructions[1].on_one.copy()
-    scaled[0:2, 0:2] *= 1.01
+    scaled[0] *= 1.01
     instructions = list(compiled.instructions)
     instructions[1] = Instruction(
         variable_index=instructions[1].variable_index,
@@ -302,6 +355,8 @@ def test_non_unitary_block_shows_in_norm_drift():
     assert drift > 1e-6
     with pytest.raises(ArithmeticError):
         run(program, [1, 1, 1, 1])
+    with pytest.raises(ArithmeticError):
+        accept_probability(program, [1, 1, 1, 1])
 
 
 def reference_branch_block(good_set: GoodSet, coefficients, angle_numerator: float) -> np.ndarray:
@@ -326,7 +381,9 @@ def test_compiled_blocks_equal_per_branch_ry(data):
     single = compile_single(polynomial, good_set).program
     for j, instruction in enumerate(single.instructions, start=1):
         expected = reference_branch_block(good_set, (polynomial.coefficients[j],), 4.0 * math.pi)
-        np.testing.assert_allclose(instruction.on_one, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            _block_diagonal(instruction.on_one), expected, rtol=0, atol=1e-15
+        )
     characteristic = Characteristic(
         modulus=modulus,
         arity=2,
@@ -336,11 +393,15 @@ def test_compiled_blocks_equal_per_branch_ry(data):
     for j, instruction in enumerate(general.instructions, start=1):
         coefficients = tuple(p.coefficients[j] for p in characteristic.polynomials)
         expected = reference_branch_block(good_set, coefficients, 2.0 * math.pi)
-        np.testing.assert_allclose(instruction.on_one, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            _block_diagonal(instruction.on_one), expected, rtol=0, atol=1e-15
+        )
     expected = reference_branch_block(
         good_set, tuple(p.coefficients[0] for p in characteristic.polynomials), 2.0 * math.pi
     )
-    np.testing.assert_allclose(general.post_transform, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(
+        _block_diagonal(general.post_transform), expected, rtol=0, atol=1e-15
+    )
 
 
 def test_compiled_reads_share_one_frozen_identity():
