@@ -279,13 +279,22 @@ def evaluate_linear_batch(
     )
 
 
+def _residue_table(
+    polynomial: LinearPolynomial, bit_matrix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct residues g takes on the rows, and each row's index into
+    them: the cosines are taken once per residue, not once per row."""
+    return np.unique(evaluate_linear_batch(polynomial, bit_matrix), return_inverse=True)
+
+
 def closed_form_single_batch(
     polynomial: LinearPolynomial, good_set: GoodSet, bit_matrix: np.ndarray
 ) -> np.ndarray:
     """(1/t^2) (sum_i cos(2 pi k_i g(sigma) / m))^2 for every row sigma."""
     if polynomial.modulus != good_set.modulus:
         raise ModulusMismatchError("polynomial and good set moduli differ")
-    return _cosine_kernel(evaluate_linear_batch(polynomial, bit_matrix), good_set)
+    residues, rows = _residue_table(polynomial, bit_matrix)
+    return _cosine_kernel(residues, good_set)[rows]
 
 
 def closed_form_general_batch(
@@ -294,11 +303,19 @@ def closed_form_general_batch(
     """(1/t) sum_i prod_s cos^2(pi k_i g_s(sigma) / m) for every row sigma."""
     if characteristic.modulus != good_set.modulus:
         raise ModulusMismatchError("characteristic and good set moduli differ")
-    product = np.ones((bit_matrix.shape[0], good_set.size), dtype=np.float64)
-    for polynomial in characteristic.polynomials:
-        values = evaluate_linear_batch(polynomial, bit_matrix)
-        product *= np.cos(math.pi * _residue_products(values, good_set)) ** 2
-    return np.mean(product, axis=1)
+    tables = [_residue_table(p, bit_matrix) for p in characteristic.polynomials]
+    # Rows with the same residue under every polynomial share one value: the
+    # product and the mean run once per distinct combination.
+    rows = np.zeros(bit_matrix.shape[0], dtype=np.intp)
+    for residues, index in tables:
+        _, first, rows = np.unique(
+            rows * residues.size + index, return_index=True, return_inverse=True
+        )
+    product = np.ones((first.size, good_set.size), dtype=np.float64)
+    for residues, index in tables:
+        cosines = np.cos(math.pi * _residue_products(residues, good_set)) ** 2
+        product *= cosines[index[first]]
+    return np.mean(product, axis=1)[rows]
 
 
 def closed_form_single(polynomial: LinearPolynomial, good_set: GoodSet, bits) -> float:

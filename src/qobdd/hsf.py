@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .compiler import GeneralCompilation, check_budget, compile_general
 from .errors import LengthMismatchError, NotNormalError, PromiseViolation
 from .goodsets import required_size, sample
@@ -226,6 +228,41 @@ def hsf_eval(instance: HSFInstance, bits: Sequence[int]) -> int:
     if len(set(coset_values)) != instance.index:
         return 0
     return 1
+
+
+def _blocks(instance: HSFInstance, bit_matrix: np.ndarray) -> np.ndarray:
+    """Each row's block per group element, (rows, order) integers: value - 1."""
+    rows, width = bit_matrix.shape
+    if width != instance.arity:
+        raise LengthMismatchError(f"expected {instance.arity} bits, got {width}")
+    w = instance.bits_per_value
+    weights = 1 << np.arange(w - 1, -1, -1, dtype=np.int64)
+    return bit_matrix.reshape(rows, instance.group.order, w).astype(np.int64) @ weights
+
+
+def _distinct_counts(values: np.ndarray) -> np.ndarray:
+    """The number of distinct entries in each row."""
+    ordered = np.sort(values, axis=1)
+    return 1 + np.count_nonzero(np.diff(ordered, axis=1), axis=1)
+
+
+def hsf_eval_batch(instance: HSFInstance, bit_matrix: np.ndarray) -> np.ndarray:
+    """hsf_eval on every row: every block decodes, each coset's blocks are
+    equal, and the cosets' values are distinct."""
+    blocks = _blocks(instance, bit_matrix)
+    keep = (blocks < instance.index).all(axis=1)
+    for coset in instance.cosets:
+        keep &= (blocks[:, coset] == blocks[:, coset[:1]]).all(axis=1)
+    representatives = blocks[:, [coset[0] for coset in instance.cosets]]
+    return keep & (_distinct_counts(representatives) == instance.index)
+
+
+def satisfies_promise_batch(instance: HSFInstance, bit_matrix: np.ndarray) -> np.ndarray:
+    """satisfies_promise on every row: every block decodes and exactly (G:K)
+    distinct values occur."""
+    blocks = _blocks(instance, bit_matrix)
+    valid = (blocks < instance.index).all(axis=1)
+    return valid & (_distinct_counts(blocks) == instance.index)
 
 
 def hsf_characteristic(instance: HSFInstance) -> Characteristic:

@@ -13,11 +13,12 @@ independent 2 x 2 (or 2^l x 2^l) rotations and costs O(d b) per input
 instead of O(d^2).  A dense (d, d) matrix is the one-block stack.  Arrays are
 float64 when they have no imaginary part, so real programs are simulated in
 real arithmetic.  sweep_accept_probabilities simulates a batch of inputs on
-the stacks, and accept_probability is its 1-row case; run() expands every
-stack to its dense matrix and is kept as the independent per-input
-reference.  The input-independent pre/post transforms exist so Hadamard
-layers and constant-coefficient rotations do not consume a variable read,
-keeping compiled programs read-once.
+the stacks, and accept_probability is its 1-row case; a block of exhaustive
+inputs that share their leading bits shares the reads of those bits too.
+run() expands every stack to its dense matrix and is kept as the
+independent per-input reference.  The input-independent pre/post transforms
+exist so Hadamard layers and constant-coefficient rotations do not consume a
+variable read, keeping compiled programs read-once.
 """
 
 from __future__ import annotations
@@ -242,11 +243,18 @@ def accept_probability(program: QuantumBranchingProgram, bits: Sequence[int]) ->
     return float(probabilities[0])
 
 
-def _apply_blocks(stack: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Each b x b block times its own b rows of every column of states."""
+def _apply_blocks(
+    stack: np.ndarray, states: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Each b x b block times its own b rows of every column of states,
+    written to out (a (d, k) array or view, which may be states) if given."""
     blocks = _blocks(stack)
     count, size, _ = blocks.shape
-    return np.matmul(blocks, states.reshape(count, size, -1)).reshape(states.shape)
+    columns = states.shape[1]
+    if out is not None:
+        out = out.reshape(count, size, columns)
+    product = np.matmul(blocks, states.reshape(count, size, columns), out=out)
+    return product.reshape(states.shape)
 
 
 def _is_identity(stack: np.ndarray) -> bool:
@@ -262,6 +270,20 @@ def _squared_norms(states: np.ndarray) -> np.ndarray:
 
 def _norm_drift(states: np.ndarray) -> float:
     return float(np.max(np.abs(np.sqrt(_squared_norms(states)) - 1.0)))
+
+
+def _accepted(
+    program: QuantumBranchingProgram,
+    states: np.ndarray,
+    track_norms: bool,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, float]:
+    """The post-transform (into out, if given), then each column's acceptance
+    probability, and the norm drift after the post-transform."""
+    if program.post_transform is not None:
+        states = _apply_blocks(program.post_transform, states, out=out)
+    drift = _norm_drift(states) if track_norms else 0.0
+    return _squared_norms(states[list(program.accepting)]), drift
 
 
 def _sweep_tile(
@@ -284,11 +306,151 @@ def _sweep_tile(
             states = on_zeros
         if track_norms:
             max_drift = max(max_drift, _norm_drift(states))
-    if program.post_transform is not None:
-        states = _apply_blocks(program.post_transform, states)
+    probabilities, drift = _accepted(program, states, track_norms)
+    return probabilities, max(max_drift, drift)
+
+
+def _enumeration_doublings(
+    program: QuantumBranchingProgram, bit_matrix: np.ndarray
+) -> int | None:
+    """c when the program reads x_1..x_n once, in order, and the rows are 2^c
+    consecutive rows of the exhaustive enumeration (x_1 the most significant
+    bit) from a multiple of 2^c: rows that share their first n - c bits and
+    run through every value of the last c in order.  None otherwise."""
+    count, n = bit_matrix.shape
+    if count < 2 or count & (count - 1) or count.bit_length() - 1 > n:
+        return None
+    if [instruction.variable_index for instruction in program.instructions] != list(
+        range(1, n + 1)
+    ):
+        return None
+    c = count.bit_length() - 1
+    suffixes = (np.arange(count)[:, None] >> np.arange(c - 1, -1, -1)) & 1
+    shared = bit_matrix[:, : n - c]
+    if np.array_equal(bit_matrix[:, n - c :], suffixes) and (shared == shared[0]).all():
+        return c
+    return None
+
+
+def _bit_reversal(bits: int) -> np.ndarray:
+    """order[v] = v with its `bits` binary digits reversed."""
+    order = np.zeros(1, dtype=np.intp)
+    for _ in range(bits):
+        order = np.concatenate((2 * order, 2 * order + 1))
+    return order
+
+
+def _doubled(
+    column: np.ndarray,
+    reads: list[tuple[int, np.ndarray | None, np.ndarray]],
+    states: np.ndarray,
+    track_norms: bool,
+) -> float:
+    """Fill states, (d, 2^r), with a (d, 1) state column after each of the
+    2^r bit patterns of r reads; return the largest drift.
+
+    Each read doubles the filled columns: it writes the on_one half after
+    them and applies on_zero to them in place (unless it is the identity),
+    so column j holds the pattern whose bits, read in order, spell j
+    backwards.  Every state a read produces is measured once: before an
+    on_zero overwrites it, or at the end.
+    """
+    states[:, :1] = column
+    max_drift = 0.0
+    filled = 1
+    for _, on_zero, on_one in reads:
+        old = states[:, :filled]
+        _apply_blocks(on_one, old, out=states[:, filled : 2 * filled])
+        if on_zero is not None:
+            if track_norms:
+                max_drift = max(max_drift, _norm_drift(old))
+            _apply_blocks(on_zero, old, out=old)
+        filled *= 2
     if track_norms:
         max_drift = max(max_drift, _norm_drift(states))
-    return _squared_norms(states[list(program.accepting)]), max_drift
+    return max_drift
+
+
+def _completions(
+    program: QuantumBranchingProgram,
+    column: np.ndarray,
+    groups: list[list[tuple[int, np.ndarray | None, np.ndarray]]],
+    buffers: list[np.ndarray],
+    track_norms: bool,
+) -> tuple[np.ndarray, float]:
+    """Acceptance of a (d, 1) state column after every bit pattern of the
+    grouped reads, and the largest drift.
+
+    The first group doubles the column into its buffer, up to its roots;
+    each root then runs the remaining groups on its own, reusing their
+    buffers, so no state array outgrows a group's.  The last buffer takes
+    the post-transform.  The probabilities come root by root, each group's
+    patterns bit-reversed as _doubled leaves them; _completion_order undoes
+    that.
+    """
+    states = buffers[0]
+    max_drift = _doubled(column, groups[0], states, track_norms)
+    if len(groups) == 1:
+        probabilities, drift = _accepted(program, states, track_norms, out=buffers[1])
+        return probabilities, max(max_drift, drift)
+    parts = []
+    for root in range(states.shape[1]):
+        probabilities, drift = _completions(
+            program, states[:, root : root + 1], groups[1:], buffers[1:], track_norms
+        )
+        parts.append(probabilities)
+        max_drift = max(max_drift, drift)
+    return np.concatenate(parts), max_drift
+
+
+def _completion_order(sizes: list[int]) -> np.ndarray:
+    """order[v] = the position _completions gives the bit pattern v, for
+    groups of the given sizes."""
+    order = np.zeros(1, dtype=np.intp)
+    for size in sizes:
+        order = ((order[:, None] << size) | _bit_reversal(size)[None, :]).ravel()
+    return order
+
+
+def _sweep_shared_prefix(
+    program: QuantumBranchingProgram,
+    start: np.ndarray,
+    reads: list[tuple[int, np.ndarray | None, np.ndarray]],
+    first_row: np.ndarray,
+    doublings: int,
+    tile: int,
+    track_norms: bool,
+) -> tuple[np.ndarray, float]:
+    """The sweep of 2^c enumeration rows (see _enumeration_doublings).
+
+    The n - c reads the rows share run once, on one column, and the last c
+    double it (see _doubled) in groups of at most log2(tile) reads, the
+    last group the largest.
+    """
+    shared = len(reads) - doublings
+    column = start[:, None]
+    max_drift = 0.0
+    for position, on_zero, on_one in reads[:shared]:
+        if first_row[position]:
+            column = _apply_blocks(on_one, column)
+        elif on_zero is not None:
+            column = _apply_blocks(on_zero, column)
+        if track_norms:
+            max_drift = max(max_drift, _norm_drift(column))
+    size = max(1, tile.bit_length() - 1)
+    bounds = list(range(len(reads), shared, -size))[::-1]
+    groups = [reads[a:b] for a, b in zip([shared] + bounds[:-1], bounds)]
+    dtype = np.result_type(
+        start, *(array for read in reads for array in read[1:] if array is not None)
+    )
+    buffers = [np.empty((program.dimension, 1 << len(group)), dtype) for group in groups]
+    post = program.post_transform
+    buffers.append(
+        None if post is None else np.empty_like(buffers[-1], np.result_type(dtype, post))
+    )
+    probabilities, drift = _completions(program, column, groups, buffers, track_norms)
+    order = _completion_order([len(group) for group in groups])
+    return probabilities[order], max(max_drift, drift)
 
 
 def sweep_accept_probabilities(
@@ -301,7 +463,11 @@ def sweep_accept_probabilities(
     bit_matrix has one input per row.  Column v of the internal state matrix
     goes through the same steps run() applies to input v, each read as d/b
     independent b x b products: the on_one blocks when the bit is 1 and the
-    on_zero blocks otherwise (skipped when they are the identity).  The
+    on_zero blocks otherwise (skipped when they are the identity).  When
+    the rows are 2^c aligned consecutive rows of the exhaustive enumeration
+    and the program reads x_1..x_n once, in order, the n - c reads they
+    share are applied once, to one column, and the last c double it
+    (_sweep_shared_prefix); any other batch runs in column tiles.  The
     arithmetic is float64 exactly when every array of the program is.  The
     results match run() up to floating-point rounding.  Returns the
     probabilities and the largest norm drift observed after any read or the
@@ -324,6 +490,11 @@ def sweep_accept_probabilities(
     # Inputs go through in tiles whose states stay in a core's cache across
     # all reads, instead of streaming the whole batch from memory per read.
     tile = max(1, _TILE_ENTRIES // program.dimension)
+    doublings = _enumeration_doublings(program, bit_matrix)
+    if doublings is not None:
+        return _sweep_shared_prefix(
+            program, start, reads, bit_matrix[0], doublings, tile, track_norms
+        )
     probabilities = np.empty(count)
     max_drift = 0.0
     for first in range(0, count, tile):

@@ -28,7 +28,14 @@ from .compiler import (
 )
 from .errors import TooLargeError
 from .goodsets import GoodSet, required_size, sample_good
-from .hsf import HSFInstance, hsf_characteristic, hsf_eval, satisfies_promise
+from .hsf import (
+    HSFInstance,
+    hsf_characteristic,
+    hsf_eval_batch,
+    satisfies_promise_batch,
+)
+# perfbench's tracer patches these names here; without them every traced run raises.
+from .hsf import hsf_eval, satisfies_promise  # noqa: F401
 from .polynomials import (
     Characteristic,
     LinearPolynomial,
@@ -158,7 +165,10 @@ def _input_walk(
     arity: int, mode: str, samples=DEFAULT_SAMPLES, seed=0, chunk_size=DEFAULT_CHUNK
 ) -> tuple[dict, Iterator[np.ndarray]]:
     """The report's mode entry and the mode's inputs, chunk by chunk; the one
-    place the exhaustive guard is checked, before anything is allocated."""
+    place the exhaustive guard and the chunk size are checked, before
+    anything is allocated."""
+    if chunk_size < 1:
+        raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
     if mode == "exhaustive":
         if arity > EXHAUSTIVE_GUARD:
             raise TooLargeError(
@@ -187,7 +197,7 @@ def _walk_residues(polynomials, chunks: Iterable[np.ndarray]) -> list[int]:
 
 
 def verify(
-    oracle: Callable[[Sequence[int]], int],
+    oracle: Callable[[np.ndarray], np.ndarray],
     program: QuantumBranchingProgram,
     bound: float,
     mode: str = "exhaustive",
@@ -197,18 +207,23 @@ def verify(
     t: int = 0,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    promise: Callable[[Sequence[int]], bool] | None = None,
+    promise: Callable[[np.ndarray], np.ndarray] | None = None,
     closed_form: Callable[[np.ndarray], np.ndarray] | None = None,
     goodness: str = "unverified",
     chunk_size: int = DEFAULT_CHUNK,
 ) -> VerificationReport:
     """Sweep the program, classify by the oracle, and check the error contract.
 
-    Exhaustive mode enumerates all 2^n inputs (n <= 24); sampled mode draws a
-    deterministic uniform sample.  An optional promise predicate restricts the
-    swept set; filtered inputs are counted but not checked.  When a closed-form
-    evaluator is supplied, the largest |closed form - simulated| gap is
-    recorded.
+    The oracle and the promise label a whole chunk at once: each takes a
+    (rows, n) uint8 bit matrix and returns one truth value per row (read as
+    booleans, so 0/1 integers never become row indices).  Exhaustive
+    mode enumerates all 2^n inputs (n <= 24); sampled mode draws a
+    deterministic uniform sample.  An optional promise restricts the checked
+    set; filtered inputs are counted but not checked.  Every chunk is swept
+    whole, so exhaustive chunks keep the shared read prefix the sweep
+    exploits; the closed form, the oracle and the class statistics see only
+    the inputs the promise keeps.  When a closed-form evaluator is supplied,
+    the largest |closed form - simulated| gap is recorded.
     """
     n = program.arity
     mode_dict, chunks = _input_walk(n, mode, samples, seed, chunk_size)
@@ -218,22 +233,18 @@ def verify(
     max_drift = 0.0
     max_gap: float | None = None
     for bits in chunks:
-        if promise is not None:
-            keep = np.fromiter(
-                (promise(row) for row in bits), dtype=bool, count=bits.shape[0]
-            )
-            filtered += int((~keep).sum())
-            bits = bits[keep]
-            if bits.shape[0] == 0:
-                continue
         probabilities, drift = sweep_accept_probabilities(program, bits)
         max_drift = max(max_drift, drift)
+        if promise is not None:
+            keep = np.asarray(promise(bits), dtype=bool)
+            filtered += int(np.count_nonzero(~keep))
+            bits, probabilities = bits[keep], probabilities[keep]
+            if bits.shape[0] == 0:
+                continue
         if closed_form is not None:
             gap = float(np.max(np.abs(closed_form(bits) - probabilities)))
             max_gap = gap if max_gap is None else max(max_gap, gap)
-        labels = np.fromiter(
-            (oracle(row) for row in bits), dtype=bool, count=bits.shape[0]
-        )
+        labels = np.asarray(oracle(bits), dtype=bool)
         ones = ones.observe(probabilities[labels])
         zeros = zeros.observe(probabilities[~labels])
 
@@ -264,7 +275,7 @@ def verify(
 
 
 def popcount_mod_oracle(m: int) -> Callable[[Sequence[int]], int]:
-    return lambda bits: int(sum(int(b) for b in bits) % m == 0)
+    return lambda bits: int(sum(map(int, bits)) % m == 0)
 
 
 def equality_oracle(n: int) -> Callable[[Sequence[int]], int]:
@@ -301,6 +312,14 @@ def named_function(
     if function == "perm":
         return perm_polynomial(n), permutation_matrix_oracle(n), f"PERM_{n}"
     raise ValueError(f"unknown function {function!r}")
+
+
+def _per_row(predicate: Callable[[Sequence[int]], int]) -> Callable[[np.ndarray], np.ndarray]:
+    """A per-row predicate as a labeller for verify: each row of the bit
+    matrix goes to it as a Python list (bits.tolist())."""
+    return lambda bits: np.fromiter(
+        map(predicate, bits.tolist()), dtype=bool, count=bits.shape[0]
+    )
 
 
 def _certify(
@@ -349,11 +368,12 @@ def certify_single(
 ) -> tuple[VerificationReport, SingleCompilation]:
     """Certify a polynomial's program against the false-accept bound eps.
 
-    goodness='exhaustive' verifies the set on every b in [1, m-1] (small m);
-    'realized' spot-verifies it on exactly the nonzero residues the polynomial
-    takes on the swept inputs.
+    The oracle is called once per input, with the input's bits as a Python
+    list of ints.  goodness='exhaustive' verifies the set on every b in
+    [1, m-1] (small m); 'realized' spot-verifies it on exactly the nonzero
+    residues the polynomial takes on the swept inputs.
     """
-    return _certify(polynomial, oracle, epsilon, seed, function=function,
+    return _certify(polynomial, _per_row(oracle), epsilon, seed, function=function,
                     goodness=goodness, mode=mode, samples=samples)
 
 
@@ -370,12 +390,15 @@ def certify_general(
 ) -> tuple[VerificationReport, GeneralCompilation]:
     """Certify a characteristic's program against 1/2 + sqrt(eps)/2.
 
-    Goodness is checked on the nonzero residues every polynomial of the
-    characteristic realizes on the swept inputs (exactly what the bound needs
-    for those inputs); an optional promise restricts the checked inputs.
+    The oracle and the optional promise, which restricts the checked inputs,
+    are called once per input, with the input's bits as a Python list of
+    ints.  Goodness is checked on the nonzero residues every polynomial of
+    the characteristic realizes on the swept inputs (exactly what the bound
+    needs for those inputs).
     """
-    return _certify(characteristic, oracle, epsilon, seed, function=function,
-                    goodness="realized", mode=mode, samples=samples, promise=promise)
+    return _certify(characteristic, _per_row(oracle), epsilon, seed, function=function,
+                    goodness="realized", mode=mode, samples=samples,
+                    promise=None if promise is None else _per_row(promise))
 
 
 def certify_hsf(
@@ -386,15 +409,18 @@ def certify_hsf(
     function: str = "",
     apply_promise: bool = True,
 ) -> tuple[VerificationReport, GeneralCompilation]:
-    """Exhaustive sweep of a hidden-subgroup instance against its oracle."""
-    characteristic = hsf_characteristic(instance)
-    return certify_general(
-        characteristic,
-        lambda bits: hsf_eval(instance, bits),
+    """Exhaustive sweep of a hidden-subgroup instance against its oracle:
+    hsf_eval_batch labels each chunk and satisfies_promise_batch filters it."""
+    return _certify(
+        hsf_characteristic(instance),
+        lambda bits: hsf_eval_batch(instance, bits),
         epsilon,
         seed,
         function=function or f"HSF({instance.group.order}:{len(instance.subgroup)})",
-        promise=(lambda bits: satisfies_promise(instance, bits)) if apply_promise else None,
+        goodness="realized",
+        mode="exhaustive",
+        samples=DEFAULT_SAMPLES,
+        promise=(lambda bits: satisfies_promise_batch(instance, bits)) if apply_promise else None,
     )
 
 

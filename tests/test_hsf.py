@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qobdd.errors import LengthMismatchError, NotNormalError, PromiseViolation
 from qobdd.goodsets import required_size
@@ -19,10 +23,13 @@ from qobdd.hsf import (
     encode_values,
     hsf_characteristic,
     hsf_eval,
+    hsf_eval_batch,
     satisfies_promise,
+    satisfies_promise_batch,
 )
 from qobdd.polynomials import LinearPolynomial
 from qobdd.programs import accept_probability, is_read_once, metrics
+from qobdd.verification import all_inputs
 
 
 def z4_instance() -> HSFInstance:
@@ -245,3 +252,63 @@ def test_compile_hsf_shape_and_acceptance():
     assert is_read_once(program)
     valid = encode_values(inst, (1, 2, 1, 2))
     assert accept_probability(program, valid) == pytest.approx(1.0, abs=1e-9)
+
+
+def s3_a3_instance() -> HSFInstance:
+    s3 = symmetric_group_3()
+    rotations = [e for e in range(6) if s3.multiply(e, s3.multiply(e, e)) == s3.identity]
+    return HSFInstance.create(s3, rotations)
+
+
+LABELLED_INSTANCES = {
+    "Z_4/<2>": z4_instance,
+    "Z_6/<3>": z6_instance,  # 2-bit blocks encoding 4 > (G:K) = 3 are invalid
+    "Z_8/<4>": lambda: HSFInstance.create(FiniteGroup.cyclic(8), cyclic_subgroup(8, 4)),
+    "S_3/A_3": s3_a3_instance,
+}
+
+
+@lru_cache(maxsize=None)
+def scalar_labels(name: str) -> tuple[HSFInstance, np.ndarray, np.ndarray, np.ndarray]:
+    """Every input of the instance with its scalar hsf_eval and satisfies_promise."""
+    instance = LABELLED_INSTANCES[name]()
+    bits = all_inputs(instance.arity)
+    rows = bits.tolist()
+    oracle = np.array([hsf_eval(instance, row) for row in rows], dtype=bool)
+    promise = np.array([satisfies_promise(instance, row) for row in rows], dtype=bool)
+    return instance, bits, oracle, promise
+
+
+@given(
+    st.sampled_from(sorted(LABELLED_INSTANCES)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=9),
+)
+@settings(max_examples=24, deadline=None)
+def test_batch_labels_equal_the_scalar_labels_on_every_input(name, seed, parts):
+    instance, bits, oracle, promise = scalar_labels(name)
+    order = np.random.default_rng(seed).permutation(bits.shape[0])
+    chunk = -(-bits.shape[0] // parts)
+    for start in range(0, bits.shape[0], chunk):
+        rows = order[start : start + chunk]
+        np.testing.assert_array_equal(hsf_eval_batch(instance, bits[rows]), oracle[rows])
+        np.testing.assert_array_equal(
+            satisfies_promise_batch(instance, bits[rows]), promise[rows]
+        )
+
+
+def test_batch_labels_count_the_known_instances():
+    _, _, oracle, promise = scalar_labels("Z_6/<3>")
+    assert (int(oracle.sum()), int((oracle & promise).sum()), int((~promise).sum())) == (
+        6,
+        6,
+        3556,
+    )
+    instance = z4_instance()
+    with pytest.raises(LengthMismatchError):
+        hsf_eval_batch(instance, np.zeros((2, 3), dtype=np.uint8))
+    with pytest.raises(LengthMismatchError):
+        satisfies_promise_batch(instance, np.zeros((2, 5), dtype=np.uint8))
+    empty = np.zeros((0, instance.arity), dtype=np.uint8)
+    assert hsf_eval_batch(instance, empty).shape == (0,)
+    assert satisfies_promise_batch(instance, empty).shape == (0,)

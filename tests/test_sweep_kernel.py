@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qobdd import programs
 from qobdd.compiler import (
     _INT64_SAFE,
     closed_form_general,
@@ -27,9 +29,17 @@ from qobdd.compiler import (
     closed_form_single_batch,
     compile_general,
     compile_single,
+    evaluate_linear_batch,
 )
 from qobdd.errors import LengthMismatchError, ModulusMismatchError
-from qobdd.goodsets import GoodSet, cosine_sum, sample, sample_good
+from qobdd.goodsets import (
+    GoodSet,
+    _cosine_kernel,
+    _residue_products,
+    cosine_sum,
+    sample,
+    sample_good,
+)
 from qobdd.polynomials import (
     Characteristic,
     LinearPolynomial,
@@ -40,6 +50,7 @@ from qobdd.programs import (
     Instruction,
     QuantumBranchingProgram,
     _block_diagonal,
+    _enumeration_doublings,
     accept_probability,
     program_from_json_dict,
     program_to_json_dict,
@@ -47,7 +58,7 @@ from qobdd.programs import (
     ry,
     sweep_accept_probabilities,
 )
-from qobdd.verification import all_inputs
+from qobdd.verification import all_inputs, input_block
 
 DENSE_TOL = 1e-12
 CLOSED_FORM_TOL = 1e-9
@@ -78,9 +89,13 @@ def draw_good_set(data, modulus: int) -> GoodSet:
     return GoodSet(modulus=modulus, error_rate=0.3, parameters=parameters)
 
 
-def dense_probabilities(program: QuantumBranchingProgram, bits: np.ndarray) -> np.ndarray:
+def dense_probabilities(
+    program: QuantumBranchingProgram, bits: np.ndarray, check_norm: bool = True
+) -> np.ndarray:
     accepting = list(program.accepting)
-    return np.array([np.sum(np.abs(run(program, row)[accepting]) ** 2) for row in bits])
+    return np.array(
+        [np.sum(np.abs(run(program, row, check_norm)[accepting]) ** 2) for row in bits]
+    )
 
 
 def assert_matches_dense(program: QuantumBranchingProgram, bits: np.ndarray) -> np.ndarray:
@@ -174,11 +189,12 @@ def test_unstructured_complex_program_takes_the_full_width_path(d, arity, seed):
     assert_matches_dense(program, all_inputs(arity))
 
 
-def test_non_identity_on_zero_is_applied_on_the_real_block_path():
+def non_identity_on_zero_program() -> tuple[QuantumBranchingProgram, QuantumBranchingProgram]:
+    """MOD_3 over 5 variables, and a copy whose every U(0) is another read's U(1)."""
     good_set, _ = sample_good(0.2, 3, seed=0)
     compiled = compile_single(mod_polynomial(5, 3), good_set).program
     reads = compiled.instructions
-    program = QuantumBranchingProgram(
+    return compiled, QuantumBranchingProgram(
         dimension=compiled.dimension,
         arity=compiled.arity,
         instructions=tuple(
@@ -194,8 +210,13 @@ def test_non_identity_on_zero_is_applied_on_the_real_block_path():
         pre_transform=compiled.pre_transform,
         post_transform=compiled.post_transform,
     )
+
+
+def test_non_identity_on_zero_is_applied_on_the_real_block_path():
+    compiled, program = non_identity_on_zero_program()
+    t = compiled.dimension // 2
     assert all(
-        instruction.on_zero.shape == (good_set.size, 2, 2)
+        instruction.on_zero.shape == (t, 2, 2)
         and instruction.on_zero.dtype == np.float64
         for instruction in program.instructions
     )
@@ -330,7 +351,8 @@ def test_accept_probability_is_a_row_of_the_sweep(general):
         assert abs(accept_probability(program, row) - probability) <= 1e-15
 
 
-def test_non_unitary_block_shows_in_norm_drift():
+def scaled_block_program() -> QuantumBranchingProgram:
+    """MOD_3 over 4 variables with branch 0 of the second read's U(1) scaled by 1.01."""
     good_set, _ = sample_good(0.2, 3, seed=0)
     compiled = compile_single(mod_polynomial(4, 3), good_set).program
     scaled = compiled.instructions[1].on_one.copy()
@@ -341,7 +363,7 @@ def test_non_unitary_block_shows_in_norm_drift():
         on_zero=instructions[1].on_zero,
         on_one=scaled,
     )
-    program = QuantumBranchingProgram(
+    return QuantumBranchingProgram(
         dimension=compiled.dimension,
         arity=compiled.arity,
         instructions=tuple(instructions),
@@ -350,6 +372,10 @@ def test_non_unitary_block_shows_in_norm_drift():
         pre_transform=compiled.pre_transform,
         post_transform=compiled.post_transform,
     )
+
+
+def test_non_unitary_block_shows_in_norm_drift():
+    program = scaled_block_program()
     bits = all_inputs(4)
     _, drift = sweep_accept_probabilities(program, bits)
     assert drift > 1e-6
@@ -487,3 +513,253 @@ def test_scalar_closed_forms_keep_their_errors():
         closed_form_single(polynomial, other, [0, 1, 1])
     with pytest.raises(ModulusMismatchError):
         closed_form_general(characteristic, other, [0, 1, 1])
+
+
+# Exhaustive chunks of a program that reads x_1..x_n in order share their
+# leading reads; the sweep runs those once and doubles the state columns at
+# the rest.  Every case is held against run and against the tile loop on the
+# same rows in shuffled order, which the prefix path never takes.
+
+
+def assert_prefix_path_matches(
+    program: QuantumBranchingProgram,
+    bits: np.ndarray,
+    doublings: int | None,
+    check_norm: bool = True,
+) -> tuple[float, float]:
+    """The sweep's path (doublings None: the tile loop) and its agreement with
+    run and the shuffled tile loop; returns both drifts."""
+    assert _enumeration_doublings(program, bits) == doublings
+    swept, drift = sweep_accept_probabilities(program, bits)
+    np.testing.assert_allclose(
+        swept, dense_probabilities(program, bits, check_norm), rtol=0, atol=DENSE_TOL
+    )
+    count = bits.shape[0]
+    order = np.random.default_rng(count).permutation(count)
+    if np.array_equal(order, np.arange(count)):
+        order = order[::-1]
+    tile_drift = drift
+    if count > 1:
+        assert _enumeration_doublings(program, bits[order]) is None
+        shuffled, tile_drift = sweep_accept_probabilities(program, bits[order])
+        np.testing.assert_allclose(shuffled, swept[order], rtol=0, atol=1e-14)
+    return drift, tile_drift
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_prefix_sweep_matches_run_and_the_tile_loop(data):
+    modulus = data.draw(MODULI)
+    arity = data.draw(st.integers(min_value=1, max_value=6))
+    good_set = draw_good_set(data, modulus)
+    count = data.draw(st.integers(min_value=1, max_value=2))
+    polynomials = tuple(draw_polynomial(data, modulus, arity) for _ in range(count))
+    if data.draw(st.booleans()):
+        program = compile_single(polynomials[0], good_set).program
+    else:
+        characteristic = Characteristic(modulus=modulus, arity=arity, polynomials=polynomials)
+        program = compile_general(characteristic, good_set).program
+    doublings = data.draw(st.integers(min_value=1, max_value=arity))
+    block = data.draw(st.integers(min_value=0, max_value=(1 << (arity - doublings)) - 1))
+    bits = input_block(arity, block << doublings, (block + 1) << doublings)
+    # One, two or every read per group of doublings.
+    tile_entries = data.draw(
+        st.sampled_from([program.dimension, 4 * program.dimension, programs._TILE_ENTRIES])
+    )
+    with mock.patch.object(programs, "_TILE_ENTRIES", tile_entries):
+        drift, tile_drift = assert_prefix_path_matches(program, bits, doublings)
+    assert max(drift, tile_drift) <= 1e-9
+
+
+@pytest.mark.parametrize("start, stop", [(0, 64), (0, 16), (48, 64), (40, 48), (6, 8)])
+def test_aligned_blocks_from_zero_and_elsewhere_take_the_prefix_path(start, stop):
+    good_set, _ = sample_good(0.3, 5, seed=4)
+    single = compile_single(mod_polynomial(6, 5), good_set).program
+    other = LinearPolynomial(modulus=5, arity=6, coefficients=(1, 0, 2, 0, 3, 0, 4))
+    characteristic = Characteristic(modulus=5, arity=6, polynomials=(mod_polynomial(6, 5), other))
+    general = compile_general(characteristic, good_set).program
+    doublings = (stop - start).bit_length() - 1
+    for program in (single, general):
+        with mock.patch.object(programs, "_TILE_ENTRIES", 2 * program.dimension):
+            assert_prefix_path_matches(program, input_block(6, start, stop), doublings)
+        assert_prefix_path_matches(program, input_block(6, start, stop), doublings)
+
+
+def test_unaligned_one_row_and_empty_batches_take_the_tile_loop():
+    good_set, _ = sample_good(0.3, 5, seed=4)
+    program = compile_single(mod_polynomial(6, 5), good_set).program
+    for start, stop in ((5, 6), (0, 1), (4, 12), (0, 3), (8, 13)):
+        assert_prefix_path_matches(program, input_block(6, start, stop), None)
+    # The last two bits run through 00..11, but the leading bits differ.
+    rows = input_block(6, 0, 64)[[0, 1, 14, 15]]
+    assert_prefix_path_matches(program, rows, None)
+    empty = np.zeros((0, 6), dtype=np.uint8)
+    assert _enumeration_doublings(program, empty) is None
+    probabilities, drift = sweep_accept_probabilities(program, empty)
+    assert probabilities.shape == (0,) and drift == 0.0
+
+
+def test_prefix_path_applies_non_identity_on_zero():
+    compiled, program = non_identity_on_zero_program()
+    for start, stop in ((0, 32), (8, 16), (20, 24)):
+        assert_prefix_path_matches(program, input_block(5, start, stop), (stop - start).bit_length() - 1)
+    # The shared reads with bit 0 apply U(0) too: rows 16..23 differ from the
+    # identity-U(0) program.
+    bits = input_block(5, 16, 24)
+    assert np.max(np.abs(
+        sweep_accept_probabilities(program, bits)[0] - sweep_accept_probabilities(compiled, bits)[0]
+    )) > 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prefix_path_on_a_complex_dense_program(seed):
+    rng = np.random.default_rng(seed)
+    d, arity = 6, 5
+    state = rng.normal(size=d) + 1j * rng.normal(size=d)
+    program = QuantumBranchingProgram(
+        dimension=d,
+        arity=arity,
+        instructions=tuple(
+            Instruction(
+                variable_index=j,
+                on_zero=random_unitary(rng, d),
+                on_one=random_unitary(rng, d),
+            )
+            for j in range(1, arity + 1)
+        ),
+        initial_state=state / np.linalg.norm(state),
+        accepting=(0, 3),
+        pre_transform=random_unitary(rng, d),
+        post_transform=random_unitary(rng, d),
+    )
+    assert program.initial_state.dtype == np.complex128
+    for start, stop in ((0, 32), (16, 24), (30, 32)):
+        with mock.patch.object(programs, "_TILE_ENTRIES", 4 * d):
+            assert_prefix_path_matches(program, input_block(arity, start, stop), (stop - start).bit_length() - 1)
+
+
+@pytest.mark.parametrize(
+    "start, stop, doublings", [(4, 8, 2), (0, 8, 3), (8, 16, 3), (0, 16, 4)]
+)
+def test_scaled_block_shows_in_the_prefix_drift(start, stop, doublings):
+    # Rows 4..7 share x_2 = 1, so the scaled read is one of the shared reads;
+    # in the other blocks it doubles the columns.
+    program = scaled_block_program()
+    drift, tile_drift = assert_prefix_path_matches(
+        program, input_block(4, start, stop), doublings, check_norm=False
+    )
+    assert drift > 1e-6
+    assert drift == pytest.approx(tile_drift, rel=1e-9)
+
+
+def test_prefix_drift_sees_states_that_later_steps_undo():
+    stretch = np.diag([1.01, 1.0])
+    shrink = np.linalg.inv(stretch)
+    start = np.array([1.0, 0.0])
+    # Every U(0) and U(1) of read 2 undoes read 1, so only the states in
+    # between drift; read 3 changes nothing.  Then a post-transform undoes
+    # the last read.
+    undone_by_a_read = QuantumBranchingProgram(
+        dimension=2,
+        arity=3,
+        instructions=(
+            Instruction(variable_index=1, on_zero=stretch, on_one=stretch),
+            Instruction(variable_index=2, on_zero=shrink, on_one=shrink),
+            Instruction(variable_index=3, on_zero=np.eye(2), on_one=np.eye(2)),
+        ),
+        initial_state=start,
+        accepting=(0,),
+    )
+    undone_by_the_post_transform = QuantumBranchingProgram(
+        dimension=2,
+        arity=1,
+        instructions=(Instruction(variable_index=1, on_zero=stretch, on_one=stretch),),
+        initial_state=start,
+        accepting=(0,),
+        post_transform=shrink,
+    )
+    cases = (
+        (undone_by_a_read, all_inputs(3), 3),
+        (undone_by_a_read, input_block(3, 4, 6), 1),  # reads 1 and 2 shared
+        (undone_by_the_post_transform, all_inputs(1), 1),
+    )
+    for program, bits, doublings in cases:
+        drift, tile_drift = assert_prefix_path_matches(
+            program, bits, doublings, check_norm=False
+        )
+        np.testing.assert_allclose(
+            sweep_accept_probabilities(program, bits)[0], 1.0, rtol=0, atol=DENSE_TOL
+        )
+        assert drift == pytest.approx(0.01)
+        assert tile_drift == pytest.approx(0.01)
+
+
+def test_other_read_orders_fall_back_to_the_tile_loop():
+    good_set, _ = sample_good(0.2, 3, seed=0)
+    compiled = compile_single(mod_polynomial(5, 3), good_set).program
+    fields = dict(
+        dimension=compiled.dimension,
+        arity=compiled.arity,
+        initial_state=compiled.initial_state,
+        accepting=compiled.accepting,
+        post_transform=compiled.post_transform,
+    )
+    reversed_order = QuantumBranchingProgram(
+        instructions=compiled.instructions[::-1], **fields
+    )
+    read_twice = QuantumBranchingProgram(
+        instructions=compiled.instructions + compiled.instructions[:1], **fields
+    )
+    skips_a_variable = QuantumBranchingProgram(instructions=compiled.instructions[1:], **fields)
+    for program in (reversed_order, read_twice, skips_a_variable):
+        for start, stop in ((0, 32), (8, 16)):
+            assert_prefix_path_matches(program, input_block(5, start, stop), None)
+
+
+def per_row_closed_forms(characteristic: Characteristic, good_set: GoodSet, bits: np.ndarray):
+    """The closed forms with one cosine per row and parameter, as they were
+    computed before residue tables."""
+    single = _cosine_kernel(evaluate_linear_batch(characteristic.polynomials[0], bits), good_set)
+    product = np.ones((bits.shape[0], good_set.size), dtype=np.float64)
+    for polynomial in characteristic.polynomials:
+        values = evaluate_linear_batch(polynomial, bits)
+        product *= np.cos(math.pi * _residue_products(values, good_set)) ** 2
+    return single, np.mean(product, axis=1)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_residue_table_closed_forms_equal_the_per_row_formula(data):
+    modulus = data.draw(MODULI)
+    arity = data.draw(st.integers(min_value=1, max_value=7))
+    polynomials = tuple(
+        draw_polynomial(data, modulus, arity) for _ in range(data.draw(st.integers(1, 3)))
+    )
+    characteristic = Characteristic(modulus=modulus, arity=arity, polynomials=polynomials)
+    t = data.draw(st.sampled_from([1, 8, 64]))
+    parameters = data.draw(
+        st.lists(st.integers(min_value=0, max_value=modulus - 1), min_size=t, max_size=t)
+    )
+    good_set = GoodSet(modulus=modulus, error_rate=0.3, parameters=tuple(parameters))
+    bits = all_inputs(arity)
+    bits = bits[np.random.default_rng(arity).integers(0, bits.shape[0], size=3 * bits.shape[0])]
+    single, general = per_row_closed_forms(characteristic, good_set, bits)
+    assert np.array_equal(closed_form_single_batch(polynomials[0], good_set, bits), single)
+    assert np.array_equal(closed_form_general_batch(characteristic, good_set, bits), general)
+
+
+@pytest.mark.parametrize("modulus", [3**9, 2**61 + 1], ids=["int64", "object"])
+def test_residue_table_closed_forms_on_both_residue_dtypes(modulus):
+    coefficients = tuple(7**j % modulus for j in range(11))
+    polynomial = LinearPolynomial(modulus=modulus, arity=10, coefficients=coefficients)
+    characteristic = Characteristic(
+        modulus=modulus, arity=10, polynomials=(polynomial, mod_polynomial(10, modulus))
+    )
+    parameters = np.random.default_rng(4).integers(0, min(modulus, 2**62), size=64).tolist()
+    good_set = GoodSet(modulus=modulus, error_rate=0.3, parameters=tuple(parameters))
+    bits = all_inputs(10)
+    expected_dtype = np.int64 if modulus < 2**32 else object
+    assert evaluate_linear_batch(polynomial, bits).dtype == expected_dtype
+    single, general = per_row_closed_forms(characteristic, good_set, bits)
+    assert np.array_equal(closed_form_single_batch(polynomial, good_set, bits), single)
+    assert np.array_equal(closed_form_general_batch(characteristic, good_set, bits), general)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import tracemalloc
@@ -36,7 +37,7 @@ from qobdd.verification import (
     verify,
     width_table,
 )
-from qobdd.hsf import FiniteGroup, HSFInstance, cyclic_subgroup
+from qobdd.hsf import FiniteGroup, HSFInstance, cyclic_subgroup, satisfies_promise_batch
 
 
 def test_all_inputs_enumerates_each_once():
@@ -87,12 +88,21 @@ def test_class_stats_merge_partition_invariant():
     assert left == whole
 
 
+def popcount_mod_labels(m):
+    """MOD_m as an array labeller: one boolean per row of a bit matrix."""
+    return lambda bits: bits.sum(axis=1, dtype=np.int64) % m == 0
+
+
+def all_ones(bits):
+    return np.ones(bits.shape[0], dtype=bool)
+
+
 def test_verify_chunk_size_does_not_change_outcome():
-    poly, oracle, name = named_function("mod", 8, 3)
+    poly = mod_polynomial(8, 3)
     good_set = sample(0.2, 3, seed=2)
     program = compile_single(poly, good_set).program
     reports = [
-        verify(oracle, program, bound=0.2, chunk_size=chunk)
+        verify(popcount_mod_labels(3), program, bound=0.2, chunk_size=chunk)
         for chunk in (16, 100, 1 << 13)
     ]
     assert all(r.ones.count == reports[0].ones.count for r in reports)
@@ -105,7 +115,7 @@ def test_verify_chunk_size_does_not_change_outcome():
 def test_verify_vacuous_zero_class():
     zero_poly = LinearPolynomial(modulus=3, arity=3, coefficients=(0, 0, 0, 0))
     program = compile_single(zero_poly, sample(0.5, 3, seed=0)).program
-    report = verify(lambda bits: 1, program, bound=0.5)
+    report = verify(all_ones, program, bound=0.5)
     assert report.passed
     assert report.zeros.count == 0
     assert report.zeros.max_accept is None
@@ -113,14 +123,29 @@ def test_verify_vacuous_zero_class():
 
 
 def test_verify_promise_filter_counts():
-    poly, oracle, _ = named_function("mod", 4, 3)
+    poly = mod_polynomial(4, 3)
     good_set = sample(0.2, 3, seed=0)
     program = compile_single(poly, good_set).program
     report = verify(
-        oracle, program, bound=0.2, promise=lambda bits: bits[0] == 0
+        popcount_mod_labels(3), program, bound=0.2, promise=lambda bits: bits[:, 0] == 0
     )
     assert report.filtered == 8
     assert report.ones.count + report.zeros.count == 8
+
+
+def test_verify_reads_integer_labels_as_booleans():
+    program = compile_single(mod_polynomial(6, 3), sample(0.2, 3, seed=0)).program
+    boolean = verify(
+        popcount_mod_labels(3), program, bound=0.2, promise=lambda bits: bits[:, 0] == 1
+    )
+    integer = verify(
+        lambda bits: (bits.sum(axis=1) % 3 == 0).astype(np.int64),
+        program,
+        bound=0.2,
+        promise=lambda bits: bits[:, 0].astype(np.int64),
+    )
+    assert integer == boolean
+    assert (boolean.ones.count, boolean.zeros.count, boolean.filtered) == (11, 21, 32)
 
 
 def test_verify_exhaustive_guard():
@@ -131,9 +156,10 @@ def test_verify_exhaustive_guard():
 
 
 def test_verify_sampled_mode():
-    poly, oracle, name = named_function("mod", 12, 3)
+    poly = mod_polynomial(12, 3)
     good_set = sample(0.2, 3, seed=1)
     program = compile_single(poly, good_set).program
+    oracle = popcount_mod_labels(3)
     report = verify(
         oracle, program, bound=0.2, mode="sampled", samples=500, seed=4
     )
@@ -161,6 +187,44 @@ def test_certify_hsf_exhaustive_z4():
     assert report.zeros.count == 14
     assert report.bound == pytest.approx(0.75)
     assert report.max_closed_form_gap <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "order, generator, chunks, counts",
+    [(4, 2, (1, 3, 16), (2, 12, 2)), (6, 3, (5, 256, 4096), (6, 534, 3556))],
+)
+def test_certify_hsf_counts_do_not_depend_on_the_chunk_size(
+    monkeypatch, order, generator, chunks, counts
+):
+    instance = HSFInstance.create(FiniteGroup.cyclic(order), cyclic_subgroup(order, generator))
+    # Chunks of the promise-free all-equal input (Z_4) and of the invalid
+    # leading block 11 (Z_6) keep no input at all.
+    emptied = input_block(instance.arity, 0, 1) if order == 4 else input_block(12, 3072, 3328)
+    assert not satisfies_promise_batch(instance, emptied).any()
+    reports = []
+    for chunk in chunks:
+        monkeypatch.setattr(verification, "verify", functools.partial(verify, chunk_size=chunk))
+        reports.append(certify_hsf(instance, 0.25, seed=0)[0])
+    for report in reports:
+        assert (report.ones.count, report.zeros.count, report.filtered) == counts
+        assert report.passed
+        assert report.ones.min_accept == pytest.approx(reports[0].ones.min_accept, abs=1e-12)
+        assert report.zeros.max_accept == pytest.approx(reports[0].zeros.max_accept, abs=1e-12)
+
+
+@pytest.mark.parametrize("chunk_size", [0, -4])
+def test_chunk_size_below_one_is_refused_before_sampling(monkeypatch, chunk_size):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("drew the sample before checking the chunk size")
+
+    monkeypatch.setattr(verification, "sampled_inputs", no_sampling)
+    program = compile_single(mod_polynomial(4, 3), sample(0.2, 3, seed=0)).program
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(ValueError, match="chunk size"):
+            verify(
+                popcount_mod_labels(3), program, bound=0.2, mode=mode, samples=10,
+                chunk_size=chunk_size,
+            )
 
 
 def test_width_table_rows():
