@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import compiler, goodsets, hsf, polynomials, programs, verification
-from .errors import _malformed
+from .errors import _json_list, _malformed
 
 
 def _emit(payload) -> None:
@@ -78,22 +78,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         bundle = json.load(handle)
     if not isinstance(bundle, dict):
         raise ValueError("a program file must hold a JSON object")
-    bits = _parse_bits(args.input)
-    # A file with a recipe is rebuilt from it, whatever else it holds; a
-    # dense-only file (programs.save_program) has no closed form.
     if bundle.get("fingerprint") is None:
-        compilation = None
-        program = programs.program_from_json_dict(bundle)
-        violations = programs.validate(program)
-        if violations:
-            raise ValueError("invalid program file: " + "; ".join(violations))
-    else:
-        compilation = compiler.recipe_from_json_dict(bundle["fingerprint"])
-        program = compilation.program
-    probability = programs.accept_probability(program, bits)
-    if compilation is None:
-        closed_form = None
-    elif isinstance(compilation, compiler.SingleCompilation):
+        raise ValueError(
+            "malformed program file: no fingerprint recipe; rebuild it with qobdd build"
+        )
+    bits = _parse_bits(args.input)
+    # A file with a recipe is rebuilt from it, whatever else it holds.
+    compilation = compiler.recipe_from_json_dict(bundle["fingerprint"])
+    probability = programs.accept_probability(compilation.program, bits)
+    if isinstance(compilation, compiler.SingleCompilation):
         closed_form = compiler.closed_form_single(
             compilation.polynomial, compilation.good_set, bits
         )
@@ -133,8 +126,8 @@ def _load_hsf_instance(args: argparse.Namespace) -> hsf.HSFInstance:
         with open(args.cayley_file, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         with _malformed(f"Cayley file {args.cayley_file}"):
-            group = hsf.FiniteGroup.from_table(data["table"])
-            subgroup = tuple(int(s) for s in data["subgroup"])
+            group = hsf.FiniteGroup.from_table(_json_list(data["table"]))
+            subgroup = tuple(int(s) for s in _json_list(data["subgroup"]))
     elif args.cyclic is not None:
         if args.subgroup_generator is None:
             raise ValueError("--cyclic requires --subgroup-generator")

@@ -39,6 +39,7 @@ from .errors import (
     LengthMismatchError,
     ModulusMismatchError,
     TooLargeError,
+    _json_list,
     _malformed,
 )
 from .goodsets import (
@@ -49,11 +50,7 @@ from .goodsets import (
     check_error_rate,
 )
 from .polynomials import Characteristic, LinearPolynomial
-from .programs import (
-    Instruction,
-    QuantumBranchingProgram,
-    hadamard_layer,
-)
+from .programs import Instruction, QuantumBranchingProgram
 
 # The most bytes a compiled program may take with every matrix counted as
 # dense complex d x d (see check_budget); the benchmark's widest programs
@@ -83,15 +80,24 @@ def check_budget(source: LinearPolynomial | Characteristic, t: int) -> None:
     """
     targets = 1 if isinstance(source, LinearPolynomial) else len(source)
     dimension = t << targets
-    # One on_one matrix per read, the shared identity, and the two transforms,
-    # counted as dense complex d x d: an over-count, since only the single
-    # post-transform is stored dense and every other array is a stack.
+    # One on_one matrix per read, the shared identity, and two transforms (the
+    # count predates programs having one), counted as dense complex d x d: an
+    # over-count, since only the single post-transform is stored dense.
     needed = (source.arity + 3) * dimension * dimension * 16
     if needed > DENSE_BUDGET_BYTES:
         raise TooLargeError(
             f"a width-{dimension} program with {source.arity} reads needs {needed} "
             f"bytes of dense matrices, over the budget of {DENSE_BUDGET_BYTES}"
         )
+
+
+def hadamard_layer(num_qubits: int) -> np.ndarray:
+    """H tensored num_qubits times (the 1x1 identity for zero qubits)."""
+    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    layer = np.array([[1.0]])
+    for _ in range(num_qubits):
+        layer = np.kron(layer, h1)
+    return layer
 
 
 def _branch_blocks(
@@ -243,7 +249,7 @@ def recipe_from_json_dict(recipe: dict) -> SingleCompilation | GeneralCompilatio
                 f"'single' with one nor 'general' with at least one"
             )
         goodset = recipe["goodset"]
-        params = goodset["params"]
+        params = _json_list(goodset["params"])
         check_budget(source, len(params))
         good_set = GoodSet(
             modulus=int(goodset["m"]),

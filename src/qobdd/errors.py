@@ -43,3 +43,11 @@ def _malformed(what: str):
         yield
     except (KeyError, TypeError, IndexError) as error:
         raise ValueError(f"malformed {what}: {type(error).__name__} {error}") from error
+
+
+def _json_list(value) -> list:
+    """value if it is a JSON list; TypeError otherwise, so that a string is
+    not read one character at a time."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON list, got {type(value).__name__}")
+    return value

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import LengthMismatchError, _malformed
+from .errors import LengthMismatchError, _json_list, _malformed
 
 
 def reduce_mod(x: int, modulus: int) -> int:
@@ -76,7 +76,7 @@ class LinearPolynomial:
         return cls(
             modulus=int(data["m"]),
             arity=int(data["n"]),
-            coefficients=tuple(int(c) for c in data["coeffs"]),
+            coefficients=tuple(int(c) for c in _json_list(data["coeffs"])),
         )
 
 
@@ -349,5 +349,7 @@ def load_sop(path: str) -> SOPFormula:
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     with _malformed(f"SOP file {path}"):
-        products = tuple(tuple(int(lit) for lit in p) for p in data["products"])
+        products = tuple(
+            tuple(int(lit) for lit in _json_list(p)) for p in _json_list(data["products"])
+        )
         return SOPFormula(arity=int(data["n"]), products=products)

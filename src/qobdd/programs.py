@@ -1,11 +1,11 @@
 """Quantum branching programs and their exact state-vector simulation.
 
-A program is a sequence of instructions (variable index, U(0), U(1)) acting on
-a d-dimensional state, with an optional input-independent transform before and
-after the variable reads, an initial state, and a set of accepting basis
-indices.  Running a program on a bit string applies the matrix selected by
-each read bit in sequence order; the acceptance probability is the squared
-norm of the projection onto the accepting indices.
+A program is an initial state, a sequence of instructions (variable index,
+U(0), U(1)) acting on the d-dimensional state, an optional input-independent
+transform after the variable reads, and a set of accepting basis indices.
+Running a program on a bit string applies the matrix selected by each read
+bit in sequence order; the acceptance probability is the squared norm of the
+projection onto the accepting indices.
 
 Every matrix is stored as a stack of diagonal blocks, shape (d/b, b, b): a
 compiled read acts on each branch's target register alone, so it is t
@@ -16,14 +16,13 @@ real arithmetic.  sweep_accept_probabilities simulates a batch of inputs on
 the stacks, and accept_probability is its 1-row case; a block of exhaustive
 inputs that share their leading bits shares the reads of those bits too.
 run() expands every stack to its dense matrix and is kept as the
-independent per-input reference.  The input-independent pre/post transforms
-exist so Hadamard layers and constant-coefficient rotations do not consume a
+independent per-input reference.  The post-transform exists so the final
+Hadamard layer and the constant-coefficient rotations do not consume a
 variable read, keeping compiled programs read-once.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,21 +34,6 @@ from .errors import LengthMismatchError, _malformed
 UNITARY_TOL = 1e-9
 NORM_TOL = 1e-9
 _TILE_ENTRIES = 1 << 17
-
-
-def ry(theta: float) -> np.ndarray:
-    """Rotation by theta about the Bloch-sphere y axis."""
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
-
-
-def hadamard_layer(num_qubits: int) -> np.ndarray:
-    """H tensored num_qubits times (the 1x1 identity for zero qubits)."""
-    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    layer = np.array([[1.0]])
-    for _ in range(num_qubits):
-        layer = np.kron(layer, h1)
-    return layer
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -125,31 +109,22 @@ class ProgramMetrics:
 
 @dataclass(frozen=True)
 class QuantumBranchingProgram:
-    """A width-d program; every matrix, the transforms included, is a stack of
-    diagonal blocks as in Instruction."""
+    """A width-d program; every matrix, the post-transform included, is a
+    stack of diagonal blocks as in Instruction."""
 
     dimension: int
     arity: int
     instructions: tuple[Instruction, ...]
     initial_state: np.ndarray
     accepting: tuple[int, ...]
-    pre_transform: np.ndarray | None = None
     post_transform: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "initial_state", _frozen(self.initial_state))
         object.__setattr__(self, "instructions", tuple(self.instructions))
         object.__setattr__(self, "accepting", tuple(sorted(self.accepting)))
-        for name in ("pre_transform", "post_transform"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, _frozen(value))
-
-
-def basis_state(dimension: int, index: int) -> np.ndarray:
-    state = np.zeros(dimension, dtype=np.complex128)
-    state[index] = 1.0
-    return state
+        if self.post_transform is not None:
+            object.__setattr__(self, "post_transform", _frozen(self.post_transform))
 
 
 def validate(program: QuantumBranchingProgram) -> list[str]:
@@ -168,10 +143,7 @@ def validate(program: QuantumBranchingProgram) -> list[str]:
         violations.append("accepting index out of range")
     if len(set(program.accepting)) != len(program.accepting):
         violations.append("accepting index repeated")
-    labelled = [
-        ("pre-transform", program.pre_transform),
-        ("post-transform", program.post_transform),
-    ]
+    labelled = [("post-transform", program.post_transform)]
     for step, instruction in enumerate(program.instructions, start=1):
         if not (1 <= instruction.variable_index <= program.arity):
             violations.append(
@@ -217,8 +189,6 @@ def run(
             f"expected {program.arity} bits, got {len(bits)}"
         )
     state = program.initial_state.copy()
-    if program.pre_transform is not None:
-        state = _block_diagonal(program.pre_transform) @ state
     for instruction in program.instructions:
         bit = bits[instruction.variable_index - 1]
         state = _block_diagonal(instruction.on_one if bit else instruction.on_zero) @ state
@@ -275,25 +245,21 @@ def _norm_drift(states: np.ndarray) -> float:
 def _accepted(
     program: QuantumBranchingProgram,
     states: np.ndarray,
-    track_norms: bool,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """The post-transform (into out, if given), then each column's acceptance
     probability, and the norm drift after the post-transform."""
     if program.post_transform is not None:
         states = _apply_blocks(program.post_transform, states, out=out)
-    drift = _norm_drift(states) if track_norms else 0.0
-    return _squared_norms(states[list(program.accepting)]), drift
+    return _squared_norms(states[list(program.accepting)]), _norm_drift(states)
 
 
 def _sweep_tile(
     program: QuantumBranchingProgram,
-    start: np.ndarray,
     reads: list[tuple[int, np.ndarray | None, np.ndarray]],
     bit_matrix: np.ndarray,
-    track_norms: bool,
 ) -> tuple[np.ndarray, float]:
-    states = np.repeat(start[:, None], bit_matrix.shape[0], axis=1)
+    states = np.repeat(program.initial_state[:, None], bit_matrix.shape[0], axis=1)
     max_drift = 0.0
     for column, on_zero, on_one in reads:
         ones = bit_matrix[:, column].astype(bool)
@@ -304,9 +270,8 @@ def _sweep_tile(
             if ones.any():
                 on_zeros = np.where(ones, _apply_blocks(on_one, states), on_zeros)
             states = on_zeros
-        if track_norms:
-            max_drift = max(max_drift, _norm_drift(states))
-    probabilities, drift = _accepted(program, states, track_norms)
+        max_drift = max(max_drift, _norm_drift(states))
+    probabilities, drift = _accepted(program, states)
     return probabilities, max(max_drift, drift)
 
 
@@ -344,7 +309,6 @@ def _doubled(
     column: np.ndarray,
     reads: list[tuple[int, np.ndarray | None, np.ndarray]],
     states: np.ndarray,
-    track_norms: bool,
 ) -> float:
     """Fill states, (d, 2^r), with a (d, 1) state column after each of the
     2^r bit patterns of r reads; return the largest drift.
@@ -362,13 +326,10 @@ def _doubled(
         old = states[:, :filled]
         _apply_blocks(on_one, old, out=states[:, filled : 2 * filled])
         if on_zero is not None:
-            if track_norms:
-                max_drift = max(max_drift, _norm_drift(old))
+            max_drift = max(max_drift, _norm_drift(old))
             _apply_blocks(on_zero, old, out=old)
         filled *= 2
-    if track_norms:
-        max_drift = max(max_drift, _norm_drift(states))
-    return max_drift
+    return max(max_drift, _norm_drift(states))
 
 
 def _completions(
@@ -376,7 +337,6 @@ def _completions(
     column: np.ndarray,
     groups: list[list[tuple[int, np.ndarray | None, np.ndarray]]],
     buffers: list[np.ndarray],
-    track_norms: bool,
 ) -> tuple[np.ndarray, float]:
     """Acceptance of a (d, 1) state column after every bit pattern of the
     grouped reads, and the largest drift.
@@ -389,14 +349,14 @@ def _completions(
     that.
     """
     states = buffers[0]
-    max_drift = _doubled(column, groups[0], states, track_norms)
+    max_drift = _doubled(column, groups[0], states)
     if len(groups) == 1:
-        probabilities, drift = _accepted(program, states, track_norms, out=buffers[1])
+        probabilities, drift = _accepted(program, states, out=buffers[1])
         return probabilities, max(max_drift, drift)
     parts = []
     for root in range(states.shape[1]):
         probabilities, drift = _completions(
-            program, states[:, root : root + 1], groups[1:], buffers[1:], track_norms
+            program, states[:, root : root + 1], groups[1:], buffers[1:]
         )
         parts.append(probabilities)
         max_drift = max(max_drift, drift)
@@ -414,12 +374,10 @@ def _completion_order(sizes: list[int]) -> np.ndarray:
 
 def _sweep_shared_prefix(
     program: QuantumBranchingProgram,
-    start: np.ndarray,
     reads: list[tuple[int, np.ndarray | None, np.ndarray]],
     first_row: np.ndarray,
     doublings: int,
     tile: int,
-    track_norms: bool,
 ) -> tuple[np.ndarray, float]:
     """The sweep of 2^c enumeration rows (see _enumeration_doublings).
 
@@ -428,27 +386,26 @@ def _sweep_shared_prefix(
     last group the largest.
     """
     shared = len(reads) - doublings
-    column = start[:, None]
+    column = program.initial_state[:, None]
     max_drift = 0.0
     for position, on_zero, on_one in reads[:shared]:
         if first_row[position]:
             column = _apply_blocks(on_one, column)
         elif on_zero is not None:
             column = _apply_blocks(on_zero, column)
-        if track_norms:
-            max_drift = max(max_drift, _norm_drift(column))
+        max_drift = max(max_drift, _norm_drift(column))
     size = max(1, tile.bit_length() - 1)
     bounds = list(range(len(reads), shared, -size))[::-1]
     groups = [reads[a:b] for a, b in zip([shared] + bounds[:-1], bounds)]
     dtype = np.result_type(
-        start, *(array for read in reads for array in read[1:] if array is not None)
+        program.initial_state, *(array for read in reads for array in read[1:] if array is not None)
     )
     buffers = [np.empty((program.dimension, 1 << len(group)), dtype) for group in groups]
     post = program.post_transform
     buffers.append(
         None if post is None else np.empty_like(buffers[-1], np.result_type(dtype, post))
     )
-    probabilities, drift = _completions(program, column, groups, buffers, track_norms)
+    probabilities, drift = _completions(program, column, groups, buffers)
     order = _completion_order([len(group) for group in groups])
     return probabilities[order], max(max_drift, drift)
 
@@ -456,7 +413,6 @@ def _sweep_shared_prefix(
 def sweep_accept_probabilities(
     program: QuantumBranchingProgram,
     bit_matrix: np.ndarray,
-    track_norms: bool = True,
 ) -> tuple[np.ndarray, float]:
     """Acceptance probabilities for a whole batch of inputs at once.
 
@@ -476,9 +432,6 @@ def sweep_accept_probabilities(
     count, width = bit_matrix.shape
     if width != program.arity:
         raise LengthMismatchError(f"expected arity {program.arity}, got {width}")
-    start = program.initial_state
-    if program.pre_transform is not None:
-        start = _apply_blocks(program.pre_transform, start[:, None])[:, 0]
     reads = [
         (
             instruction.variable_index - 1,
@@ -492,16 +445,12 @@ def sweep_accept_probabilities(
     tile = max(1, _TILE_ENTRIES // program.dimension)
     doublings = _enumeration_doublings(program, bit_matrix)
     if doublings is not None:
-        return _sweep_shared_prefix(
-            program, start, reads, bit_matrix[0], doublings, tile, track_norms
-        )
+        return _sweep_shared_prefix(program, reads, bit_matrix[0], doublings, tile)
     probabilities = np.empty(count)
     max_drift = 0.0
     for first in range(0, count, tile):
         stop = min(first + tile, count)
-        probabilities[first:stop], drift = _sweep_tile(
-            program, start, reads, bit_matrix[first:stop], track_norms
-        )
+        probabilities[first:stop], drift = _sweep_tile(program, reads, bit_matrix[first:stop])
         max_drift = max(max_drift, drift)
     return probabilities, max_drift
 
@@ -531,13 +480,11 @@ def _array_from_json(data: list) -> np.ndarray:
     return pairs[..., 0] + 1j * pairs[..., 1]
 
 
+# Kept because perfbench/tracing.py patches it by name; the CLI uses recipes.
 def program_to_json_dict(program: QuantumBranchingProgram) -> dict:
     return {
         "dimension": program.dimension,
         "arity": program.arity,
-        "pre_transform": (
-            None if program.pre_transform is None else _array_to_json(program.pre_transform)
-        ),
         "instructions": [
             {
                 "variable": instruction.variable_index,
@@ -556,13 +503,15 @@ def program_to_json_dict(program: QuantumBranchingProgram) -> dict:
     }
 
 
+# Kept because perfbench/tracing.py patches it by name; the CLI uses recipes.
 def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
     """The program program_to_json_dict wrote, its matrices as dense (d, d)
     arrays or as (n, b, b) stacks; ValueError on a missing key, a wrong type,
-    a missing entry or an entry that is not a [re, im] pair.  The result is
-    not validated: see validate()."""
+    a missing entry, an entry that is not a [re, im] pair, or a non-null
+    pre_transform (a layout programs no longer have).  The result is not
+    validated: see validate()."""
     with _malformed("program file"):
-        return QuantumBranchingProgram(
+        program = QuantumBranchingProgram(
             dimension=int(data["dimension"]),
             arity=int(data["arity"]),
             instructions=tuple(
@@ -575,24 +524,12 @@ def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
             ),
             initial_state=_array_from_json(data["initial_state"]),
             accepting=tuple(int(i) for i in data["accepting"]),
-            pre_transform=(
-                None
-                if data.get("pre_transform") is None
-                else _array_from_json(data["pre_transform"])
-            ),
             post_transform=(
                 None
                 if data.get("post_transform") is None
                 else _array_from_json(data["post_transform"])
             ),
         )
-
-
-def save_program(program: QuantumBranchingProgram, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(program_to_json_dict(program), handle)
-
-
-def load_program(path: str) -> QuantumBranchingProgram:
-    with open(path, "r", encoding="utf-8") as handle:
-        return program_from_json_dict(json.load(handle))
+    if data.get("pre_transform") is not None:
+        raise ValueError("malformed program file: programs no longer take a pre_transform")
+    return program

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import time
 
-import numpy as np
 import pytest
 
 from qobdd import cli, compiler, programs, verification
@@ -266,69 +265,37 @@ def test_build_writes_only_the_recipe(capsys, tmp_path):
     assert set(data["fingerprint"]) == {"kind", "polynomials", "goodset"}
 
 
+def _dense_file() -> dict:
+    """A program file as build wrote it before program files were recipes."""
+    polynomial = mod_polynomial(4, 3)
+    good_set = sample(0.2, 3, seed=2)
+    return programs.program_to_json_dict(compiler.compile_single(polynomial, good_set).program)
+
+
 def test_eval_reads_files_with_and_without_a_recipe(capsys, tmp_path):
     polynomial = mod_polynomial(4, 3)
     good_set = sample(0.2, 3, seed=2)
     recipe = compiler.recipe_to_json_dict(polynomial, good_set)
-    dense = programs.program_to_json_dict(compiler.compile_single(polynomial, good_set).program)
     files = {
         "recipe": {"fingerprint": recipe},
-        # What build wrote before program files were recipes.
-        "dense_and_recipe": {**dense, "fingerprint": recipe},
-        "dense": dense,
+        "dense_and_recipe": {**_dense_file(), "fingerprint": recipe},
+        "dense": _dense_file(),
     }
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     for bits in ("0000", "1110", "1000", "1011"):
         outputs = {}
-        for name in files:
+        for name in ("recipe", "dense_and_recipe"):
             code = cli.main(["eval", "--program", str(tmp_path / f"{name}.json"), "--input", bits])
             assert code == 0
             outputs[name] = capsys.readouterr().out
         assert outputs["dense_and_recipe"] == outputs["recipe"]
-        from_recipe = json.loads(outputs["recipe"])
-        assert from_recipe["closed_form"] is not None
-        assert json.loads(outputs["dense"]) == {
-            "accept_probability": from_recipe["accept_probability"],
-            "closed_form": None,
-        }
-
-
-def test_eval_reads_the_dense_layout_of_earlier_files(capsys, tmp_path):
-    """Files whose matrices are dense d x d, with the branch Hadamard as a
-    pre-transform, as program files held them before reads became stacks."""
-    polynomial = mod_polynomial(4, 3)
-    good_set = sample(0.2, 3, seed=2)
-    compiled = compiler.compile_single(polynomial, good_set).program
-    t = good_set.size
-    dense = programs.QuantumBranchingProgram(
-        dimension=compiled.dimension,
-        arity=compiled.arity,
-        instructions=tuple(
-            programs.Instruction(
-                i.variable_index,
-                programs._block_diagonal(i.on_zero),
-                programs._block_diagonal(i.on_one),
-            )
-            for i in compiled.instructions
-        ),
-        initial_state=programs.basis_state(compiled.dimension, 0),
-        accepting=compiled.accepting,
-        pre_transform=np.kron(programs.hadamard_layer(t.bit_length() - 1), np.eye(2)),
-        post_transform=compiled.post_transform,
-    )
-    data = programs.program_to_json_dict(dense)
-    assert np.shape(data["instructions"][0]["on_one"]) == (2 * t, 2 * t, 2)
-    dense_path, recipe_path = tmp_path / "dense.json", tmp_path / "recipe.json"
-    dense_path.write_text(json.dumps(data))
-    recipe = compiler.recipe_to_json_dict(polynomial, good_set)
-    recipe_path.write_text(json.dumps({"fingerprint": recipe}))
-    for bits in ("0000", "1110", "1000", "1011"):
-        _, from_dense = run_cli(capsys, ["eval", "--program", str(dense_path), "--input", bits])
-        _, from_recipe = run_cli(capsys, ["eval", "--program", str(recipe_path), "--input", bits])
-        assert from_dense["accept_probability"] == pytest.approx(
-            from_recipe["accept_probability"], rel=0, abs=1e-12
-        )
+        assert json.loads(outputs["recipe"])["closed_form"] is not None
+        # A file without a recipe is refused: the dense layout is no longer read.
+        assert cli.main(["eval", "--program", str(tmp_path / "dense.json"), "--input", bits]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "qobdd build" in captured.err
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -339,18 +306,6 @@ def test_verify_needs_at_least_one_sample(capsys, samples):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "at least 1 sample" in captured.err
-
-
-def _dense_file(on_one_scale: float = 1.0, accepting=(0,)) -> dict:
-    identity = np.eye(2, dtype=np.complex128)
-    program = programs.QuantumBranchingProgram(
-        dimension=2,
-        arity=1,
-        instructions=(programs.Instruction(1, identity, on_one_scale * identity),),
-        initial_state=programs.basis_state(2, 0),
-        accepting=accepting,
-    )
-    return programs.program_to_json_dict(program)
 
 
 @pytest.mark.parametrize(
@@ -369,9 +324,18 @@ def _dense_file(on_one_scale: float = 1.0, accepting=(0,)) -> dict:
             "bogus",
         ),
         ({"fingerprint": {"kind": "single"}}, "malformed program recipe"),
-        (_dense_file(on_one_scale=0.5), "non-unitary"),
-        # Each repeat would add its probability again.
-        (_dense_file(accepting=(0, 0)), "accepting index repeated"),
+        (_dense_file(), "qobdd build"),
+        ({"fingerprint": None}, "qobdd build"),
+        (
+            {
+                "fingerprint": {
+                    "kind": "single",
+                    "polynomials": [{"m": "3", "n": 1, "coeffs": ["0", "1"]}],
+                    "goodset": {"m": "3", "epsilon": 0.2, "params": "12"},
+                }
+            },
+            "malformed program recipe",
+        ),
     ],
 )
 def test_eval_malformed_program_file_is_a_usage_error(capsys, tmp_path, data, message):
@@ -419,8 +383,22 @@ def test_size_budget_is_checked_before_sampling(capsys, tmp_path, command):
         ("char-file", [{"m": "3"}]),
         ("char-file", []),
         ("cayley-file", {"table": [[0]]}),
+        # Strings where lists belong, which iteration would read one
+        # character at a time.
+        ("sop-file", {"n": 2, "products": ["12"]}),
+        ("char-file", [{"m": "3", "n": 2, "coeffs": "011"}]),
+        ("cayley-file", {"table": [[0, 1], [1, 0]], "subgroup": "0"}),
     ],
-    ids=["sop-missing-n", "sop-flat-products", "char-missing-keys", "char-empty", "cayley-no-subgroup"],
+    ids=[
+        "sop-missing-n",
+        "sop-flat-products",
+        "char-missing-keys",
+        "char-empty",
+        "cayley-no-subgroup",
+        "sop-string-product",
+        "char-string-coeffs",
+        "cayley-string-subgroup",
+    ],
 )
 def test_malformed_input_files_are_usage_errors(capsys, tmp_path, command, data):
     path = tmp_path / "input.json"

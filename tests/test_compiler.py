@@ -20,6 +20,7 @@ from qobdd.compiler import (
     compile_general,
     compile_single,
     error_bound_general,
+    hadamard_layer,
     recipe_from_json_dict,
     recipe_to_json_dict,
 )
@@ -35,7 +36,6 @@ from qobdd.polynomials import (
 from qobdd.programs import (
     _block_diagonal,
     accept_probability,
-    hadamard_layer,
     is_read_once,
     metrics,
     sweep_accept_probabilities,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qobdd.compiler import compile_single
+from qobdd.compiler import compile_single, hadamard_layer
 from qobdd.errors import LengthMismatchError
 from qobdd.goodsets import sample_good
 from qobdd.polynomials import mod_polynomial
@@ -15,22 +15,29 @@ from qobdd.programs import (
     Instruction,
     QuantumBranchingProgram,
     accept_probability,
-    basis_state,
-    hadamard_layer,
     is_read_once,
-    load_program,
     metrics,
     program_from_json_dict,
     program_to_json_dict,
     run,
-    ry,
-    save_program,
     sweep_accept_probabilities,
     validate,
 )
 from qobdd.verification import all_inputs
 
 I2 = np.eye(2, dtype=np.complex128)
+
+
+def ry(theta: float) -> np.ndarray:
+    """Rotation by theta about the Bloch-sphere y axis."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+
+
+def basis_state(dimension: int, index: int) -> np.ndarray:
+    state = np.zeros(dimension, dtype=np.complex128)
+    state[index] = 1.0
+    return state
 
 
 def identity_program(d: int = 2, arity: int = 1) -> QuantumBranchingProgram:
@@ -96,6 +103,18 @@ def test_validate_flags_empty_accepting_set():
         accepting=(),
     )
     assert any("accepting" in v for v in validate(program))
+
+
+def test_validate_flags_repeated_accepting_index():
+    # Each repeat would add its probability again.
+    program = QuantumBranchingProgram(
+        dimension=2,
+        arity=1,
+        instructions=(),
+        initial_state=basis_state(2, 0),
+        accepting=(0, 0),
+    )
+    assert validate(program) == ["accepting index repeated"]
 
 
 def test_read_once_detection():
@@ -194,7 +213,7 @@ def test_sweep_rejects_wrong_arity():
         sweep_accept_probabilities(identity_program(), all_inputs(2))
 
 
-def test_program_json_round_trip(tmp_path):
+def test_program_json_round_trip():
     poly = mod_polynomial(3, 3)
     good_set, _ = sample_good(0.3, 3, seed=1)
     program = compile_single(poly, good_set).program
@@ -205,11 +224,8 @@ def test_program_json_round_trip(tmp_path):
         assert accept_probability(again, sigma) == pytest.approx(
             accept_probability(program, sigma), abs=1e-15
         )
-    path = tmp_path / "program.json"
-    save_program(program, str(path))
-    loaded = load_program(str(path))
-    assert loaded.arity == program.arity
-    np.testing.assert_allclose(loaded.initial_state, program.initial_state)
+    assert again.arity == program.arity
+    np.testing.assert_allclose(again.initial_state, program.initial_state)
 
 
 def test_program_json_reads_dense_matrices_and_block_stacks():
@@ -254,6 +270,9 @@ def test_program_arrays_are_frozen():
         {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [1, 0], "accepting": [0]},
         {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [[1, 0], [0]], "accepting": [0]},
         {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [["1", "0"], ["0", "0"]], "accepting": [0]},
+        # A layout programs no longer have: refused, not simulated without it.
+        {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [[1, 0], [0, 0]],
+         "accepting": [0], "pre_transform": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
     ],
 )
 def test_program_from_json_dict_raises_value_error_on_malformed_data(data):

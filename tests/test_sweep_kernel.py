@@ -55,7 +55,6 @@ from qobdd.programs import (
     program_from_json_dict,
     program_to_json_dict,
     run,
-    ry,
     sweep_accept_probabilities,
 )
 from qobdd.verification import all_inputs, input_block
@@ -168,20 +167,23 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 def test_unstructured_complex_program_takes_the_full_width_path(d, arity, seed):
     rng = np.random.default_rng(seed)
     state = rng.normal(size=d) + 1j * rng.normal(size=d)
+    instructions = tuple(
+        Instruction(
+            variable_index=int(rng.integers(1, arity + 1)),
+            on_zero=random_unitary(rng, d),
+            on_one=random_unitary(rng, d),
+        )
+        for _ in range(arity + 1)
+    )
+    accepting = tuple(sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)))
+    # A random input-independent first step, folded into the initial state.
+    initial_state = random_unitary(rng, d) @ state / np.linalg.norm(state)
     program = QuantumBranchingProgram(
         dimension=d,
         arity=arity,
-        instructions=tuple(
-            Instruction(
-                variable_index=int(rng.integers(1, arity + 1)),
-                on_zero=random_unitary(rng, d),
-                on_one=random_unitary(rng, d),
-            )
-            for _ in range(arity + 1)
-        ),
-        initial_state=state / np.linalg.norm(state),
-        accepting=tuple(sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))),
-        pre_transform=random_unitary(rng, d),
+        instructions=instructions,
+        initial_state=initial_state,
+        accepting=accepting,
         post_transform=random_unitary(rng, d),
     )
     assert program.instructions[0].on_one.shape == (d, d)
@@ -207,7 +209,6 @@ def non_identity_on_zero_program() -> tuple[QuantumBranchingProgram, QuantumBran
         ),
         initial_state=compiled.initial_state,
         accepting=compiled.accepting,
-        pre_transform=compiled.pre_transform,
         post_transform=compiled.post_transform,
     )
 
@@ -225,14 +226,12 @@ def test_non_identity_on_zero_is_applied_on_the_real_block_path():
     assert np.max(np.abs(swept - identity_swept)) > 1e-3
 
 
-@pytest.mark.parametrize("field", ["initial_state", "pre_transform", "post_transform"])
+@pytest.mark.parametrize("field", ["initial_state", "post_transform"])
 def test_one_complex_array_selects_complex_arithmetic(field):
     good_set, _ = sample_good(0.2, 3, seed=0)
     compiled = compile_single(mod_polynomial(4, 3), good_set).program
-    assert compiled.pre_transform is None
     fields = {
         "initial_state": compiled.initial_state,
-        "pre_transform": np.repeat(np.eye(2)[None], good_set.size, axis=0),
         "post_transform": compiled.post_transform,
     }
     # A global phase of i changes no probability but leaves no real part.
@@ -277,7 +276,6 @@ def test_compiled_stacks_have_per_branch_block_sizes():
     for instruction in single.instructions:
         assert instruction.on_one.shape == (t, 2, 2)
         assert instruction.on_one.dtype == np.float64
-    assert single.pre_transform is None
     assert single.post_transform.shape == (single.dimension, single.dimension)
     assert single.post_transform.dtype == np.float64
     assert single.initial_state.dtype == np.float64
@@ -369,7 +367,6 @@ def scaled_block_program() -> QuantumBranchingProgram:
         instructions=tuple(instructions),
         initial_state=compiled.initial_state,
         accepting=compiled.accepting,
-        pre_transform=compiled.pre_transform,
         post_transform=compiled.post_transform,
     )
 
@@ -383,6 +380,12 @@ def test_non_unitary_block_shows_in_norm_drift():
         run(program, [1, 1, 1, 1])
     with pytest.raises(ArithmeticError):
         accept_probability(program, [1, 1, 1, 1])
+
+
+def ry(theta: float) -> np.ndarray:
+    """Rotation by theta about the Bloch-sphere y axis."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
 def reference_branch_block(good_set: GoodSet, coefficients, angle_numerator: float) -> np.ndarray:
@@ -616,20 +619,22 @@ def test_prefix_path_on_a_complex_dense_program(seed):
     rng = np.random.default_rng(seed)
     d, arity = 6, 5
     state = rng.normal(size=d) + 1j * rng.normal(size=d)
+    instructions = tuple(
+        Instruction(
+            variable_index=j,
+            on_zero=random_unitary(rng, d),
+            on_one=random_unitary(rng, d),
+        )
+        for j in range(1, arity + 1)
+    )
+    # A random input-independent first step, folded into the initial state.
+    initial_state = random_unitary(rng, d) @ state / np.linalg.norm(state)
     program = QuantumBranchingProgram(
         dimension=d,
         arity=arity,
-        instructions=tuple(
-            Instruction(
-                variable_index=j,
-                on_zero=random_unitary(rng, d),
-                on_one=random_unitary(rng, d),
-            )
-            for j in range(1, arity + 1)
-        ),
-        initial_state=state / np.linalg.norm(state),
+        instructions=instructions,
+        initial_state=initial_state,
         accepting=(0, 3),
-        pre_transform=random_unitary(rng, d),
         post_transform=random_unitary(rng, d),
     )
     assert program.initial_state.dtype == np.complex128
