@@ -48,6 +48,7 @@ from .goodsets import (
     _cosine_kernel,
     _residue_products,
     check_error_rate,
+    required_size,
 )
 from .polynomials import Characteristic, LinearPolynomial
 from .programs import Instruction, QuantumBranchingProgram
@@ -232,9 +233,11 @@ def recipe_to_json_dict(
 def recipe_from_json_dict(recipe: dict) -> SingleCompilation | GeneralCompilation:
     """Compile the program a recipe describes.
 
-    Raises ValueError on a missing key, a wrong type, a missing entry or an
-    unknown kind, and TooLargeError, before anything of the program's size is
-    allocated, when it would exceed DENSE_BUDGET_BYTES.
+    Raises ValueError on a missing key, a wrong type, a missing entry, an
+    unknown kind or fewer parameters than required_size(epsilon, m) (a
+    smaller set voids the error rate the file states), and TooLargeError,
+    before anything of the program's size is allocated, when it would
+    exceed DENSE_BUDGET_BYTES.
     """
     with _malformed("program recipe"):
         kind = recipe["kind"]
@@ -255,6 +258,12 @@ def recipe_from_json_dict(recipe: dict) -> SingleCompilation | GeneralCompilatio
             modulus=int(goodset["m"]),
             error_rate=float(goodset["epsilon"]),
             parameters=tuple(int(k) for k in params),
+        )
+    required = required_size(good_set.error_rate, good_set.modulus)
+    if good_set.size < required:
+        raise ValueError(
+            f"malformed program recipe: {good_set.size} parameters, but epsilon "
+            f"{good_set.error_rate} over Z_{good_set.modulus} needs at least {required}"
         )
     if isinstance(source, LinearPolynomial):
         return compile_single(source, good_set)

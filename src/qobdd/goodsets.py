@@ -12,6 +12,7 @@ supports an exact Hadamard layer.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -30,6 +31,9 @@ DEFAULT_VERIFY_LIMIT = 2**20
 
 # int64 batch paths are exact as long as intermediate products stay below 2^63.
 _INT64_SAFE = 2**62
+
+# Residue-parameter pairs per cosine-kernel call in a goodness check.
+_CHUNK_ENTRIES = 1 << 17
 
 
 def check_error_rate(epsilon: float) -> None:
@@ -113,13 +117,35 @@ def cosine_sum(good_set: GoodSet, b: int) -> float:
     return float(_cosine_kernel([residue], good_set)[0])
 
 
-def is_good_for(good_set: GoodSet, b: int) -> bool:
-    return cosine_sum(good_set, b) < good_set.error_rate
+def is_good_for(good_set: GoodSet, b) -> bool:
+    """Whether the set is good for residue b, or for every residue in an
+    array b: one kernel call either way."""
+    if np.ndim(b) == 0:
+        return cosine_sum(good_set, b) < good_set.error_rate
+    m = good_set.modulus
+    residues = np.asarray(b)
+    if residues.dtype.kind in "iu" and m < _INT64_SAFE:
+        residues = residues % m
+    else:
+        residues = np.array([int(v) % m for v in residues], dtype=object)
+    if (residues == 0).any():
+        raise ZeroResidueError("goodness is undefined for b == 0 (mod m)")
+    return bool(np.all(_cosine_kernel(residues, good_set) < good_set.error_rate))
 
 
 def is_good_for_all(good_set: GoodSet, residues: Iterable[int]) -> bool:
-    """True when the set is good for every residue in the collection."""
-    return all(is_good_for(good_set, b) for b in residues)
+    """True when the set is good for every residue in the collection.
+
+    The residues go to is_good_for in chunks of at most _CHUNK_ENTRIES
+    residue-parameter pairs, and the first chunk with a residue the set is
+    not good for ends the check.
+    """
+    chunk = max(1, _CHUNK_ENTRIES // good_set.size)
+    residues = iter(residues)
+    while values := list(itertools.islice(residues, chunk)):
+        if not is_good_for(good_set, values):
+            return False
+    return True
 
 
 def verify_exhaustive(good_set: GoodSet, limit: int = DEFAULT_VERIFY_LIMIT) -> bool:

@@ -13,8 +13,12 @@ independent 2 x 2 (or 2^l x 2^l) rotations and costs O(d b) per input
 instead of O(d^2).  A dense (d, d) matrix is the one-block stack.  Arrays are
 float64 when they have no imaginary part, so real programs are simulated in
 real arithmetic.  sweep_accept_probabilities simulates a batch of inputs on
-the stacks, and accept_probability is its 1-row case; a block of exhaustive
-inputs that share their leading bits shares the reads of those bits too.
+the stacks, and accept_probability is its 1-row case.  Since a program's
+state after k reads depends only on the first k bits it read, inputs that
+share those bits share those reads: a block of exhaustive inputs runs its
+shared leading reads once and doubles the state columns at the rest, and
+any other batch is sorted on its read values and keeps one state column per
+distinct read prefix.
 run() expands every stack to its dense matrix and is kept as the
 independent per-input reference.  The post-transform exists so the final
 Hadamard layer and the constant-coefficient rotations do not consume a
@@ -34,6 +38,7 @@ from .errors import LengthMismatchError, _malformed
 UNITARY_TOL = 1e-9
 NORM_TOL = 1e-9
 _TILE_ENTRIES = 1 << 17
+_KEY_READS = 64
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -254,25 +259,148 @@ def _accepted(
     return _squared_norms(states[list(program.accepting)]), _norm_drift(states)
 
 
-def _sweep_tile(
+def _state_dtype(
+    program: QuantumBranchingProgram, reads: list[tuple[int, np.ndarray | None, np.ndarray]]
+) -> np.dtype:
+    """The dtype of the states after the reads: float64 unless the initial
+    state or a read's matrix is complex."""
+    return np.result_type(
+        program.initial_state, *(array for read in reads for array in read[1:] if array is not None)
+    )
+
+
+def _read_column(
+    column: np.ndarray,
+    reads: list[tuple[int, np.ndarray | None, np.ndarray]],
+    row: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """A (d, 1) state column after the reads of one input row, and the
+    largest drift after any of them."""
+    max_drift = 0.0
+    for position, on_zero, on_one in reads:
+        if row[position]:
+            column = _apply_blocks(on_one, column)
+        elif on_zero is not None:
+            column = _apply_blocks(on_zero, column)
+        max_drift = max(max_drift, _norm_drift(column))
+    return column, max_drift
+
+
+def _sweep_sorted_tile(
+    program: QuantumBranchingProgram,
+    reads: list[tuple[int, np.ndarray | None, np.ndarray]],
+    values: np.ndarray,
+    key_reads: int,
+    buffers: list[np.ndarray],
+    mask: np.ndarray,
+) -> tuple[np.ndarray, float]:
+    """Acceptance of a tile of rows sorted on their first key_reads read
+    values, with one state column per distinct read prefix.
+
+    values[k, i] is row i's bit at read k.  A row gets a column of its own,
+    copied from its prefix's, at the first key read where it differs from
+    the row before it, or at read key_reads when it differs nowhere there;
+    until then it shares the column of the row that opened its prefix.
+    Once more than half the rows have columns, every row gets one: the few
+    prefixes left to share save less than the copies of further splits
+    cost.  Every read applies on_one to the columns whose bit is 1 and
+    on_zero (unless it is the identity) to the rest, and the drift is
+    measured on every column it produces.  The states live in buffers[0];
+    a read writes into the other flat buffers and swaps, so no state array
+    is allocated per read.
+    """
+    rows = values.shape[1]
+    # The read that opens each row's column: the first key read at which it
+    # differs from the row before it (the last row of differs stands for
+    # read key_reads); row 0 holds the initial column.
+    differs = np.ones((key_reads + 1, rows - 1), dtype=bool)
+    np.not_equal(values[:key_reads, 1:], values[:key_reads, :-1], out=differs[:key_reads])
+    splits = np.concatenate(([-1], differs.argmax(axis=0)))
+    opened = splits < 0
+    starts = np.zeros(1, dtype=np.intp)
+    d = program.dimension
+
+    def view(flat: np.ndarray) -> np.ndarray:
+        return flat[: d * starts.size].reshape(d, starts.size)
+
+    def apply(stack: np.ndarray, slot: int) -> None:
+        _apply_blocks(stack, view(buffers[0]), out=view(buffers[slot]))
+
+    def swap(slot: int) -> None:
+        buffers[0], buffers[slot] = buffers[slot], buffers[0]
+
+    view(buffers[0])[:] = program.initial_state[:, None]
+    max_drift = 0.0
+    for k, (_, on_zero, on_one) in enumerate(reads):
+        if starts.size < rows:
+            new = splits == k
+            if new.any():
+                states = view(buffers[0])
+                prefix = np.cumsum(opened) - 1
+                opened |= new
+                if 2 * np.count_nonzero(opened) > rows:
+                    opened[:] = True
+                starts = np.flatnonzero(opened)
+                # The indices are in range; mode="raise" would buffer out.
+                np.take(states, prefix[starts], axis=1, out=view(buffers[1]), mode="clip")
+                swap(1)
+        ones = values[k, starts] if starts.size < rows else values[k]
+        some, every = ones.any(), ones.all()
+        if some:
+            apply(on_one, 1)
+        if every:
+            swap(1)
+        elif on_zero is not None:
+            apply(on_zero, 2)
+            swap(2)
+        if some and not every:
+            np.copyto(view(mask), ones)
+            np.putmask(view(buffers[0]), view(mask), view(buffers[1]))
+        max_drift = max(max_drift, _norm_drift(view(buffers[0])))
+    probabilities, drift = _accepted(program, view(buffers[0]), out=view(buffers[1]))
+    if starts.size < rows:
+        probabilities = probabilities[np.cumsum(opened) - 1]
+    return probabilities, max(max_drift, drift)
+
+
+def _sweep_sorted_prefixes(
     program: QuantumBranchingProgram,
     reads: list[tuple[int, np.ndarray | None, np.ndarray]],
     bit_matrix: np.ndarray,
+    tile: int,
 ) -> tuple[np.ndarray, float]:
-    states = np.repeat(program.initial_state[:, None], bit_matrix.shape[0], axis=1)
+    """The sweep of any batch of two or more rows, in tiles of rows sorted on
+    their read values (see _sweep_sorted_tile).
+
+    A row's read values are its bits in instruction order, so other read
+    orders and repeated reads need no special case.  The rows are sorted on
+    their first _KEY_READS read values, packed into one uint64 key (the
+    first read the most significant bit); past those reads every row has a
+    column of its own.  The tile's state buffers are allocated once and
+    reused tile by tile.
+    """
+    count = bit_matrix.shape[0]
+    values = bit_matrix.T[[position for position, _, _ in reads]] != 0
+    key_reads = min(len(reads), _KEY_READS)
+    packed = np.zeros((count, 8), dtype=np.uint8)
+    packed[:, : (key_reads + 7) // 8] = np.packbits(values[:key_reads], axis=0).T
+    order = np.argsort(packed.view(">u8").ravel(), kind="stable")
+    values = np.take(values, order, axis=1)
+    dtype = _state_dtype(program, reads)
+    if program.post_transform is not None:
+        dtype = np.result_type(dtype, program.post_transform)
+    size = program.dimension * min(tile, count)
+    buffers = [np.empty(size, dtype) for _ in range(3)]
+    mask = np.empty(size, dtype=bool)
+    probabilities = np.empty(count)
     max_drift = 0.0
-    for column, on_zero, on_one in reads:
-        ones = bit_matrix[:, column].astype(bool)
-        if ones.all():
-            states = _apply_blocks(on_one, states)
-        else:
-            on_zeros = states if on_zero is None else _apply_blocks(on_zero, states)
-            if ones.any():
-                on_zeros = np.where(ones, _apply_blocks(on_one, states), on_zeros)
-            states = on_zeros
-        max_drift = max(max_drift, _norm_drift(states))
-    probabilities, drift = _accepted(program, states)
-    return probabilities, max(max_drift, drift)
+    for first in range(0, count, tile):
+        stop = min(first + tile, count)
+        probabilities[order[first:stop]], drift = _sweep_sorted_tile(
+            program, reads, values[:, first:stop], key_reads, buffers, mask
+        )
+        max_drift = max(max_drift, drift)
+    return probabilities, max_drift
 
 
 def _enumeration_doublings(
@@ -386,20 +514,11 @@ def _sweep_shared_prefix(
     last group the largest.
     """
     shared = len(reads) - doublings
-    column = program.initial_state[:, None]
-    max_drift = 0.0
-    for position, on_zero, on_one in reads[:shared]:
-        if first_row[position]:
-            column = _apply_blocks(on_one, column)
-        elif on_zero is not None:
-            column = _apply_blocks(on_zero, column)
-        max_drift = max(max_drift, _norm_drift(column))
+    column, max_drift = _read_column(program.initial_state[:, None], reads[:shared], first_row)
     size = max(1, tile.bit_length() - 1)
     bounds = list(range(len(reads), shared, -size))[::-1]
     groups = [reads[a:b] for a, b in zip([shared] + bounds[:-1], bounds)]
-    dtype = np.result_type(
-        program.initial_state, *(array for read in reads for array in read[1:] if array is not None)
-    )
+    dtype = _state_dtype(program, reads)
     buffers = [np.empty((program.dimension, 1 << len(group)), dtype) for group in groups]
     post = program.post_transform
     buffers.append(
@@ -423,11 +542,13 @@ def sweep_accept_probabilities(
     the rows are 2^c aligned consecutive rows of the exhaustive enumeration
     and the program reads x_1..x_n once, in order, the n - c reads they
     share are applied once, to one column, and the last c double it
-    (_sweep_shared_prefix); any other batch runs in column tiles.  The
-    arithmetic is float64 exactly when every array of the program is.  The
-    results match run() up to floating-point rounding.  Returns the
-    probabilities and the largest norm drift observed after any read or the
-    post-transform.
+    (_sweep_shared_prefix).  Any other batch of two or more rows is sorted
+    on its read values and swept in tiles with one state column per
+    distinct read prefix (_sweep_sorted_prefixes); a single row runs on one
+    column, with no sort.  The arithmetic is float64 exactly when every
+    array of the program is.  The results match run() up to floating-point
+    rounding.  Returns the probabilities and the largest norm drift observed
+    after any read or the post-transform.
     """
     count, width = bit_matrix.shape
     if width != program.arity:
@@ -446,13 +567,13 @@ def sweep_accept_probabilities(
     doublings = _enumeration_doublings(program, bit_matrix)
     if doublings is not None:
         return _sweep_shared_prefix(program, reads, bit_matrix[0], doublings, tile)
-    probabilities = np.empty(count)
-    max_drift = 0.0
-    for first in range(0, count, tile):
-        stop = min(first + tile, count)
-        probabilities[first:stop], drift = _sweep_tile(program, reads, bit_matrix[first:stop])
-        max_drift = max(max_drift, drift)
-    return probabilities, max_drift
+    if count >= 2:
+        return _sweep_sorted_prefixes(program, reads, bit_matrix, tile)
+    if count == 0:
+        return np.empty(0), 0.0
+    column, max_drift = _read_column(program.initial_state[:, None], reads, bit_matrix[0])
+    probabilities, drift = _accepted(program, column)
+    return probabilities, max(max_drift, drift)
 
 
 def metrics(program: QuantumBranchingProgram) -> ProgramMetrics:

@@ -345,6 +345,22 @@ def test_eval_malformed_program_file_is_a_usage_error(capsys, tmp_path, data, me
     assert message in capsys.readouterr().err
 
 
+def test_eval_rejects_a_recipe_smaller_than_its_epsilon_needs(capsys, tmp_path):
+    # One parameter where epsilon 0.01 over Z_3 needs 512: the zero 10 of
+    # x_1 + x_2 = 0 (mod 3) would be accepted with probability 0.25.
+    recipe = {
+        "kind": "single",
+        "polynomials": [{"m": "3", "n": 2, "coeffs": ["0", "1", "1"]}],
+        "goodset": {"m": "3", "epsilon": 0.01, "params": ["1"]},
+    }
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps({"fingerprint": recipe}))
+    assert cli.main(["eval", "--program", str(path), "--input", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1 parameters" in captured.err and "512" in captured.err
+
+
 def test_build_sop_file_rejects_repeated_products(capsys, tmp_path):
     sop_path = tmp_path / "twice.json"
     sop_path.write_text(json.dumps({"n": 1, "products": [[1], [1]]}))

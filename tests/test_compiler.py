@@ -312,6 +312,8 @@ def _recipe(**changes) -> dict:
         _recipe(goodset={"m": "5", "epsilon": None, "params": ["1", "2"]}),
         _recipe(goodset={"m": "5", "epsilon": 0.3, "params": ["1", "2", "3"]}),
         _recipe(goodset={"m": "7", "epsilon": 0.3, "params": ["1", "2"]}),
+        # Fewer than required_size(0.3, 5) = 16 parameters.
+        _recipe(goodset={"m": "5", "epsilon": 0.3, "params": ["1", "2"]}),
     ],
 )
 def test_recipe_loader_raises_value_error_on_malformed_recipes(recipe):

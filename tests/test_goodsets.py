@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,11 +16,15 @@ from qobdd.errors import (
     TooLargeError,
     ZeroResidueError,
 )
+from qobdd import goodsets
 from qobdd.goodsets import (
+    _INT64_SAFE,
     GoodSet,
+    _cosine_kernel,
     azuma_failure_bound,
     cosine_sum,
     is_good_for,
+    is_good_for_all,
     required_size,
     required_size_raw,
     sample,
@@ -176,3 +182,86 @@ def test_cosine_sum_bounded_and_periodic(data):
     assert 0.0 <= value <= 1.0 + 1e-12
     shift = data.draw(st.integers(min_value=1, max_value=5))
     assert cosine_sum(good, b + shift * m) == value
+
+
+# The goodness check runs the cosine kernel once per chunk of residues.  The
+# chunked values must be the per-residue values bit for bit, so verdicts and
+# the sets sample_good picks do not move.
+
+
+def per_residue_sample_good(epsilon, modulus, seed, residues=None):
+    """sample_good as one cosine_sum per residue, stopping at the first bad one."""
+    for attempt in range(64):
+        candidate = sample(epsilon, modulus, seed + attempt)
+        checked = range(1, modulus) if residues is None else residues
+        if all(cosine_sum(candidate, b) < epsilon for b in checked):
+            return candidate, seed + attempt
+    raise AssertionError("no good set")
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 16, 97, 1024])
+def test_chunk_kernel_equals_per_residue_values(modulus):
+    good = sample(0.25, modulus, seed=modulus)
+    residues = np.arange(1, modulus)
+    chunked = _cosine_kernel(residues, good)
+    assert np.array_equal(chunked, [cosine_sum(good, int(b)) for b in residues])
+    assert is_good_for(good, residues) == all(is_good_for(good, int(b)) for b in residues)
+
+
+def test_chunk_kernel_equals_per_residue_values_on_the_object_path():
+    modulus = _INT64_SAFE + 5
+    good = sample(0.25, modulus, seed=3)
+    residues = [1, 2, 3, modulus // 2, modulus - 2, modulus - 1] + [
+        (7**j) % modulus for j in range(40, 240)
+    ]
+    chunked = _cosine_kernel(np.array(residues, dtype=object), good)
+    assert np.array_equal(chunked, [cosine_sum(good, b) for b in residues])
+    assert is_good_for(good, residues) == all(is_good_for(good, b) for b in residues)
+    # Residues are reduced mod m first, as cosine_sum reduces them.
+    shifted = [b + 3 * modulus for b in residues]
+    assert is_good_for(good, shifted) == is_good_for(good, residues)
+
+
+def test_array_goodness_rejects_a_zero_residue():
+    good = GoodSet(modulus=16, error_rate=0.5, parameters=(1, 3))
+    for residues in ([1, 16, 3], np.array([0, 5]), [2**70 * 16]):
+        with pytest.raises(ZeroResidueError):
+            is_good_for(good, residues)
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 64, goodsets._CHUNK_ENTRIES])
+@pytest.mark.parametrize(
+    "epsilon, modulus, seeds",
+    [
+        # These three start at a seed whose set fails verify_exhaustive.
+        (0.5, 3, [143, 0]),
+        (0.5, 16, [142, 5]),
+        (0.25, 64, [78, 1]),
+        (0.2, 5, [0, 9]),
+        (0.3, 243, [2, 17]),
+    ],
+)
+def test_sample_good_picks_the_per_residue_set_and_seed(chunk_entries, epsilon, modulus, seeds):
+    with mock.patch.object(goodsets, "_CHUNK_ENTRIES", chunk_entries):
+        for seed in seeds:
+            assert sample_good(epsilon, modulus, seed) == per_residue_sample_good(
+                epsilon, modulus, seed
+            )
+            residues = list(range(1, modulus, 3))
+            assert sample_good(epsilon, modulus, seed, residues=residues) == (
+                per_residue_sample_good(epsilon, modulus, seed, residues)
+            )
+
+
+def test_exhaustive_check_exits_on_the_first_failing_chunk():
+    # Every cosine is 1: the set fails on residue 1, in the first of 128 chunks.
+    bad = GoodSet(modulus=4096, error_rate=0.5, parameters=(0, 0))
+    with mock.patch.object(goodsets, "_CHUNK_ENTRIES", 64), mock.patch.object(
+        goodsets, "_cosine_kernel", wraps=goodsets._cosine_kernel
+    ) as kernel:
+        assert not verify_exhaustive(bad)
+        assert kernel.call_count == 1
+        good = sample(0.25, 64, seed=3)
+        kernel.reset_mock()
+        assert is_good_for_all(good, range(1, 64)) == verify_exhaustive(good)
+        assert kernel.call_count == 2 * math.ceil(63 / (64 // good.size))

@@ -520,8 +520,8 @@ def test_scalar_closed_forms_keep_their_errors():
 
 # Exhaustive chunks of a program that reads x_1..x_n in order share their
 # leading reads; the sweep runs those once and doubles the state columns at
-# the rest.  Every case is held against run and against the tile loop on the
-# same rows in shuffled order, which the prefix path never takes.
+# the rest.  Every case is held against run and against the sorted-prefix
+# sweep on the same rows in shuffled order, which the prefix path never takes.
 
 
 def assert_prefix_path_matches(
@@ -530,8 +530,9 @@ def assert_prefix_path_matches(
     doublings: int | None,
     check_norm: bool = True,
 ) -> tuple[float, float]:
-    """The sweep's path (doublings None: the tile loop) and its agreement with
-    run and the shuffled tile loop; returns both drifts."""
+    """The sweep's path (doublings None: the sorted-prefix sweep) and its
+    agreement with run and the sorted-prefix sweep of the shuffled rows;
+    returns both drifts."""
     assert _enumeration_doublings(program, bits) == doublings
     swept, drift = sweep_accept_probabilities(program, bits)
     np.testing.assert_allclose(
@@ -541,17 +542,17 @@ def assert_prefix_path_matches(
     order = np.random.default_rng(count).permutation(count)
     if np.array_equal(order, np.arange(count)):
         order = order[::-1]
-    tile_drift = drift
+    sorted_drift = drift
     if count > 1:
         assert _enumeration_doublings(program, bits[order]) is None
-        shuffled, tile_drift = sweep_accept_probabilities(program, bits[order])
+        shuffled, sorted_drift = sweep_accept_probabilities(program, bits[order])
         np.testing.assert_allclose(shuffled, swept[order], rtol=0, atol=1e-14)
-    return drift, tile_drift
+    return drift, sorted_drift
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_prefix_sweep_matches_run_and_the_tile_loop(data):
+def test_prefix_sweep_matches_run_and_the_sorted_prefix_sweep(data):
     modulus = data.draw(MODULI)
     arity = data.draw(st.integers(min_value=1, max_value=6))
     good_set = draw_good_set(data, modulus)
@@ -570,8 +571,8 @@ def test_prefix_sweep_matches_run_and_the_tile_loop(data):
         st.sampled_from([program.dimension, 4 * program.dimension, programs._TILE_ENTRIES])
     )
     with mock.patch.object(programs, "_TILE_ENTRIES", tile_entries):
-        drift, tile_drift = assert_prefix_path_matches(program, bits, doublings)
-    assert max(drift, tile_drift) <= 1e-9
+        drift, sorted_drift = assert_prefix_path_matches(program, bits, doublings)
+    assert max(drift, sorted_drift) <= 1e-9
 
 
 @pytest.mark.parametrize("start, stop", [(0, 64), (0, 16), (48, 64), (40, 48), (6, 8)])
@@ -588,7 +589,7 @@ def test_aligned_blocks_from_zero_and_elsewhere_take_the_prefix_path(start, stop
         assert_prefix_path_matches(program, input_block(6, start, stop), doublings)
 
 
-def test_unaligned_one_row_and_empty_batches_take_the_tile_loop():
+def test_unaligned_one_row_and_empty_batches_skip_the_prefix_path():
     good_set, _ = sample_good(0.3, 5, seed=4)
     program = compile_single(mod_polynomial(6, 5), good_set).program
     for start, stop in ((5, 6), (0, 1), (4, 12), (0, 3), (8, 13)):
@@ -650,11 +651,11 @@ def test_scaled_block_shows_in_the_prefix_drift(start, stop, doublings):
     # Rows 4..7 share x_2 = 1, so the scaled read is one of the shared reads;
     # in the other blocks it doubles the columns.
     program = scaled_block_program()
-    drift, tile_drift = assert_prefix_path_matches(
+    drift, sorted_drift = assert_prefix_path_matches(
         program, input_block(4, start, stop), doublings, check_norm=False
     )
     assert drift > 1e-6
-    assert drift == pytest.approx(tile_drift, rel=1e-9)
+    assert drift == pytest.approx(sorted_drift, rel=1e-9)
 
 
 def test_prefix_drift_sees_states_that_later_steps_undo():
@@ -689,17 +690,17 @@ def test_prefix_drift_sees_states_that_later_steps_undo():
         (undone_by_the_post_transform, all_inputs(1), 1),
     )
     for program, bits, doublings in cases:
-        drift, tile_drift = assert_prefix_path_matches(
+        drift, sorted_drift = assert_prefix_path_matches(
             program, bits, doublings, check_norm=False
         )
         np.testing.assert_allclose(
             sweep_accept_probabilities(program, bits)[0], 1.0, rtol=0, atol=DENSE_TOL
         )
         assert drift == pytest.approx(0.01)
-        assert tile_drift == pytest.approx(0.01)
+        assert sorted_drift == pytest.approx(0.01)
 
 
-def test_other_read_orders_fall_back_to_the_tile_loop():
+def test_other_read_orders_fall_back_to_the_sorted_prefix_sweep():
     good_set, _ = sample_good(0.2, 3, seed=0)
     compiled = compile_single(mod_polynomial(5, 3), good_set).program
     fields = dict(
@@ -768,3 +769,142 @@ def test_residue_table_closed_forms_on_both_residue_dtypes(modulus):
     single, general = per_row_closed_forms(characteristic, good_set, bits)
     assert np.array_equal(closed_form_single_batch(polynomial, good_set, bits), single)
     assert np.array_equal(closed_form_general_batch(characteristic, good_set, bits), general)
+
+
+# Any batch of two or more rows that the prefix path does not take is sorted
+# on its read values, and each tile keeps one state column per distinct read
+# prefix.  These cases hold it against run on programs, read orders and
+# batches the compiler never produces.
+
+
+def rewired_program(data, compiled: QuantumBranchingProgram) -> QuantumBranchingProgram:
+    """The compiled reads in a drawn order, some of them repeated, each U(0)
+    optionally another read's U(1)."""
+    reads = list(compiled.instructions)
+    order = data.draw(st.permutations(range(len(reads))))
+    repeats = data.draw(st.lists(st.sampled_from(range(len(reads))), max_size=3))
+    chosen = [reads[i] for i in list(order) + repeats]
+    swap_zero = data.draw(st.booleans())
+    return QuantumBranchingProgram(
+        dimension=compiled.dimension,
+        arity=compiled.arity,
+        instructions=tuple(
+            Instruction(
+                variable_index=instruction.variable_index,
+                on_zero=chosen[(step + 1) % len(chosen)].on_one if swap_zero else instruction.on_zero,
+                on_one=instruction.on_one,
+            )
+            for step, instruction in enumerate(chosen)
+        ),
+        initial_state=compiled.initial_state,
+        accepting=compiled.accepting,
+        post_transform=compiled.post_transform,
+    )
+
+
+def random_dense_program(rng: np.random.Generator, d: int, arity: int, length: int):
+    """Complex dense reads of random variables, repeats included."""
+    state = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return QuantumBranchingProgram(
+        dimension=d,
+        arity=arity,
+        instructions=tuple(
+            Instruction(
+                variable_index=int(rng.integers(1, arity + 1)),
+                on_zero=random_unitary(rng, d),
+                on_one=random_unitary(rng, d),
+            )
+            for _ in range(length)
+        ),
+        initial_state=state / np.linalg.norm(state),
+        accepting=(0,),
+        post_transform=random_unitary(rng, d),
+    )
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_sorted_prefix_sweep_matches_run(data):
+    arity = data.draw(st.integers(min_value=1, max_value=6))
+    kind = data.draw(st.sampled_from(["single", "general", "dense"]))
+    if kind == "dense":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        program = random_dense_program(rng, data.draw(st.sampled_from([2, 3, 4])), arity, 2 * arity)
+    else:
+        modulus = data.draw(MODULI)
+        good_set = draw_good_set(data, modulus)
+        polynomials = tuple(
+            draw_polynomial(data, modulus, arity) for _ in range(data.draw(st.integers(1, 2)))
+        )
+        if kind == "single":
+            compiled = compile_single(polynomials[0], good_set).program
+        else:
+            characteristic = Characteristic(modulus=modulus, arity=arity, polynomials=polynomials)
+            compiled = compile_general(characteristic, good_set).program
+        program = rewired_program(data, compiled) if data.draw(st.booleans()) else compiled
+    # Rows drawn with replacement from a few inputs, so duplicates are common.
+    pool = all_inputs(arity)[: data.draw(st.integers(min_value=1, max_value=1 << arity))]
+    picks = data.draw(st.lists(st.integers(0, pool.shape[0] - 1), max_size=40))
+    if data.draw(st.booleans()):
+        picks = picks[:2]
+    bits = pool[picks].reshape(len(picks), arity)
+    tile_entries = data.draw(
+        st.sampled_from([program.dimension, 4 * program.dimension, programs._TILE_ENTRIES])
+    )
+    with mock.patch.object(programs, "_TILE_ENTRIES", tile_entries):
+        swept, drift = sweep_accept_probabilities(program, bits)
+    np.testing.assert_allclose(swept, dense_probabilities(program, bits), rtol=0, atol=DENSE_TOL)
+    assert swept.shape == (len(picks),)
+    assert drift <= 1e-9
+
+
+@pytest.mark.parametrize("tile_factor", [1, 4, None])
+def test_sorted_prefix_sweep_past_the_sort_key(tile_factor):
+    # 70 reads: the rows are sorted on their first 64 only.  Some rows agree
+    # on those 64 and differ after them, some repeat, and a read-twice dense
+    # program reads variables out of order past the key as well.
+    rng = np.random.default_rng(5)
+    good_set, _ = sample_good(0.3, 3, seed=1)
+    compiled = compile_single(mod_polynomial(70, 3), good_set).program
+    dense = random_dense_program(rng, 2, 6, 70)
+    base = rng.integers(0, 2, size=(6, 70), dtype=np.uint8)
+    tails = base[[0, 0, 1, 1, 2]].copy()
+    tails[:, 64:] = rng.integers(0, 2, size=(5, 6), dtype=np.uint8)
+    bits = np.concatenate([base, tails, base[[3, 3]]])[rng.permutation(13)]
+    for program, rows in ((compiled, bits), (dense, bits[:, :6])):
+        tile = programs._TILE_ENTRIES if tile_factor is None else tile_factor * program.dimension
+        with mock.patch.object(programs, "_TILE_ENTRIES", tile):
+            swept, drift = sweep_accept_probabilities(program, rows)
+        np.testing.assert_allclose(swept, dense_probabilities(program, rows), rtol=0, atol=DENSE_TOL)
+        assert drift <= 1e-9
+
+
+def test_sorted_prefix_sweep_shares_read_prefixes():
+    # All 64 inputs of n = 6 in shuffled order: read k acts on one column per
+    # distinct prefix of k + 1 bits, 2 + 4 + ... + 64 = 126 columns in all
+    # instead of 6 * 64 = 384, and the post-transform on the 64 leaves.
+    good_set, _ = sample_good(0.3, 5, seed=4)
+    program = compile_single(mod_polynomial(6, 5), good_set).program
+    bits = all_inputs(6)[np.random.default_rng(0).permutation(64)]
+    columns = []
+    apply_blocks = programs._apply_blocks
+
+    def counted(stack, states, out=None):
+        columns.append(states.shape[1])
+        return apply_blocks(stack, states, out=out)
+
+    with mock.patch.object(programs, "_apply_blocks", counted):
+        swept, _ = sweep_accept_probabilities(program, bits)
+    assert sum(columns) == 126 + 64
+    np.testing.assert_allclose(swept, dense_probabilities(program, bits), rtol=0, atol=DENSE_TOL)
+
+
+def test_one_row_batches_do_no_sort_or_prefix_work():
+    good_set, _ = sample_good(0.3, 5, seed=4)
+    program = compile_single(mod_polynomial(6, 5), good_set).program
+    rows = input_block(6, 0, 64)[[5, 42]]
+    with mock.patch.object(programs, "_sweep_sorted_prefixes", side_effect=AssertionError):
+        for row in rows:
+            swept, _ = sweep_accept_probabilities(program, row[None, :])
+            assert swept[0] == pytest.approx(dense_probabilities(program, row[None, :])[0], abs=DENSE_TOL)
+            assert accept_probability(program, row.tolist()) == swept[0]
