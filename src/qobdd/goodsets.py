@@ -177,23 +177,22 @@ def sample_good(
     modulus: int,
     seed: int,
     residues: Sequence[int] | None = None,
-    verify_limit: int = DEFAULT_VERIFY_LIMIT,
     max_attempts: int = 64,
 ) -> tuple[GoodSet, int]:
     """Sample sets at seed, seed+1, ... until one passes the goodness check.
 
     With residues given, goodness is checked on exactly those values
     (spot verification); otherwise the whole range [1, m-1] is swept, which
-    requires m <= verify_limit.  Returns the set and the seed that produced
-    it.  Raises RuntimeError if max_attempts seeds all fail, which the Azuma
-    bound makes overwhelmingly unlikely at the sampled size.
+    requires m <= DEFAULT_VERIFY_LIMIT.  Returns the set and the seed that
+    produced it.  Raises RuntimeError if max_attempts seeds all fail, which
+    the Azuma bound makes overwhelmingly unlikely at the sampled size.
     """
     for attempt in range(max_attempts):
         candidate = sample(epsilon, modulus, seed + attempt)
         if residues is not None:
             if is_good_for_all(candidate, residues):
                 return candidate, seed + attempt
-        elif verify_exhaustive(candidate, limit=verify_limit):
+        elif verify_exhaustive(candidate):
             return candidate, seed + attempt
     raise RuntimeError(
         f"no good set found in {max_attempts} attempts from seed {seed} "

@@ -130,25 +130,6 @@ class MultilinearPolynomial:
             coeffs[index] = coeff
         return LinearPolynomial(self.modulus, self.arity, tuple(coeffs))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": str(self.modulus),
-            "n": self.arity,
-            "monomials": [
-                {"coeff": str(c), "vars": list(vs)} for c, vs in self.monomials
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "MultilinearPolynomial":
-        return cls(
-            modulus=int(data["m"]),
-            arity=int(data["n"]),
-            monomials=tuple(
-                (int(mono["coeff"]), tuple(mono["vars"])) for mono in data["monomials"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class Characteristic:

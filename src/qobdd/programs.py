@@ -14,11 +14,12 @@ instead of O(d^2).  A dense (d, d) matrix is the one-block stack.  Arrays are
 float64 when they have no imaginary part, so real programs are simulated in
 real arithmetic.  sweep_accept_probabilities simulates a batch of inputs on
 the stacks, and accept_probability is its 1-row case.  Since a program's
-state after k reads depends only on the first k bits it read, inputs that
-share those bits share those reads: a block of exhaustive inputs runs its
-shared leading reads once and doubles the state columns at the rest, and
-any other batch is sorted on its read values and keeps one state column per
-distinct read prefix.
+state after k reads depends only on the first k values it read, inputs that
+share those values share those reads: every batch is sorted on its read
+values and runs the reads all its rows share once, on one column.  A batch
+holding every pattern of the remaining reads (an exhaustive chunk, in any
+read order) then doubles the column at each of them; any other batch keeps
+one state column per distinct read prefix.
 run() expands every stack to its dense matrix and is kept as the
 independent per-input reference.  The post-transform exists so the final
 Hadamard layer and the constant-coefficient rotations do not consume a
@@ -269,27 +270,12 @@ def _state_dtype(
     )
 
 
-def _read_column(
-    column: np.ndarray,
-    reads: list[tuple[int, np.ndarray | None, np.ndarray]],
-    row: np.ndarray,
-) -> tuple[np.ndarray, float]:
-    """A (d, 1) state column after the reads of one input row, and the
-    largest drift after any of them."""
-    max_drift = 0.0
-    for position, on_zero, on_one in reads:
-        if row[position]:
-            column = _apply_blocks(on_one, column)
-        elif on_zero is not None:
-            column = _apply_blocks(on_zero, column)
-        max_drift = max(max_drift, _norm_drift(column))
-    return column, max_drift
-
-
 def _sweep_sorted_tile(
     program: QuantumBranchingProgram,
     reads: list[tuple[int, np.ndarray | None, np.ndarray]],
     values: np.ndarray,
+    start: int,
+    column: np.ndarray,
     key_reads: int,
     buffers: list[np.ndarray],
     mask: np.ndarray,
@@ -297,25 +283,27 @@ def _sweep_sorted_tile(
     """Acceptance of a tile of rows sorted on their first key_reads read
     values, with one state column per distinct read prefix.
 
-    values[k, i] is row i's bit at read k.  A row gets a column of its own,
-    copied from its prefix's, at the first key read where it differs from
-    the row before it, or at read key_reads when it differs nowhere there;
-    until then it shares the column of the row that opened its prefix.
-    Once more than half the rows have columns, every row gets one: the few
-    prefixes left to share save less than the copies of further splits
-    cost.  Every read applies on_one to the columns whose bit is 1 and
-    on_zero (unless it is the identity) to the rest, and the drift is
-    measured on every column it produces.  The states live in buffers[0];
+    values[k, i] is row i's bit at read k.  Every row shares its first start
+    reads, after which the state is column.  A row gets a column of its own,
+    copied from its prefix's, at the first key read from start on where it
+    differs from the row before it, or at read max(start, key_reads) when it
+    differs nowhere there; until then it shares the column of the row that
+    opened its prefix.  Once more than half the rows have columns, every row
+    gets one: the few prefixes left to share save less than the copies of
+    further splits cost.  Every read applies on_one to the columns whose bit
+    is 1 and on_zero (unless it is the identity) to the rest, and the drift
+    is measured on every column it produces.  The states live in buffers[0];
     a read writes into the other flat buffers and swaps, so no state array
     is allocated per read.
     """
     rows = values.shape[1]
-    # The read that opens each row's column: the first key read at which it
-    # differs from the row before it (the last row of differs stands for
-    # read key_reads); row 0 holds the initial column.
-    differs = np.ones((key_reads + 1, rows - 1), dtype=bool)
-    np.not_equal(values[:key_reads, 1:], values[:key_reads, :-1], out=differs[:key_reads])
-    splits = np.concatenate(([-1], differs.argmax(axis=0)))
+    # The read that opens each row's column: the first key read from start
+    # on at which it differs from the row before it (the last row of
+    # differs stands for read max(start, key_reads)); row 0 holds column.
+    lead = values[start:key_reads]
+    differs = np.ones((lead.shape[0] + 1, rows - 1), dtype=bool)
+    np.not_equal(lead[:, 1:], lead[:, :-1], out=differs[:-1])
+    splits = np.concatenate(([-1], start + differs.argmax(axis=0)))
     opened = splits < 0
     starts = np.zeros(1, dtype=np.intp)
     d = program.dimension
@@ -329,9 +317,9 @@ def _sweep_sorted_tile(
     def swap(slot: int) -> None:
         buffers[0], buffers[slot] = buffers[slot], buffers[0]
 
-    view(buffers[0])[:] = program.initial_state[:, None]
+    view(buffers[0])[:] = column
     max_drift = 0.0
-    for k, (_, on_zero, on_one) in enumerate(reads):
+    for k, (_, on_zero, on_one) in enumerate(reads[start:], start):
         if starts.size < rows:
             new = splits == k
             if new.any():
@@ -361,68 +349,6 @@ def _sweep_sorted_tile(
     if starts.size < rows:
         probabilities = probabilities[np.cumsum(opened) - 1]
     return probabilities, max(max_drift, drift)
-
-
-def _sweep_sorted_prefixes(
-    program: QuantumBranchingProgram,
-    reads: list[tuple[int, np.ndarray | None, np.ndarray]],
-    bit_matrix: np.ndarray,
-    tile: int,
-) -> tuple[np.ndarray, float]:
-    """The sweep of any batch of two or more rows, in tiles of rows sorted on
-    their read values (see _sweep_sorted_tile).
-
-    A row's read values are its bits in instruction order, so other read
-    orders and repeated reads need no special case.  The rows are sorted on
-    their first _KEY_READS read values, packed into one uint64 key (the
-    first read the most significant bit); past those reads every row has a
-    column of its own.  The tile's state buffers are allocated once and
-    reused tile by tile.
-    """
-    count = bit_matrix.shape[0]
-    values = bit_matrix.T[[position for position, _, _ in reads]] != 0
-    key_reads = min(len(reads), _KEY_READS)
-    packed = np.zeros((count, 8), dtype=np.uint8)
-    packed[:, : (key_reads + 7) // 8] = np.packbits(values[:key_reads], axis=0).T
-    order = np.argsort(packed.view(">u8").ravel(), kind="stable")
-    values = np.take(values, order, axis=1)
-    dtype = _state_dtype(program, reads)
-    if program.post_transform is not None:
-        dtype = np.result_type(dtype, program.post_transform)
-    size = program.dimension * min(tile, count)
-    buffers = [np.empty(size, dtype) for _ in range(3)]
-    mask = np.empty(size, dtype=bool)
-    probabilities = np.empty(count)
-    max_drift = 0.0
-    for first in range(0, count, tile):
-        stop = min(first + tile, count)
-        probabilities[order[first:stop]], drift = _sweep_sorted_tile(
-            program, reads, values[:, first:stop], key_reads, buffers, mask
-        )
-        max_drift = max(max_drift, drift)
-    return probabilities, max_drift
-
-
-def _enumeration_doublings(
-    program: QuantumBranchingProgram, bit_matrix: np.ndarray
-) -> int | None:
-    """c when the program reads x_1..x_n once, in order, and the rows are 2^c
-    consecutive rows of the exhaustive enumeration (x_1 the most significant
-    bit) from a multiple of 2^c: rows that share their first n - c bits and
-    run through every value of the last c in order.  None otherwise."""
-    count, n = bit_matrix.shape
-    if count < 2 or count & (count - 1) or count.bit_length() - 1 > n:
-        return None
-    if [instruction.variable_index for instruction in program.instructions] != list(
-        range(1, n + 1)
-    ):
-        return None
-    c = count.bit_length() - 1
-    suffixes = (np.arange(count)[:, None] >> np.arange(c - 1, -1, -1)) & 1
-    shared = bit_matrix[:, : n - c]
-    if np.array_equal(bit_matrix[:, n - c :], suffixes) and (shared == shared[0]).all():
-        return c
-    return None
 
 
 def _bit_reversal(bits: int) -> np.ndarray:
@@ -500,35 +426,6 @@ def _completion_order(sizes: list[int]) -> np.ndarray:
     return order
 
 
-def _sweep_shared_prefix(
-    program: QuantumBranchingProgram,
-    reads: list[tuple[int, np.ndarray | None, np.ndarray]],
-    first_row: np.ndarray,
-    doublings: int,
-    tile: int,
-) -> tuple[np.ndarray, float]:
-    """The sweep of 2^c enumeration rows (see _enumeration_doublings).
-
-    The n - c reads the rows share run once, on one column, and the last c
-    double it (see _doubled) in groups of at most log2(tile) reads, the
-    last group the largest.
-    """
-    shared = len(reads) - doublings
-    column, max_drift = _read_column(program.initial_state[:, None], reads[:shared], first_row)
-    size = max(1, tile.bit_length() - 1)
-    bounds = list(range(len(reads), shared, -size))[::-1]
-    groups = [reads[a:b] for a, b in zip([shared] + bounds[:-1], bounds)]
-    dtype = _state_dtype(program, reads)
-    buffers = [np.empty((program.dimension, 1 << len(group)), dtype) for group in groups]
-    post = program.post_transform
-    buffers.append(
-        None if post is None else np.empty_like(buffers[-1], np.result_type(dtype, post))
-    )
-    probabilities, drift = _completions(program, column, groups, buffers)
-    order = _completion_order([len(group) for group in groups])
-    return probabilities[order], max(max_drift, drift)
-
-
 def sweep_accept_probabilities(
     program: QuantumBranchingProgram,
     bit_matrix: np.ndarray,
@@ -538,21 +435,28 @@ def sweep_accept_probabilities(
     bit_matrix has one input per row.  Column v of the internal state matrix
     goes through the same steps run() applies to input v, each read as d/b
     independent b x b products: the on_one blocks when the bit is 1 and the
-    on_zero blocks otherwise (skipped when they are the identity).  When
-    the rows are 2^c aligned consecutive rows of the exhaustive enumeration
-    and the program reads x_1..x_n once, in order, the n - c reads they
-    share are applied once, to one column, and the last c double it
-    (_sweep_shared_prefix).  Any other batch of two or more rows is sorted
-    on its read values and swept in tiles with one state column per
-    distinct read prefix (_sweep_sorted_prefixes); a single row runs on one
-    column, with no sort.  The arithmetic is float64 exactly when every
-    array of the program is.  The results match run() up to floating-point
-    rounding.  Returns the probabilities and the largest norm drift observed
-    after any read or the post-transform.
+    on_zero blocks otherwise (skipped when they are the identity).  Every
+    batch takes one path.  Its rows' read values (their bits in instruction
+    order, so any read order or repeated read needs no special case) are
+    sorted on their first _KEY_READS reads, packed into one uint64 key with
+    the first read the most significant bit; an ascending batch, such as an
+    exhaustive chunk read in variable order, is not reordered.  The reads
+    every row shares run once, on one column.  When no read is left, that
+    column is every row's state.  When the rows are every bit pattern of the
+    remaining reads, once each, the column doubles at each of them
+    (_completions), in groups of at most log2(tile) reads, the last group
+    the largest.  Any other batch is swept in tiles of sorted rows, each
+    starting from the column and keeping one state column per distinct read
+    prefix (_sweep_sorted_tile).  The arithmetic is float64 exactly when
+    every array of the program is.  The results match run() up to
+    floating-point rounding.  Returns the probabilities and the largest norm
+    drift observed after any read or the post-transform.
     """
     count, width = bit_matrix.shape
     if width != program.arity:
         raise LengthMismatchError(f"expected arity {program.arity}, got {width}")
+    if count == 0:
+        return np.empty(0), 0.0
     reads = [
         (
             instruction.variable_index - 1,
@@ -561,18 +465,67 @@ def sweep_accept_probabilities(
         )
         for instruction in program.instructions
     ]
+    values = bit_matrix.T[[position for position, _, _ in reads]] != 0
+    key_reads = min(len(reads), _KEY_READS)
+    padded = np.zeros((count, _KEY_READS), dtype=bool)
+    padded[:, :key_reads] = values[:key_reads].T
+    keys = np.packbits(padded).view(">u8").astype(np.uint64)
+    order = slice(None)
+    if not np.all(keys[:-1] <= keys[1:]):
+        order = np.argsort(keys, kind="stable")
+        keys, values = keys[order], np.take(values, order, axis=1)
+    # The reads all rows share: the key reads before the first bit at which
+    # the smallest and largest keys differ, and past the key any further
+    # reads on which every row agrees.
+    shared = min(_KEY_READS - int(keys[0] ^ keys[-1]).bit_length(), key_reads)
+    if shared == key_reads < len(reads):
+        agree = (values[shared:] == values[shared:, :1]).all(axis=1)
+        shared += int(np.append(agree, False).argmin())
+    column = program.initial_state[:, None]
+    max_drift = 0.0
+    for (_, on_zero, on_one), bit in zip(reads[:shared], values[:shared, 0]):
+        if bit:
+            column = _apply_blocks(on_one, column)
+        elif on_zero is not None:
+            column = _apply_blocks(on_zero, column)
+        max_drift = max(max_drift, _norm_drift(column))
+    post = program.post_transform
     # Inputs go through in tiles whose states stay in a core's cache across
     # all reads, instead of streaming the whole batch from memory per read.
     tile = max(1, _TILE_ENTRIES // program.dimension)
-    doublings = _enumeration_doublings(program, bit_matrix)
-    if doublings is not None:
-        return _sweep_shared_prefix(program, reads, bit_matrix[0], doublings, tile)
-    if count >= 2:
-        return _sweep_sorted_prefixes(program, reads, bit_matrix, tile)
-    if count == 0:
-        return np.empty(0), 0.0
-    column, max_drift = _read_column(program.initial_state[:, None], reads, bit_matrix[0])
-    probabilities, drift = _accepted(program, column)
+    if shared == len(reads):
+        swept, drift = _accepted(program, column)
+        swept = np.repeat(swept, count)
+    elif count == 1 << (len(reads) - shared) and np.all(keys[:-1] != keys[1:]):
+        # 2^r distinct keys over r unshared reads are every pattern of them;
+        # past 64 reads there are too few key bits for that many.
+        dtype = _state_dtype(program, reads)
+        size = max(1, tile.bit_length() - 1)
+        bounds = list(range(len(reads), shared, -size))[::-1]
+        groups = [reads[a:b] for a, b in zip([shared] + bounds[:-1], bounds)]
+        buffers = [np.empty((program.dimension, 1 << len(group)), dtype) for group in groups]
+        buffers.append(
+            None if post is None else np.empty_like(buffers[-1], np.result_type(dtype, post))
+        )
+        swept, drift = _completions(program, column, groups, buffers)
+        swept = swept[_completion_order([len(group) for group in groups])]
+    else:
+        dtype = _state_dtype(program, reads)
+        if post is not None:
+            dtype = np.result_type(dtype, post)
+        size = program.dimension * min(tile, count)
+        buffers = [np.empty(size, dtype) for _ in range(3)]
+        mask = np.empty(size, dtype=bool)
+        swept = np.empty(count)
+        drift = 0.0
+        for first in range(0, count, tile):
+            stop = min(first + tile, count)
+            swept[first:stop], tile_drift = _sweep_sorted_tile(
+                program, reads, values[:, first:stop], shared, column, key_reads, buffers, mask
+            )
+            drift = max(drift, tile_drift)
+    probabilities = np.empty(count)
+    probabilities[order] = swept
     return probabilities, max(max_drift, drift)
 
 

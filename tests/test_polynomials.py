@@ -233,9 +233,6 @@ def test_polynomial_json_round_trip():
     poly = perm_polynomial(2)
     again = LinearPolynomial.from_json_dict(poly.to_json_dict())
     assert again == poly
-    multi = sop_to_polynomial(truth_table_to_sop([0, 1, 1, 0]))
-    again_multi = MultilinearPolynomial.from_json_dict(multi.to_json_dict())
-    assert again_multi == multi
     chi = Characteristic(modulus=3, arity=3, polynomials=(mod_polynomial(3, 3),))
     assert Characteristic.from_json_list(chi.to_json_list()) == chi
 

@@ -50,7 +50,6 @@ from qobdd.programs import (
     Instruction,
     QuantumBranchingProgram,
     _block_diagonal,
-    _enumeration_doublings,
     accept_probability,
     program_from_json_dict,
     program_to_json_dict,
@@ -518,10 +517,32 @@ def test_scalar_closed_forms_keep_their_errors():
         closed_form_general(characteristic, other, [0, 1, 1])
 
 
-# Exhaustive chunks of a program that reads x_1..x_n in order share their
-# leading reads; the sweep runs those once and doubles the state columns at
-# the rest.  Every case is held against run and against the sorted-prefix
-# sweep on the same rows in shuffled order, which the prefix path never takes.
+# Every batch is sorted on its read values, and the reads all its rows share
+# run once, on one column.  A batch that holds every bit pattern of the
+# remaining reads doubles the column at each of them; any other batch goes
+# through the sorted-prefix tiles.  Every case is held against run and
+# against the tiles on the same rows plus one duplicate row, shuffled: that
+# batch is incomplete, so it never doubles.
+
+
+def swept_path(
+    program: QuantumBranchingProgram, bits: np.ndarray
+) -> tuple[np.ndarray, float, int | None]:
+    """The sweep of bits, its drift, and its path: the number of reads it
+    doubled (0 when it reached neither kernel), or None when it swept tiles."""
+    with mock.patch.object(
+        programs, "_completions", wraps=programs._completions
+    ) as completions, mock.patch.object(
+        programs, "_sweep_sorted_tile", wraps=programs._sweep_sorted_tile
+    ) as tiles:
+        swept, drift = sweep_accept_probabilities(program, bits)
+    assert not (completions.called and tiles.called)
+    if tiles.called:
+        return swept, drift, None
+    if completions.called:
+        groups = completions.call_args_list[0].args[2]
+        return swept, drift, sum(len(group) for group in groups)
+    return swept, drift, 0
 
 
 def assert_prefix_path_matches(
@@ -530,23 +551,21 @@ def assert_prefix_path_matches(
     doublings: int | None,
     check_norm: bool = True,
 ) -> tuple[float, float]:
-    """The sweep's path (doublings None: the sorted-prefix sweep) and its
-    agreement with run and the sorted-prefix sweep of the shuffled rows;
-    returns both drifts."""
-    assert _enumeration_doublings(program, bits) == doublings
-    swept, drift = sweep_accept_probabilities(program, bits)
+    """The sweep's path (see swept_path) and its agreement with run and with
+    the tiles on the rows plus a duplicate, shuffled; returns both drifts."""
+    swept, drift, path = swept_path(program, bits)
+    assert path == doublings
     np.testing.assert_allclose(
         swept, dense_probabilities(program, bits, check_norm), rtol=0, atol=DENSE_TOL
     )
     count = bits.shape[0]
-    order = np.random.default_rng(count).permutation(count)
-    if np.array_equal(order, np.arange(count)):
-        order = order[::-1]
+    order = np.random.default_rng(count).permutation(count + 1)
     sorted_drift = drift
-    if count > 1:
-        assert _enumeration_doublings(program, bits[order]) is None
-        shuffled, sorted_drift = sweep_accept_probabilities(program, bits[order])
-        np.testing.assert_allclose(shuffled, swept[order], rtol=0, atol=1e-14)
+    if doublings != 0:
+        rows = np.concatenate([bits, bits[:1]])[order]
+        shuffled, sorted_drift, path = swept_path(program, rows)
+        assert path is None
+        np.testing.assert_allclose(shuffled, np.append(swept, swept[0])[order], rtol=0, atol=1e-14)
     return drift, sorted_drift
 
 
@@ -592,15 +611,17 @@ def test_aligned_blocks_from_zero_and_elsewhere_take_the_prefix_path(start, stop
 def test_unaligned_one_row_and_empty_batches_skip_the_prefix_path():
     good_set, _ = sample_good(0.3, 5, seed=4)
     program = compile_single(mod_polynomial(6, 5), good_set).program
-    for start, stop in ((5, 6), (0, 1), (4, 12), (0, 3), (8, 13)):
+    # A single row shares every read: it reaches neither kernel.
+    for start, stop in ((5, 6), (0, 1)):
+        assert_prefix_path_matches(program, input_block(6, start, stop), 0)
+    for start, stop in ((4, 12), (0, 3), (8, 13)):
         assert_prefix_path_matches(program, input_block(6, start, stop), None)
     # The last two bits run through 00..11, but the leading bits differ.
     rows = input_block(6, 0, 64)[[0, 1, 14, 15]]
     assert_prefix_path_matches(program, rows, None)
     empty = np.zeros((0, 6), dtype=np.uint8)
-    assert _enumeration_doublings(program, empty) is None
-    probabilities, drift = sweep_accept_probabilities(program, empty)
-    assert probabilities.shape == (0,) and drift == 0.0
+    probabilities, drift, path = swept_path(program, empty)
+    assert probabilities.shape == (0,) and drift == 0.0 and path == 0
 
 
 def test_prefix_path_applies_non_identity_on_zero():
@@ -700,7 +721,7 @@ def test_prefix_drift_sees_states_that_later_steps_undo():
         assert sorted_drift == pytest.approx(0.01)
 
 
-def test_other_read_orders_fall_back_to_the_sorted_prefix_sweep():
+def test_other_read_orders_double_or_take_the_tiles():
     good_set, _ = sample_good(0.2, 3, seed=0)
     compiled = compile_single(mod_polynomial(5, 3), good_set).program
     fields = dict(
@@ -717,9 +738,75 @@ def test_other_read_orders_fall_back_to_the_sorted_prefix_sweep():
         instructions=compiled.instructions + compiled.instructions[:1], **fields
     )
     skips_a_variable = QuantumBranchingProgram(instructions=compiled.instructions[1:], **fields)
-    for program in (reversed_order, read_twice, skips_a_variable):
-        for start, stop in ((0, 32), (8, 16)):
-            assert_prefix_path_matches(program, input_block(5, start, stop), None)
+    cases = (
+        # Rows 8..15 share x_1 and x_2, which the reversed order reads last.
+        (reversed_order, 0, 32, 5),
+        (reversed_order, 8, 16, None),
+        # A variable read twice repeats a read value, so no batch holds every
+        # pattern of the reads.
+        (read_twice, 0, 32, None),
+        (read_twice, 8, 16, None),
+        # x_1 is never read, so rows 0..31 repeat each read pattern twice;
+        # rows 8..15 share x_2 and run through every pattern of x_3..x_5.
+        (skips_a_variable, 0, 32, None),
+        (skips_a_variable, 8, 16, 3),
+    )
+    for program, start, stop, doublings in cases:
+        assert_prefix_path_matches(program, input_block(5, start, stop), doublings)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exhaustive_batch_under_a_permuted_read_order_doubles(seed):
+    good_set, _ = sample_good(0.3, 5, seed=4)
+    characteristic = Characteristic(
+        modulus=5,
+        arity=6,
+        polynomials=(
+            mod_polynomial(6, 5),
+            LinearPolynomial(modulus=5, arity=6, coefficients=(1, 0, 2, 0, 3, 0, 4)),
+        ),
+    )
+    compiled = compile_general(characteristic, good_set).program
+    order = np.random.default_rng(seed).permutation(6)
+    program = QuantumBranchingProgram(
+        dimension=compiled.dimension,
+        arity=compiled.arity,
+        instructions=tuple(compiled.instructions[i] for i in order),
+        initial_state=compiled.initial_state,
+        accepting=compiled.accepting,
+        post_transform=compiled.post_transform,
+    )
+    assert_prefix_path_matches(program, all_inputs(6), 6)
+    # Rows sharing the first read's variable share one read and double the rest.
+    first = compiled.instructions[order[0]].variable_index
+    half = all_inputs(6)[all_inputs(6)[:, first - 1] == 1]
+    assert_prefix_path_matches(program, half, 5)
+
+
+def test_shuffled_complete_batch_gives_the_ordered_batch_probabilities_exactly():
+    good_set, _ = sample_good(0.3, 5, seed=4)
+    program = compile_single(mod_polynomial(6, 5), good_set).program
+    for bits in (all_inputs(6), input_block(6, 16, 32)):
+        ordered, ordered_drift, path = swept_path(program, bits)
+        order = np.random.default_rng(1).permutation(bits.shape[0])
+        shuffled, shuffled_drift, shuffled_path = swept_path(program, bits[order])
+        assert path == shuffled_path == (bits.shape[0]).bit_length() - 1
+        assert np.array_equal(shuffled, ordered[order])
+        assert shuffled_drift == ordered_drift
+
+
+def test_identical_rows_match_run():
+    # k copies of one row share every read, so they reach neither kernel,
+    # past the 64-read sort key as well.
+    good_set, _ = sample_good(0.3, 3, seed=1)
+    rng = np.random.default_rng(3)
+    for arity in (6, 70):
+        program = compile_single(mod_polynomial(arity, 3), good_set).program
+        row = rng.integers(0, 2, size=arity, dtype=np.uint8)
+        for k in (1, 2, 5):
+            bits = np.tile(row, (k, 1))
+            drift, _ = assert_prefix_path_matches(program, bits, 0)
+            assert drift <= 1e-9
 
 
 def per_row_closed_forms(characteristic: Characteristic, good_set: GoodSet, bits: np.ndarray):
@@ -771,10 +858,10 @@ def test_residue_table_closed_forms_on_both_residue_dtypes(modulus):
     assert np.array_equal(closed_form_general_batch(characteristic, good_set, bits), general)
 
 
-# Any batch of two or more rows that the prefix path does not take is sorted
-# on its read values, and each tile keeps one state column per distinct read
-# prefix.  These cases hold it against run on programs, read orders and
-# batches the compiler never produces.
+# A batch that does not hold every pattern of its unshared reads is swept in
+# tiles of sorted rows, each keeping one state column per distinct read
+# prefix.  These cases hold the driver against run on programs, read orders
+# and batches the compiler never produces, whichever path they take.
 
 
 def rewired_program(data, compiled: QuantumBranchingProgram) -> QuantumBranchingProgram:
@@ -871,21 +958,30 @@ def test_sorted_prefix_sweep_past_the_sort_key(tile_factor):
     tails = base[[0, 0, 1, 1, 2]].copy()
     tails[:, 64:] = rng.integers(0, 2, size=(5, 6), dtype=np.uint8)
     bits = np.concatenate([base, tails, base[[3, 3]]])[rng.permutation(13)]
-    for program, rows in ((compiled, bits), (dense, bits[:, :6])):
+    # Rows that agree on their first 66 reads share them all, past the key:
+    # each tile starts at read 66.
+    agree = np.tile(base[4], (16, 1))
+    agree[:, 66:] = all_inputs(4)
+    cases = ((compiled, bits, 0), (dense, bits[:, :6], 0), (compiled, agree, 66))
+    for program, rows, start in cases:
         tile = programs._TILE_ENTRIES if tile_factor is None else tile_factor * program.dimension
-        with mock.patch.object(programs, "_TILE_ENTRIES", tile):
+        with mock.patch.object(programs, "_TILE_ENTRIES", tile), mock.patch.object(
+            programs, "_sweep_sorted_tile", wraps=programs._sweep_sorted_tile
+        ) as tiles:
             swept, drift = sweep_accept_probabilities(program, rows)
+        assert {call.args[3] for call in tiles.call_args_list} == {start}
         np.testing.assert_allclose(swept, dense_probabilities(program, rows), rtol=0, atol=DENSE_TOL)
         assert drift <= 1e-9
 
 
 def test_sorted_prefix_sweep_shares_read_prefixes():
-    # All 64 inputs of n = 6 in shuffled order: read k acts on one column per
-    # distinct prefix of k + 1 bits, 2 + 4 + ... + 64 = 126 columns in all
-    # instead of 6 * 64 = 384, and the post-transform on the 64 leaves.
+    # Inputs 0..47 of n = 6 in shuffled order, an incomplete batch: read k
+    # acts on one column per distinct prefix of k + 1 bits, 2 + 3 + 6 + 12 +
+    # 24 + 48 = 95 columns in all instead of 6 * 48 = 288, and the
+    # post-transform on the 48 leaves.
     good_set, _ = sample_good(0.3, 5, seed=4)
     program = compile_single(mod_polynomial(6, 5), good_set).program
-    bits = all_inputs(6)[np.random.default_rng(0).permutation(64)]
+    bits = input_block(6, 0, 48)[np.random.default_rng(0).permutation(48)]
     columns = []
     apply_blocks = programs._apply_blocks
 
@@ -895,7 +991,7 @@ def test_sorted_prefix_sweep_shares_read_prefixes():
 
     with mock.patch.object(programs, "_apply_blocks", counted):
         swept, _ = sweep_accept_probabilities(program, bits)
-    assert sum(columns) == 126 + 64
+    assert sum(columns) == 95 + 48
     np.testing.assert_allclose(swept, dense_probabilities(program, bits), rtol=0, atol=DENSE_TOL)
 
 
@@ -903,7 +999,9 @@ def test_one_row_batches_do_no_sort_or_prefix_work():
     good_set, _ = sample_good(0.3, 5, seed=4)
     program = compile_single(mod_polynomial(6, 5), good_set).program
     rows = input_block(6, 0, 64)[[5, 42]]
-    with mock.patch.object(programs, "_sweep_sorted_prefixes", side_effect=AssertionError):
+    with mock.patch.object(
+        programs, "_completions", side_effect=AssertionError
+    ), mock.patch.object(programs, "_sweep_sorted_tile", side_effect=AssertionError):
         for row in rows:
             swept, _ = sweep_accept_probabilities(program, row[None, :])
             assert swept[0] == pytest.approx(dense_probabilities(program, row[None, :])[0], abs=DENSE_TOL)

@@ -28,6 +28,7 @@ from qobdd.verification import (
     _walk_residues,
     DETERMINISTIC_WIDTH_BOUNDS,
     all_inputs,
+    certify_general,
     certify_hsf,
     certify_single,
     input_block,
@@ -37,7 +38,15 @@ from qobdd.verification import (
     verify,
     width_table,
 )
-from qobdd.hsf import FiniteGroup, HSFInstance, cyclic_subgroup, satisfies_promise_batch
+from qobdd.hsf import (
+    FiniteGroup,
+    HSFInstance,
+    cyclic_subgroup,
+    hsf_characteristic,
+    hsf_eval,
+    satisfies_promise,
+    satisfies_promise_batch,
+)
 
 
 def test_all_inputs_enumerates_each_once():
@@ -187,6 +196,27 @@ def test_certify_hsf_exhaustive_z4():
     assert report.zeros.count == 14
     assert report.bound == pytest.approx(0.75)
     assert report.max_closed_form_gap <= 1e-6
+
+
+def test_certify_general_with_per_row_labels_equals_certify_hsf():
+    # The same characteristic, labelled row by row through the scalar
+    # hsf_eval and satisfies_promise instead of their batch forms.
+    instance = HSFInstance.create(FiniteGroup.cyclic(4), cyclic_subgroup(4, 2))
+    general, _ = certify_general(
+        hsf_characteristic(instance),
+        functools.partial(hsf_eval, instance),
+        0.25,
+        seed=0,
+        function="Z_4/<2>",
+        promise=functools.partial(satisfies_promise, instance),
+    )
+    hsf, _ = certify_hsf(instance, 0.25, seed=0)
+    assert (general.ones.count, general.zeros.count, general.filtered) == (2, 12, 2)
+    assert general.passed
+    general_dict, hsf_dict = general.to_json_dict(), hsf.to_json_dict()
+    assert general_dict.pop("function") == "Z_4/<2>"
+    assert hsf_dict.pop("function") == "HSF(4:2)"
+    assert general_dict == hsf_dict
 
 
 @pytest.mark.parametrize(
