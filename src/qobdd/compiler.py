@@ -1,10 +1,11 @@
 """Compile linear polynomials and characteristics into quantum OBDDs.
 
 Single-polynomial construction: a branch register of log2(t) qubits in
-uniform superposition plus one target qubit.  Reading x_j = 1 rotates the
-target within branch i by 4 pi k_i c_j / m about the y axis; after the reads,
-the constant coefficient is rotated in and a final Hadamard layer interferes
-the branches, so the all-zero state carries amplitude
+uniform superposition plus one target qubit.  Branch i's target starts
+rotated by 4 pi k_i c_0 / m about the y axis, the constant coefficient;
+reading x_j = 1 rotates it further by 4 pi k_i c_j / m and reading x_j = 0
+does nothing.  After the reads a final Hadamard layer interferes the
+branches, so the all-zero state carries amplitude
 (1/t) sum_i cos(2 pi k_i g(sigma) / m).  Inputs with g(sigma) = 0 are accepted
 with probability exactly 1; for g(sigma) != 0 a good parameter set pushes the
 probability below the error rate.
@@ -21,8 +22,11 @@ single-construction angles by multiples of 4 pi (the R_y period, so exactly
 nothing) and generalized angles by multiples of 2 pi (a per-branch sign that
 squares away in the measurement).
 
-Every read, and the generalized post-transform, is stored as the (t, 2^l,
-2^l) stack of per-branch blocks the compiler builds; only the single
+Rotations about one axis commute, so starting in the constant rotation is
+the circuit that applies it after the reads: the generalized construction
+needs no post-transform, and the single one's is the Hadamard layer alone.
+Every U(1) is stored as the (t, 2^l, 2^l) stack of per-branch blocks the
+compiler builds and every U(0) as None, the identity; only the single
 post-transform, which interferes the branches, is dense.  Both constructions
 are rebuilt from a recipe, the polynomial(s) and the parameter set, which is
 what a program file stores: O(n + t) numbers instead of the matrices.
@@ -81,9 +85,9 @@ def check_budget(source: LinearPolynomial | Characteristic, t: int) -> None:
     """
     targets = 1 if isinstance(source, LinearPolynomial) else len(source)
     dimension = t << targets
-    # One on_one matrix per read, the shared identity, and two transforms (the
-    # count predates programs having one), counted as dense complex d x d: an
-    # over-count, since only the single post-transform is stored dense.
+    # n + 3 dense complex d x d matrices, the count from when every read stored
+    # both its matrices dense: an over-count now that a program holds one
+    # (t, 2^l, 2^l) stack per read and at most one dense matrix.
     needed = (source.arity + 3) * dimension * dimension * 16
     if needed > DENSE_BUDGET_BYTES:
         raise TooLargeError(
@@ -121,14 +125,15 @@ def _fingerprint_program(
 ) -> QuantumBranchingProgram:
     """The circuit both constructions share, width t * 2^l.
 
-    The initial state is the branch register's uniform superposition.
-    Reading x_j = 1 rotates target s of branch i by numer * (k_i c_sj mod m)
-    / m, and the post-transform rotates in the constant coefficients.  The
-    single-polynomial circuit (one polynomial, single=True) uses twice the
-    generalized angle and ends with a Hadamard layer on the branch register,
-    accepting only the all-zero state; the generalized one accepts every
-    branch whose targets all read zero.  Reads are (t, 2^l, 2^l) stacks of
-    per-branch blocks, and every on_zero read shares one identity stack.
+    Branch i starts with amplitude 1/sqrt(t) in column 0 of its constant
+    block, which rotates target s by numer * (k_i c_s0 mod m) / m.  Reading
+    x_j = 1 rotates target s of branch i by numer * (k_i c_sj mod m) / m, a
+    (t, 2^l, 2^l) stack of per-branch blocks, and reading x_j = 0 does
+    nothing (on_zero is None).  The single-polynomial circuit (one
+    polynomial, single=True) uses twice the generalized angle and ends with
+    the Hadamard layer H (x) I_2 on the branch register, accepting only the
+    all-zero state; the generalized one has no post-transform and accepts
+    every branch whose targets all read zero.
     """
     check_budget(characteristic, good_set.size)
     t = good_set.size
@@ -141,29 +146,22 @@ def _fingerprint_program(
         numerator,
     )
     hadamard = hadamard_layer(t.bit_length() - 1)
-    initial_state = np.zeros(dimension)
-    initial_state[::block_dim] = hadamard[:, 0]
+    initial_state = (hadamard[:, :1] * constant_blocks[:, :, 0]).ravel()
     if single:
-        # Block (i, j) of (H (x) I_2) times the block-diagonal constant
-        # rotation is H[i, j] B_j: O(d^2) instead of a dense O(d^3) product,
-        # written straight into a read-only array the program keeps.
-        post_transform = np.empty((dimension, dimension))
-        np.multiply(
-            hadamard[:, None, :, None],
-            constant_blocks.transpose(1, 0, 2)[None],
-            out=post_transform.reshape(t, 2, t, 2),
-        )
+        # H (x) I_2 is H on both diagonals of its (t, 2, t, 2) view: written
+        # there, into a read-only array the program keeps without a copy.
+        post_transform = np.zeros((dimension, dimension))
+        view = post_transform.reshape(t, 2, t, 2)
+        view[:, 0, :, 0] = view[:, 1, :, 1] = hadamard
         post_transform.setflags(write=False)
         accepting = (0,)
     else:
-        post_transform = constant_blocks
+        post_transform = None
         accepting = tuple(i * block_dim for i in range(t))
-    identity = np.repeat(np.eye(block_dim)[None], t, axis=0)
-    identity.setflags(write=False)
     instructions = tuple(
         Instruction(
             variable_index=j,
-            on_zero=identity,
+            on_zero=None,
             on_one=_branch_blocks(
                 good_set,
                 tuple(poly.coefficients[j] for poly in characteristic.polynomials),

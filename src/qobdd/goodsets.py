@@ -35,6 +35,10 @@ _INT64_SAFE = 2**62
 # Residue-parameter pairs per cosine-kernel call in a goodness check.
 _CHUNK_ENTRIES = 1 << 17
 
+# The most parameters sample draws, one Python call each; compiler.check_budget
+# already caps the set of any compilable program at t <= 1024.
+_SAMPLE_LIMIT = 1 << 16
+
 
 def check_error_rate(epsilon: float) -> None:
     if not (0.0 < epsilon < 1.0):
@@ -165,8 +169,14 @@ def sample(epsilon: float, modulus: int, seed: int) -> GoodSet:
 
     Deterministic in the seed.  The result is NOT verified; pair with
     verify_exhaustive (small m) or goodness checks on realized residues.
+    Raises TooLargeError, before drawing, when t exceeds _SAMPLE_LIMIT.
     """
     t = required_size(epsilon, modulus)
+    if t > _SAMPLE_LIMIT:
+        raise TooLargeError(
+            f"epsilon {epsilon} over Z_{modulus} needs t = {t} parameters, over "
+            f"the sampling budget of {_SAMPLE_LIMIT}"
+        )
     rng = random.Random(seed)
     parameters = tuple(rng.randrange(modulus) for _ in range(t))
     return GoodSet(modulus=modulus, error_rate=epsilon, parameters=parameters)

@@ -16,7 +16,11 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import LengthMismatchError, _json_list, _malformed
+from .errors import LengthMismatchError, TooLargeError, _json_list, _malformed
+
+# The most signed monomials sop_to_polynomial expands, about 20 us each: a
+# product with k negated literals gives 2^k, a minterm SOP over 10 variables <= 3^10.
+_SOP_EXPANSION_LIMIT = 1 << 16
 
 
 def reduce_mod(x: int, modulus: int) -> int:
@@ -211,7 +215,16 @@ def sop_to_polynomial(sop: SOPFormula) -> MultilinearPolynomial:
     stay below 2^n.  It does: the products sigma satisfies are distinct
     (SOPFormula rejects repeats) nonempty subsets of the n literals true at
     sigma, so at most 2^n - 1 of them hold at once.
+
+    Raises TooLargeError, before expanding anything, when the products
+    expand to more than _SOP_EXPANSION_LIMIT signed monomials.
     """
+    terms = sum(1 << sum(lit < 0 for lit in product) for product in sop.products)
+    if terms > _SOP_EXPANSION_LIMIT:
+        raise TooLargeError(
+            f"the SOP products expand to {terms} signed monomials, over the "
+            f"expansion budget of {_SOP_EXPANSION_LIMIT}"
+        )
     modulus = 2**sop.arity
     accumulated: dict[tuple[int, ...], int] = {}
     for product in sop.products:

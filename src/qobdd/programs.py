@@ -5,7 +5,8 @@ U(0), U(1)) acting on the d-dimensional state, an optional input-independent
 transform after the variable reads, and a set of accepting basis indices.
 Running a program on a bit string applies the matrix selected by each read
 bit in sequence order; the acceptance probability is the squared norm of the
-projection onto the accepting indices.
+projection onto the accepting indices.  A U(0) of None is the identity, and
+costs nothing to apply: compiled reads rotate on x_j = 1 only.
 
 Every matrix is stored as a stack of diagonal blocks, shape (d/b, b, b): a
 compiled read acts on each branch's target register alone, so it is t
@@ -21,9 +22,9 @@ holding every pattern of the remaining reads (an exhaustive chunk, in any
 read order) then doubles the column at each of them; any other batch keeps
 one state column per distinct read prefix.
 run() expands every stack to its dense matrix and is kept as the
-independent per-input reference.  The post-transform exists so the final
-Hadamard layer and the constant-coefficient rotations do not consume a
-variable read, keeping compiled programs read-once.
+independent per-input reference.  The post-transform exists so the single
+construction's final Hadamard layer does not consume a variable read,
+keeping compiled programs read-once.
 """
 
 from __future__ import annotations
@@ -94,15 +95,16 @@ class Instruction:
     """One variable read: apply on_zero or on_one depending on the bit.
 
     Each matrix is a stack of diagonal blocks, (d/b, b, b), or a dense (d, d)
-    matrix, the one-block stack.
+    matrix, the one-block stack; on_zero may be None, the identity.
     """
 
     variable_index: int
-    on_zero: np.ndarray
+    on_zero: np.ndarray | None
     on_one: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "on_zero", _frozen(self.on_zero))
+        if self.on_zero is not None:
+            object.__setattr__(self, "on_zero", _frozen(self.on_zero))
         object.__setattr__(self, "on_one", _frozen(self.on_one))
 
 
@@ -197,7 +199,9 @@ def run(
     state = program.initial_state.copy()
     for instruction in program.instructions:
         bit = bits[instruction.variable_index - 1]
-        state = _block_diagonal(instruction.on_one if bit else instruction.on_zero) @ state
+        matrix = instruction.on_one if bit else instruction.on_zero
+        if matrix is not None:
+            state = _block_diagonal(matrix) @ state
         if check_norm:
             drift = abs(np.linalg.norm(state) - 1.0)
             if drift > NORM_TOL:
@@ -233,11 +237,6 @@ def _apply_blocks(
     return product.reshape(states.shape)
 
 
-def _is_identity(stack: np.ndarray) -> bool:
-    blocks = _blocks(stack)
-    return np.array_equal(blocks, np.broadcast_to(np.eye(blocks.shape[-1]), blocks.shape))
-
-
 def _squared_norms(states: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(states):
         return _squared_norms(states.real) + _squared_norms(states.imag)
@@ -260,19 +259,15 @@ def _accepted(
     return _squared_norms(states[list(program.accepting)]), _norm_drift(states)
 
 
-def _state_dtype(
-    program: QuantumBranchingProgram, reads: list[tuple[int, np.ndarray | None, np.ndarray]]
-) -> np.dtype:
-    """The dtype of the states after the reads: float64 unless the initial
-    state or a read's matrix is complex."""
-    return np.result_type(
-        program.initial_state, *(array for read in reads for array in read[1:] if array is not None)
-    )
+def _state_dtype(program: QuantumBranchingProgram) -> np.dtype:
+    """The dtype of the states: float64 unless an array of the program is complex."""
+    arrays = [program.initial_state, program.post_transform]
+    arrays += [matrix for i in program.instructions for matrix in (i.on_zero, i.on_one)]
+    return np.result_type(*(array for array in arrays if array is not None))
 
 
 def _sweep_sorted_tile(
     program: QuantumBranchingProgram,
-    reads: list[tuple[int, np.ndarray | None, np.ndarray]],
     values: np.ndarray,
     start: int,
     column: np.ndarray,
@@ -291,7 +286,7 @@ def _sweep_sorted_tile(
     opened its prefix.  Once more than half the rows have columns, every row
     gets one: the few prefixes left to share save less than the copies of
     further splits cost.  Every read applies on_one to the columns whose bit
-    is 1 and on_zero (unless it is the identity) to the rest, and the drift
+    is 1 and on_zero (unless it is None) to the rest, and the drift
     is measured on every column it produces.  The states live in buffers[0];
     a read writes into the other flat buffers and swaps, so no state array
     is allocated per read.
@@ -319,7 +314,7 @@ def _sweep_sorted_tile(
 
     view(buffers[0])[:] = column
     max_drift = 0.0
-    for k, (_, on_zero, on_one) in enumerate(reads[start:], start):
+    for k, instruction in enumerate(program.instructions[start:], start):
         if starts.size < rows:
             new = splits == k
             if new.any():
@@ -335,11 +330,11 @@ def _sweep_sorted_tile(
         ones = values[k, starts] if starts.size < rows else values[k]
         some, every = ones.any(), ones.all()
         if some:
-            apply(on_one, 1)
+            apply(instruction.on_one, 1)
         if every:
             swap(1)
-        elif on_zero is not None:
-            apply(on_zero, 2)
+        elif instruction.on_zero is not None:
+            apply(instruction.on_zero, 2)
             swap(2)
         if some and not every:
             np.copyto(view(mask), ones)
@@ -360,15 +355,13 @@ def _bit_reversal(bits: int) -> np.ndarray:
 
 
 def _doubled(
-    column: np.ndarray,
-    reads: list[tuple[int, np.ndarray | None, np.ndarray]],
-    states: np.ndarray,
+    column: np.ndarray, instructions: Sequence[Instruction], states: np.ndarray
 ) -> float:
     """Fill states, (d, 2^r), with a (d, 1) state column after each of the
     2^r bit patterns of r reads; return the largest drift.
 
     Each read doubles the filled columns: it writes the on_one half after
-    them and applies on_zero to them in place (unless it is the identity),
+    them and applies on_zero to them in place (unless it is None),
     so column j holds the pattern whose bits, read in order, spell j
     backwards.  Every state a read produces is measured once: before an
     on_zero overwrites it, or at the end.
@@ -376,12 +369,12 @@ def _doubled(
     states[:, :1] = column
     max_drift = 0.0
     filled = 1
-    for _, on_zero, on_one in reads:
+    for instruction in instructions:
         old = states[:, :filled]
-        _apply_blocks(on_one, old, out=states[:, filled : 2 * filled])
-        if on_zero is not None:
+        _apply_blocks(instruction.on_one, old, out=states[:, filled : 2 * filled])
+        if instruction.on_zero is not None:
             max_drift = max(max_drift, _norm_drift(old))
-            _apply_blocks(on_zero, old, out=old)
+            _apply_blocks(instruction.on_zero, old, out=old)
         filled *= 2
     return max(max_drift, _norm_drift(states))
 
@@ -389,7 +382,7 @@ def _doubled(
 def _completions(
     program: QuantumBranchingProgram,
     column: np.ndarray,
-    groups: list[list[tuple[int, np.ndarray | None, np.ndarray]]],
+    groups: list[Sequence[Instruction]],
     buffers: list[np.ndarray],
 ) -> tuple[np.ndarray, float]:
     """Acceptance of a (d, 1) state column after every bit pattern of the
@@ -435,7 +428,7 @@ def sweep_accept_probabilities(
     bit_matrix has one input per row.  Column v of the internal state matrix
     goes through the same steps run() applies to input v, each read as d/b
     independent b x b products: the on_one blocks when the bit is 1 and the
-    on_zero blocks otherwise (skipped when they are the identity).  Every
+    on_zero blocks otherwise (skipped when they are None, the identity).  Every
     batch takes one path.  Its rows' read values (their bits in instruction
     order, so any read order or repeated read needs no special case) are
     sorted on their first _KEY_READS reads, packed into one uint64 key with
@@ -457,15 +450,8 @@ def sweep_accept_probabilities(
         raise LengthMismatchError(f"expected arity {program.arity}, got {width}")
     if count == 0:
         return np.empty(0), 0.0
-    reads = [
-        (
-            instruction.variable_index - 1,
-            None if _is_identity(instruction.on_zero) else instruction.on_zero,
-            instruction.on_one,
-        )
-        for instruction in program.instructions
-    ]
-    values = bit_matrix.T[[position for position, _, _ in reads]] != 0
+    reads = program.instructions
+    values = bit_matrix.T[[instruction.variable_index - 1 for instruction in reads]] != 0
     key_reads = min(len(reads), _KEY_READS)
     padded = np.zeros((count, _KEY_READS), dtype=bool)
     padded[:, :key_reads] = values[:key_reads].T
@@ -483,13 +469,11 @@ def sweep_accept_probabilities(
         shared += int(np.append(agree, False).argmin())
     column = program.initial_state[:, None]
     max_drift = 0.0
-    for (_, on_zero, on_one), bit in zip(reads[:shared], values[:shared, 0]):
-        if bit:
-            column = _apply_blocks(on_one, column)
-        elif on_zero is not None:
-            column = _apply_blocks(on_zero, column)
+    for instruction, bit in zip(reads[:shared], values[:shared, 0]):
+        matrix = instruction.on_one if bit else instruction.on_zero
+        if matrix is not None:
+            column = _apply_blocks(matrix, column)
         max_drift = max(max_drift, _norm_drift(column))
-    post = program.post_transform
     # Inputs go through in tiles whose states stay in a core's cache across
     # all reads, instead of streaming the whole batch from memory per read.
     tile = max(1, _TILE_ENTRIES // program.dimension)
@@ -499,29 +483,24 @@ def sweep_accept_probabilities(
     elif count == 1 << (len(reads) - shared) and np.all(keys[:-1] != keys[1:]):
         # 2^r distinct keys over r unshared reads are every pattern of them;
         # past 64 reads there are too few key bits for that many.
-        dtype = _state_dtype(program, reads)
+        dtype = _state_dtype(program)
         size = max(1, tile.bit_length() - 1)
         bounds = list(range(len(reads), shared, -size))[::-1]
         groups = [reads[a:b] for a, b in zip([shared] + bounds[:-1], bounds)]
         buffers = [np.empty((program.dimension, 1 << len(group)), dtype) for group in groups]
-        buffers.append(
-            None if post is None else np.empty_like(buffers[-1], np.result_type(dtype, post))
-        )
+        buffers.append(None if program.post_transform is None else np.empty_like(buffers[-1]))
         swept, drift = _completions(program, column, groups, buffers)
         swept = swept[_completion_order([len(group) for group in groups])]
     else:
-        dtype = _state_dtype(program, reads)
-        if post is not None:
-            dtype = np.result_type(dtype, post)
         size = program.dimension * min(tile, count)
-        buffers = [np.empty(size, dtype) for _ in range(3)]
+        buffers = [np.empty(size, _state_dtype(program)) for _ in range(3)]
         mask = np.empty(size, dtype=bool)
         swept = np.empty(count)
         drift = 0.0
         for first in range(0, count, tile):
             stop = min(first + tile, count)
             swept[first:stop], tile_drift = _sweep_sorted_tile(
-                program, reads, values[:, first:stop], shared, column, key_reads, buffers, mask
+                program, values[:, first:stop], shared, column, key_reads, buffers, mask
             )
             drift = max(drift, tile_drift)
     probabilities = np.empty(count)
@@ -537,8 +516,10 @@ def metrics(program: QuantumBranchingProgram) -> ProgramMetrics:
     )
 
 
-def _array_to_json(array: np.ndarray) -> list:
-    """The array in its own shape, each entry a [re, im] pair."""
+def _array_to_json(array: np.ndarray | None) -> list | None:
+    """The array in its own shape, each entry a [re, im] pair; None as null."""
+    if array is None:
+        return None
     return np.stack((array.real, array.imag), axis=-1).tolist()
 
 
@@ -567,11 +548,7 @@ def program_to_json_dict(program: QuantumBranchingProgram) -> dict:
             }
             for instruction in program.instructions
         ],
-        "post_transform": (
-            None
-            if program.post_transform is None
-            else _array_to_json(program.post_transform)
-        ),
+        "post_transform": _array_to_json(program.post_transform),
         "initial_state": _array_to_json(program.initial_state),
         "accepting": list(program.accepting),
     }
@@ -580,10 +557,15 @@ def program_to_json_dict(program: QuantumBranchingProgram) -> dict:
 # Kept because perfbench/tracing.py patches it by name; the CLI uses recipes.
 def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
     """The program program_to_json_dict wrote, its matrices as dense (d, d)
-    arrays or as (n, b, b) stacks; ValueError on a missing key, a wrong type,
+    arrays or as (n, b, b) stacks and a null on_zero or post_transform as
+    None; ValueError on a missing key, a wrong type,
     a missing entry, an entry that is not a [re, im] pair, or a non-null
     pre_transform (a layout programs no longer have).  The result is not
     validated: see validate()."""
+
+    def optional(entry) -> np.ndarray | None:
+        return None if entry is None else _array_from_json(entry)
+
     with _malformed("program file"):
         program = QuantumBranchingProgram(
             dimension=int(data["dimension"]),
@@ -591,18 +573,14 @@ def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
             instructions=tuple(
                 Instruction(
                     variable_index=int(entry["variable"]),
-                    on_zero=_array_from_json(entry["on_zero"]),
+                    on_zero=optional(entry["on_zero"]),
                     on_one=_array_from_json(entry["on_one"]),
                 )
                 for entry in data["instructions"]
             ),
             initial_state=_array_from_json(data["initial_state"]),
             accepting=tuple(int(i) for i in data["accepting"]),
-            post_transform=(
-                None
-                if data.get("post_transform") is None
-                else _array_from_json(data["post_transform"])
-            ),
+            post_transform=optional(data.get("post_transform")),
         )
     if data.get("pre_transform") is not None:
         raise ValueError("malformed program file: programs no longer take a pre_transform")

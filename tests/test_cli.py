@@ -391,6 +391,26 @@ def test_size_budget_is_checked_before_sampling(capsys, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sop-file", "goodset"])
+def test_expansion_and_sampling_budgets_are_usage_errors(capsys, tmp_path, command):
+    # 2^30 signed monomials from one SOP product, and t = 2^32 parameters.
+    if command == "sop-file":
+        path = tmp_path / "sop.json"
+        path.write_text(json.dumps({"n": 30, "products": [list(range(-1, -31, -1))]}))
+        argv = ["build", "--function", "sop-file", "--file", str(path), "--epsilon", "0.2",
+                "--out", str(tmp_path / "program.json")]
+    else:
+        argv = ["goodset", "--epsilon", "1e-9", "--modulus", "3"]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget" in captured.err
+    assert not (tmp_path / "program.json").exists()
+
+
 @pytest.mark.parametrize(
     "command, data",
     [

@@ -34,7 +34,6 @@ from qobdd.polynomials import (
     perm_polynomial,
 )
 from qobdd.programs import (
-    _block_diagonal,
     accept_probability,
     is_read_once,
     metrics,
@@ -223,12 +222,13 @@ def test_instruction_matrices_are_block_diagonal_over_branches():
     single = compile_single(poly, good_set)
     for instruction in single.program.instructions:
         assert instruction.on_one.shape == (t, 2, 2)
-        assert instruction.on_zero.shape == (t, 2, 2)
+        assert instruction.on_zero is None
     chi = Characteristic(modulus=5, arity=3, polynomials=(poly, poly))
     general = compile_general(chi, good_set)
     for instruction in general.program.instructions:
         assert instruction.on_one.shape == (t, 4, 4)
-    assert general.program.post_transform.shape == (t, 4, 4)
+        assert instruction.on_zero is None
+    assert general.program.post_transform is None
 
 
 def test_zero_coefficient_variables_still_read():
@@ -246,16 +246,17 @@ def test_error_bound_general_raises_the_package_error_type():
 
 
 def test_single_post_transform_equals_the_dense_hadamard_product():
-    """The block-wise post-transform against the dense O(d^3) product it replaced."""
+    """The post-transform is the Hadamard layer alone; the constant rotation
+    is applied to the initial state instead."""
     polynomial = perm_polynomial(4)
     good_set = sample(0.2, polynomial.modulus, seed=3)
     program = compile_single(polynomial, good_set).program
     t = good_set.size
-    h_layer = np.kron(hadamard_layer(t.bit_length() - 1), np.eye(2, dtype=np.complex128))
-    constant_block = _block_diagonal(
-        _branch_blocks(good_set, (polynomial.coefficients[0],), 4.0 * math.pi)
-    )
-    assert np.array_equal(program.post_transform, h_layer @ constant_block)
+    hadamard = hadamard_layer(t.bit_length() - 1)
+    assert np.array_equal(program.post_transform, np.kron(hadamard, np.eye(2)))
+    constant_blocks = _branch_blocks(good_set, (polynomial.coefficients[0],), 4.0 * math.pi)
+    expected = hadamard[:, 0][:, None] * constant_blocks[:, :, 0]
+    assert np.array_equal(program.initial_state, expected.ravel())
 
 
 def _general_source() -> Characteristic:

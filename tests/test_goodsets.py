@@ -134,6 +134,18 @@ def test_some_seed_yields_exhaustively_good_set():
     )
 
 
+def test_sample_refuses_oversized_sets_before_drawing():
+    # epsilon 1e-9 over Z_3 asks for t = 2^32 parameters.
+    with mock.patch.object(goodsets.random, "Random", side_effect=AssertionError):
+        with pytest.raises(TooLargeError, match="sampling budget"):
+            sample(1e-9, 3, seed=0)
+    # The limit itself is drawn; the next power of two is refused.
+    assert required_size(1e-4, 3) == goodsets._SAMPLE_LIMIT == required_size(5e-5, 3) // 2
+    assert sample(1e-4, 3, seed=0).size == goodsets._SAMPLE_LIMIT
+    with pytest.raises(TooLargeError):
+        sample(5e-5, 3, seed=0)
+
+
 def test_sampler_success_fraction_meets_azuma_bound():
     epsilon, m = 0.25, 64
     raw = required_size_raw(epsilon, m)

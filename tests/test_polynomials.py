@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qobdd.errors import LengthMismatchError
+from qobdd.errors import LengthMismatchError, TooLargeError
+from qobdd import polynomials
 from qobdd.polynomials import (
     Characteristic,
     LinearPolynomial,
@@ -245,6 +247,20 @@ def test_sop_rejects_repeated_products():
     with pytest.raises(ValueError, match="repeats"):
         SOPFormula(arity=2, products=((1, -2), (-2, 1)))
     SOPFormula(arity=2, products=((1, -2), (1, 2), (-2,)))
+
+
+def test_sop_expansion_is_refused_over_its_budget_before_expanding():
+    # One product of 30 negated literals expands to 2^30 signed monomials,
+    # which would take hours: the refusal comes first.
+    with pytest.raises(TooLargeError, match="expansion budget"):
+        sop_to_polynomial(SOPFormula(arity=30, products=(tuple(range(-1, -31, -1)),)))
+    # The budget counts the monomials of every product: 8 + 1 of these.
+    sop = SOPFormula(arity=3, products=((-1, -2, -3), (1,)))
+    with mock.patch.object(polynomials, "_SOP_EXPANSION_LIMIT", 9):
+        assert sop_to_polynomial(sop) == sop_to_polynomial(sop)
+    with mock.patch.object(polynomials, "_SOP_EXPANSION_LIMIT", 8):
+        with pytest.raises(TooLargeError, match="expansion budget"):
+            sop_to_polynomial(sop)
 
 
 def test_sop_polynomial_vanishes_exactly_off_any_distinct_products():

@@ -11,6 +11,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -275,6 +276,7 @@ def test_compiled_stacks_have_per_branch_block_sizes():
     for instruction in single.instructions:
         assert instruction.on_one.shape == (t, 2, 2)
         assert instruction.on_one.dtype == np.float64
+        assert instruction.on_zero is None
     assert single.post_transform.shape == (single.dimension, single.dimension)
     assert single.post_transform.dtype == np.float64
     assert single.initial_state.dtype == np.float64
@@ -293,11 +295,9 @@ def test_compiled_stacks_have_per_branch_block_sizes():
         program = compile_general(characteristic, good_set).program
         shape = (good_set.size, 2**count, 2**count)
         assert all(instruction.on_one.shape == shape for instruction in program.instructions)
-        assert program.post_transform.shape == shape
-        assert all(
-            array.dtype == np.float64
-            for array in (program.initial_state, program.post_transform)
-        )
+        assert all(instruction.on_zero is None for instruction in program.instructions)
+        assert program.post_transform is None
+        assert program.initial_state.dtype == np.float64
 
 
 def test_compiled_perm4_holds_stacks_not_dense_matrices():
@@ -387,6 +387,13 @@ def ry(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.complex128)
 
 
+def uniform_branches(t: int, size: int) -> np.ndarray:
+    """Amplitude 1/sqrt(t) on the first basis state of each of t branches."""
+    state = np.zeros(t * size)
+    state[::size] = 1.0 / math.sqrt(t)
+    return state
+
+
 def reference_branch_block(good_set: GoodSet, coefficients, angle_numerator: float) -> np.ndarray:
     """The per-branch loop the compiler used to run: one ry call per rotation."""
     m = good_set.modulus
@@ -412,6 +419,10 @@ def test_compiled_blocks_equal_per_branch_ry(data):
         np.testing.assert_allclose(
             _block_diagonal(instruction.on_one), expected, rtol=0, atol=1e-15
         )
+    expected = reference_branch_block(good_set, (polynomial.coefficients[0],), 4.0 * math.pi)
+    np.testing.assert_allclose(
+        single.initial_state, expected @ uniform_branches(good_set.size, 2), rtol=0, atol=1e-15
+    )
     characteristic = Characteristic(
         modulus=modulus,
         arity=2,
@@ -428,18 +439,90 @@ def test_compiled_blocks_equal_per_branch_ry(data):
         good_set, tuple(p.coefficients[0] for p in characteristic.polynomials), 2.0 * math.pi
     )
     np.testing.assert_allclose(
-        _block_diagonal(general.post_transform), expected, rtol=0, atol=1e-15
+        general.initial_state, expected @ uniform_branches(good_set.size, 4), rtol=0, atol=1e-15
     )
 
 
-def test_compiled_reads_share_one_frozen_identity():
+def test_compiled_reads_store_no_identity_and_freeze_u1():
     good_set, _ = sample_good(0.2, 3, seed=0)
     program = compile_single(mod_polynomial(5, 3), good_set).program
-    identities = {id(instruction.on_zero) for instruction in program.instructions}
-    assert len(identities) == 1
     for instruction in program.instructions:
-        assert not instruction.on_zero.flags.writeable
+        assert instruction.on_zero is None
         assert not instruction.on_one.flags.writeable
+    assert not program.post_transform.flags.writeable
+    assert not program.initial_state.flags.writeable
+
+
+def reference_fingerprint_program(
+    characteristic: Characteristic, good_set: GoodSet, single: bool
+) -> QuantumBranchingProgram:
+    """The fingerprinting circuit as the paper draws it: uniform branches,
+    an explicit identity U(0) and a per-branch R_y U(1) per read, then the
+    constant-coefficient rotation (and, for single, the Hadamard layer) as a
+    trailing post-transform."""
+    t, size = good_set.size, 2 ** len(characteristic)
+    numerator = (4.0 if single else 2.0) * math.pi
+    constants = reference_branch_block(
+        good_set, tuple(p.coefficients[0] for p in characteristic.polynomials), numerator
+    )
+    post_transform = constants
+    if single:
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        layer = np.eye(1)
+        for _ in range(t.bit_length() - 1):
+            layer = np.kron(layer, h)
+        post_transform = np.kron(layer, np.eye(2)) @ constants
+    instructions = tuple(
+        Instruction(
+            variable_index=j,
+            on_zero=np.eye(t * size),
+            on_one=reference_branch_block(
+                good_set, tuple(p.coefficients[j] for p in characteristic.polynomials), numerator
+            ),
+        )
+        for j in range(1, characteristic.arity + 1)
+    )
+    return QuantumBranchingProgram(
+        dimension=t * size,
+        arity=characteristic.arity,
+        instructions=instructions,
+        initial_state=uniform_branches(t, size),
+        accepting=(0,) if single else tuple(range(0, t * size, size)),
+        post_transform=post_transform,
+    )
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_compiled_program_is_the_circuit_with_trailing_constants(data):
+    # The compiler starts each branch in its constant rotation and stores no
+    # U(0); rotations about one axis commute, so this is the circuit that
+    # rotates the constants in after the reads.
+    modulus = data.draw(MODULI)
+    arity = data.draw(st.integers(min_value=1, max_value=6))
+    good_set = draw_good_set(data, modulus)
+    single = data.draw(st.booleans())
+    count = 1 if single else data.draw(st.integers(min_value=1, max_value=3))
+    characteristic = Characteristic(
+        modulus=modulus,
+        arity=arity,
+        polynomials=tuple(draw_polynomial(data, modulus, arity) for _ in range(count)),
+    )
+    if single:
+        compiled = compile_single(characteristic.polynomials[0], good_set).program
+    else:
+        compiled = compile_general(characteristic, good_set).program
+    reference = reference_fingerprint_program(characteristic, good_set, single)
+    bits = all_inputs(arity)
+    np.testing.assert_allclose(
+        sweep_accept_probabilities(compiled, bits)[0],
+        dense_probabilities(reference, bits),
+        rtol=0,
+        atol=DENSE_TOL,
+    )
+    loaded = program_from_json_dict(json.loads(json.dumps(program_to_json_dict(compiled))))
+    assert all(instruction.on_zero is None for instruction in loaded.instructions)
+    assert (loaded.post_transform is None) == (compiled.post_transform is None)
 
 
 # The scalar closed forms, their batch forms and the goodness measure share one
@@ -969,7 +1052,7 @@ def test_sorted_prefix_sweep_past_the_sort_key(tile_factor):
             programs, "_sweep_sorted_tile", wraps=programs._sweep_sorted_tile
         ) as tiles:
             swept, drift = sweep_accept_probabilities(program, rows)
-        assert {call.args[3] for call in tiles.call_args_list} == {start}
+        assert {call.args[2] for call in tiles.call_args_list} == {start}
         np.testing.assert_allclose(swept, dense_probabilities(program, rows), rtol=0, atol=DENSE_TOL)
         assert drift <= 1e-9
 
