@@ -63,7 +63,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         source = polynomials.load_characteristic(args.file)
     else:
         raise ValueError(f"unknown function {args.function!r}")
-    compiler.check_budget(source, goodsets.required_size(args.epsilon, source.modulus))
     good_set = goodsets.sample(args.epsilon, source.modulus, args.seed)
     recipe = compiler.recipe_to_json_dict(source, good_set)
     program = compiler.recipe_from_json_dict(recipe).program

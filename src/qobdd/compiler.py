@@ -6,9 +6,11 @@ rotated by 4 pi k_i c_0 / m about the y axis, the constant coefficient;
 reading x_j = 1 rotates it further by 4 pi k_i c_j / m and reading x_j = 0
 does nothing.  After the reads a final Hadamard layer interferes the
 branches, so the all-zero state carries amplitude
-(1/t) sum_i cos(2 pi k_i g(sigma) / m).  Inputs with g(sigma) = 0 are accepted
-with probability exactly 1; for g(sigma) != 0 a good parameter set pushes the
-probability below the error rate.
+(1/t) sum_i cos(2 pi k_i g(sigma) / m), which is <u|psi> for u the uniform
+superposition of the states |i>|0>: the program interferes, measuring its
+state after the reads against u, instead of storing the layer.  Inputs with
+g(sigma) = 0 are accepted with probability exactly 1; for g(sigma) != 0 a
+good parameter set pushes the probability below the error rate.
 
 Generalized construction: one target qubit per polynomial of the
 characteristic, rotation angles 2 pi k_i c_j / m (half the single-polynomial
@@ -23,12 +25,12 @@ nothing) and generalized angles by multiples of 2 pi (a per-branch sign that
 squares away in the measurement).
 
 Rotations about one axis commute, so starting in the constant rotation is
-the circuit that applies it after the reads: the generalized construction
-needs no post-transform, and the single one's is the Hadamard layer alone.
-Every U(1) is stored as the (t, 2^l, 2^l) stack of per-branch blocks the
-compiler builds and every U(0) as None, the identity; only the single
-post-transform, which interferes the branches, is dense.  Both constructions
-are rebuilt from a recipe, the polynomial(s) and the parameter set, which is
+the circuit that applies it after the reads.  Every U(1) is stored as the
+(t, 2^l, 2^l) stack of per-branch blocks the compiler builds and every U(0)
+as None, the identity; a program holds no other array than these stacks and
+its initial state.  Both constructions accept the states |i>|0...0>; they
+differ only in the angle and in whether the program interferes.  Both are
+rebuilt from a recipe, the polynomial(s) and the parameter set, which is
 what a program file stores: O(n + t) numbers instead of the matrices.
 """
 
@@ -55,12 +57,12 @@ from .goodsets import (
     required_size,
 )
 from .polynomials import Characteristic, LinearPolynomial
-from .programs import Instruction, QuantumBranchingProgram
+from .programs import Instruction, QuantumBranchingProgram, sweep_buffer_bytes
 
-# The most bytes a compiled program may take with every matrix counted as
-# dense complex d x d (see check_budget); the benchmark's widest programs
-# (PERM_4 and HSF Z_8/<4>, width 512) count 80 MB.
-DENSE_BUDGET_BYTES = 2**29
+# The most bytes a compiled program and one sweep of it may take (see
+# check_budget); the benchmark's widest programs (PERM_4 and HSF Z_8/<4>,
+# width 512) count about 5 MB.
+BUDGET_BYTES = 2**29
 
 
 @dataclass(frozen=True)
@@ -77,32 +79,24 @@ class GeneralCompilation:
     program: QuantumBranchingProgram
 
 
-def check_budget(source: LinearPolynomial | Characteristic, t: int) -> None:
-    """Raise TooLargeError when compiling source over t parameters would need
-    more than DENSE_BUDGET_BYTES of dense matrices.
+def check_budget(source: LinearPolynomial | Characteristic, t: int) -> int:
+    """The bytes compiling source over t parameters stores, plus the largest
+    state buffers a sweep of the program allocates; TooLargeError when that
+    is over BUDGET_BYTES.
 
-    Cheap in t, so callers check before they sample t parameters.
+    A program stores one float64 (t, 2^l, 2^l) stack per read and a d-vector
+    initial state.  Cheap in t, so callers check before they allocate.
     """
     targets = 1 if isinstance(source, LinearPolynomial) else len(source)
     dimension = t << targets
-    # n + 3 dense complex d x d matrices, the count from when every read stored
-    # both its matrices dense: an over-count now that a program holds one
-    # (t, 2^l, 2^l) stack per read and at most one dense matrix.
-    needed = (source.arity + 3) * dimension * dimension * 16
-    if needed > DENSE_BUDGET_BYTES:
+    stacks = source.arity * dimension * (1 << targets) * 8
+    needed = stacks + dimension * 8 + sweep_buffer_bytes(dimension, source.arity)
+    if needed > BUDGET_BYTES:
         raise TooLargeError(
             f"a width-{dimension} program with {source.arity} reads needs {needed} "
-            f"bytes of dense matrices, over the budget of {DENSE_BUDGET_BYTES}"
+            f"bytes, over the budget of {BUDGET_BYTES}"
         )
-
-
-def hadamard_layer(num_qubits: int) -> np.ndarray:
-    """H tensored num_qubits times (the 1x1 identity for zero qubits)."""
-    h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    layer = np.array([[1.0]])
-    for _ in range(num_qubits):
-        layer = np.kron(layer, h1)
-    return layer
+    return needed
 
 
 def _branch_blocks(
@@ -129,35 +123,21 @@ def _fingerprint_program(
     block, which rotates target s by numer * (k_i c_s0 mod m) / m.  Reading
     x_j = 1 rotates target s of branch i by numer * (k_i c_sj mod m) / m, a
     (t, 2^l, 2^l) stack of per-branch blocks, and reading x_j = 0 does
-    nothing (on_zero is None).  The single-polynomial circuit (one
-    polynomial, single=True) uses twice the generalized angle and ends with
-    the Hadamard layer H (x) I_2 on the branch register, accepting only the
-    all-zero state; the generalized one has no post-transform and accepts
-    every branch whose targets all read zero.
+    nothing (on_zero is None).  Both accept the states where every target
+    reads zero.  The single-polynomial circuit (one polynomial, single=True)
+    uses twice the generalized angle and interferes: its final Hadamard
+    layer and all-zero measurement are the measurement against the uniform
+    superposition of those states.
     """
     check_budget(characteristic, good_set.size)
     t = good_set.size
     block_dim = 2 ** len(characteristic)
-    dimension = t * block_dim
     numerator = (4.0 if single else 2.0) * math.pi
     constant_blocks = _branch_blocks(
         good_set,
         tuple(poly.coefficients[0] for poly in characteristic.polynomials),
         numerator,
     )
-    hadamard = hadamard_layer(t.bit_length() - 1)
-    initial_state = (hadamard[:, :1] * constant_blocks[:, :, 0]).ravel()
-    if single:
-        # H (x) I_2 is H on both diagonals of its (t, 2, t, 2) view: written
-        # there, into a read-only array the program keeps without a copy.
-        post_transform = np.zeros((dimension, dimension))
-        view = post_transform.reshape(t, 2, t, 2)
-        view[:, 0, :, 0] = view[:, 1, :, 1] = hadamard
-        post_transform.setflags(write=False)
-        accepting = (0,)
-    else:
-        post_transform = None
-        accepting = tuple(i * block_dim for i in range(t))
     instructions = tuple(
         Instruction(
             variable_index=j,
@@ -171,19 +151,19 @@ def _fingerprint_program(
         for j in range(1, characteristic.arity + 1)
     )
     return QuantumBranchingProgram(
-        dimension=dimension,
+        dimension=t * block_dim,
         arity=characteristic.arity,
         instructions=instructions,
-        initial_state=initial_state,
-        accepting=accepting,
-        post_transform=post_transform,
+        initial_state=(constant_blocks[:, :, 0] / math.sqrt(t)).ravel(),
+        accepting=tuple(i * block_dim for i in range(t)),
+        interfere=single,
     )
 
 
 def compile_single(
     polynomial: LinearPolynomial, good_set: GoodSet
 ) -> SingleCompilation:
-    """Interference circuit for one linear polynomial; width 2t, accept |0..0>|0>."""
+    """Interference circuit for one linear polynomial; width 2t."""
     if polynomial.modulus != good_set.modulus:
         raise ModulusMismatchError(
             f"polynomial modulus {polynomial.modulus} != good set modulus {good_set.modulus}"
@@ -235,7 +215,7 @@ def recipe_from_json_dict(recipe: dict) -> SingleCompilation | GeneralCompilatio
     unknown kind or fewer parameters than required_size(epsilon, m) (a
     smaller set voids the error rate the file states), and TooLargeError,
     before anything of the program's size is allocated, when it would
-    exceed DENSE_BUDGET_BYTES.
+    exceed BUDGET_BYTES.
     """
     with _malformed("program recipe"):
         kind = recipe["kind"]

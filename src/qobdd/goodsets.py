@@ -35,8 +35,9 @@ _INT64_SAFE = 2**62
 # Residue-parameter pairs per cosine-kernel call in a goodness check.
 _CHUNK_ENTRIES = 1 << 17
 
-# The most parameters sample draws, one Python call each; compiler.check_budget
-# already caps the set of any compilable program at t <= 1024.
+# The most parameters sample draws, one Python call each, and so the largest
+# t of a program built from a sampled set; compiler.check_budget then bounds
+# the bytes such a program stores.
 _SAMPLE_LIMIT = 1 << 16
 
 
@@ -70,7 +71,7 @@ def azuma_failure_bound(epsilon: float, t: int) -> float:
 class GoodSet:
     """Parameters k_1..k_t in [0, m) with their target error rate.
 
-    t must be a power of two (the compiler's Hadamard layer needs it).  The
+    t must be a power of two (the branch register is log2 t qubits).  The
     sampler guarantees t >= required_size(eps, m); hand-built sets for
     analysis may be smaller.
     """

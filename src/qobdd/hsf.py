@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .compiler import GeneralCompilation, check_budget, compile_general
+from .compiler import GeneralCompilation, compile_general
 from .errors import LengthMismatchError, NotNormalError, PromiseViolation
-from .goodsets import required_size, sample
+from .goodsets import sample
 from .polynomials import Characteristic, LinearPolynomial
 
 ASSOCIATIVITY_CHECK_LIMIT = 64
@@ -307,7 +307,6 @@ def hsf_characteristic(instance: HSFInstance) -> Characteristic:
 def compile_hsf(instance: HSFInstance, epsilon: float, seed: int) -> GeneralCompilation:
     """Sample a parameter set over Z_(2^n) and compile the two-polynomial circuit."""
     characteristic = hsf_characteristic(instance)
-    check_budget(characteristic, required_size(epsilon, instance.modulus))
     good_set = sample(epsilon, instance.modulus, seed)
     return compile_general(characteristic, good_set)
 

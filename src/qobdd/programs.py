@@ -1,12 +1,13 @@
 """Quantum branching programs and their exact state-vector simulation.
 
 A program is an initial state, a sequence of instructions (variable index,
-U(0), U(1)) acting on the d-dimensional state, an optional input-independent
-transform after the variable reads, and a set of accepting basis indices.
-Running a program on a bit string applies the matrix selected by each read
-bit in sequence order; the acceptance probability is the squared norm of the
-projection onto the accepting indices.  A U(0) of None is the identity, and
-costs nothing to apply: compiled reads rotate on x_j = 1 only.
+U(0), U(1)) acting on the d-dimensional state, and a set of accepting basis
+indices.  Running a program on a bit string applies the matrix selected by
+each read bit in sequence order, then measures: the acceptance probability
+is the squared norm of the projection onto the accepting indices or, when
+the program interferes, |<u|psi>|^2 for u their uniform superposition.  A
+U(0) of None is the identity, and costs nothing to apply: compiled reads
+rotate on x_j = 1 only.
 
 Every matrix is stored as a stack of diagonal blocks, shape (d/b, b, b): a
 compiled read acts on each branch's target register alone, so it is t
@@ -22,9 +23,7 @@ holding every pattern of the remaining reads (an exhaustive chunk, in any
 read order) then doubles the column at each of them; any other batch keeps
 one state column per distinct read prefix.
 run() expands every stack to its dense matrix and is kept as the
-independent per-input reference.  The post-transform exists so the single
-construction's final Hadamard layer does not consume a variable read,
-keeping compiled programs read-once.
+independent per-input reference.
 """
 
 from __future__ import annotations
@@ -117,22 +116,21 @@ class ProgramMetrics:
 
 @dataclass(frozen=True)
 class QuantumBranchingProgram:
-    """A width-d program; every matrix, the post-transform included, is a
-    stack of diagonal blocks as in Instruction."""
+    """A width-d program; every matrix is a stack of diagonal blocks as in
+    Instruction.  An interfering program measures its final state against
+    the uniform superposition of its accepting basis states."""
 
     dimension: int
     arity: int
     instructions: tuple[Instruction, ...]
     initial_state: np.ndarray
     accepting: tuple[int, ...]
-    post_transform: np.ndarray | None = None
+    interfere: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "initial_state", _frozen(self.initial_state))
         object.__setattr__(self, "instructions", tuple(self.instructions))
         object.__setattr__(self, "accepting", tuple(sorted(self.accepting)))
-        if self.post_transform is not None:
-            object.__setattr__(self, "post_transform", _frozen(self.post_transform))
 
 
 def validate(program: QuantumBranchingProgram) -> list[str]:
@@ -151,29 +149,27 @@ def validate(program: QuantumBranchingProgram) -> list[str]:
         violations.append("accepting index out of range")
     if len(set(program.accepting)) != len(program.accepting):
         violations.append("accepting index repeated")
-    labelled = [("post-transform", program.post_transform)]
     for step, instruction in enumerate(program.instructions, start=1):
         if not (1 <= instruction.variable_index <= program.arity):
             violations.append(
                 f"instruction {step}: variable index {instruction.variable_index} "
                 f"out of range [1, {program.arity}]"
             )
-        labelled.append((f"instruction {step}: U(0)", instruction.on_zero))
-        labelled.append((f"instruction {step}: U(1)", instruction.on_one))
-    for label, matrix in labelled:
-        if matrix is None:
-            continue
-        if (
-            matrix.ndim not in (2, 3)
-            or matrix.shape[-2] != matrix.shape[-1]
-            or math.prod(matrix.shape[:-1]) != d
-        ):
-            violations.append(
-                f"{label} has shape {matrix.shape}, expected ({d}, {d}) "
-                f"or (n, b, b) with n * b = {d}"
-            )
-        elif not is_unitary(matrix):
-            violations.append(f"{label} is non-unitary")
+        for bit, matrix in enumerate((instruction.on_zero, instruction.on_one)):
+            if matrix is None:
+                continue
+            label = f"instruction {step}: U({bit})"
+            if (
+                matrix.ndim not in (2, 3)
+                or matrix.shape[-2] != matrix.shape[-1]
+                or math.prod(matrix.shape[:-1]) != d
+            ):
+                violations.append(
+                    f"{label} has shape {matrix.shape}, expected ({d}, {d}) "
+                    f"or (n, b, b) with n * b = {d}"
+                )
+            elif not is_unitary(matrix):
+                violations.append(f"{label} is non-unitary")
     return violations
 
 
@@ -187,7 +183,8 @@ def run(
     bits: Sequence[int],
     check_norm: bool = True,
 ) -> np.ndarray:
-    """Final state after reading the input bits in instruction order.
+    """Final state after reading the input bits in instruction order, before
+    the measurement.
 
     The dense per-input reference: every stack is expanded to its d x d
     matrix.  Sweeps and accept_probability do not use it.
@@ -206,8 +203,6 @@ def run(
             drift = abs(np.linalg.norm(state) - 1.0)
             if drift > NORM_TOL:
                 raise ArithmeticError(f"state norm drifted by {drift:.3e}")
-    if program.post_transform is not None:
-        state = _block_diagonal(program.post_transform) @ state
     return state
 
 
@@ -247,21 +242,19 @@ def _norm_drift(states: np.ndarray) -> float:
     return float(np.max(np.abs(np.sqrt(_squared_norms(states)) - 1.0)))
 
 
-def _accepted(
-    program: QuantumBranchingProgram,
-    states: np.ndarray,
-    out: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """The post-transform (into out, if given), then each column's acceptance
-    probability, and the norm drift after the post-transform."""
-    if program.post_transform is not None:
-        states = _apply_blocks(program.post_transform, states, out=out)
-    return _squared_norms(states[list(program.accepting)]), _norm_drift(states)
+def _accepted(program: QuantumBranchingProgram, states: np.ndarray) -> np.ndarray:
+    """Each column's acceptance probability, from its accepting rows alone:
+    |<u|psi>|^2 when the program interferes, the projection's squared norm
+    otherwise."""
+    rows = states[list(program.accepting)]
+    if not program.interfere:
+        return _squared_norms(rows)
+    return _squared_norms(rows.sum(axis=0, keepdims=True)) / rows.shape[0]
 
 
 def _state_dtype(program: QuantumBranchingProgram) -> np.dtype:
     """The dtype of the states: float64 unless an array of the program is complex."""
-    arrays = [program.initial_state, program.post_transform]
+    arrays = [program.initial_state]
     arrays += [matrix for i in program.instructions for matrix in (i.on_zero, i.on_one)]
     return np.result_type(*(array for array in arrays if array is not None))
 
@@ -340,10 +333,10 @@ def _sweep_sorted_tile(
             np.copyto(view(mask), ones)
             np.putmask(view(buffers[0]), view(mask), view(buffers[1]))
         max_drift = max(max_drift, _norm_drift(view(buffers[0])))
-    probabilities, drift = _accepted(program, view(buffers[0]), out=view(buffers[1]))
+    probabilities = _accepted(program, view(buffers[0]))
     if starts.size < rows:
         probabilities = probabilities[np.cumsum(opened) - 1]
-    return probabilities, max(max_drift, drift)
+    return probabilities, max_drift
 
 
 def _bit_reversal(bits: int) -> np.ndarray:
@@ -390,16 +383,14 @@ def _completions(
 
     The first group doubles the column into its buffer, up to its roots;
     each root then runs the remaining groups on its own, reusing their
-    buffers, so no state array outgrows a group's.  The last buffer takes
-    the post-transform.  The probabilities come root by root, each group's
-    patterns bit-reversed as _doubled leaves them; _completion_order undoes
-    that.
+    buffers, so no state array outgrows a group's.  The probabilities come
+    root by root, each group's patterns bit-reversed as _doubled leaves
+    them; _completion_order undoes that.
     """
     states = buffers[0]
     max_drift = _doubled(column, groups[0], states)
     if len(groups) == 1:
-        probabilities, drift = _accepted(program, states, out=buffers[1])
-        return probabilities, max(max_drift, drift)
+        return _accepted(program, states), max_drift
     parts = []
     for root in range(states.shape[1]):
         probabilities, drift = _completions(
@@ -417,6 +408,23 @@ def _completion_order(sizes: list[int]) -> np.ndarray:
     for size in sizes:
         order = ((order[:, None] << size) | _bit_reversal(size)[None, :]).ravel()
     return order
+
+
+def _tiling(dimension: int) -> tuple[int, int]:
+    """The columns of a tile, whose states stay in a core's cache across all
+    reads, and the reads of a doubling group, which fills at most a tile."""
+    tile = max(1, _TILE_ENTRIES // dimension)
+    return tile, max(1, tile.bit_length() - 1)
+
+
+def sweep_buffer_bytes(dimension: int, reads: int) -> int:
+    """The most bytes of state buffers one sweep of a real program of this
+    width and read count allocates, whatever its batch: the tiles' three
+    state buffers and their mask, plus the doubling path's buffer per group
+    (it doubles at most _KEY_READS reads: no batch holds more patterns)."""
+    tile, size = _tiling(dimension)
+    groups = -(-min(reads, _KEY_READS) // size)
+    return dimension * tile * (3 * 8 + 1) + groups * dimension * (8 << size)
 
 
 def sweep_accept_probabilities(
@@ -443,7 +451,7 @@ def sweep_accept_probabilities(
     prefix (_sweep_sorted_tile).  The arithmetic is float64 exactly when
     every array of the program is.  The results match run() up to
     floating-point rounding.  Returns the probabilities and the largest norm
-    drift observed after any read or the post-transform.
+    drift of the initial state or any state a read produces.
     """
     count, width = bit_matrix.shape
     if width != program.arity:
@@ -468,33 +476,28 @@ def sweep_accept_probabilities(
         agree = (values[shared:] == values[shared:, :1]).all(axis=1)
         shared += int(np.append(agree, False).argmin())
     column = program.initial_state[:, None]
-    max_drift = 0.0
+    max_drift = _norm_drift(column)
     for instruction, bit in zip(reads[:shared], values[:shared, 0]):
         matrix = instruction.on_one if bit else instruction.on_zero
         if matrix is not None:
             column = _apply_blocks(matrix, column)
         max_drift = max(max_drift, _norm_drift(column))
-    # Inputs go through in tiles whose states stay in a core's cache across
-    # all reads, instead of streaming the whole batch from memory per read.
-    tile = max(1, _TILE_ENTRIES // program.dimension)
+    tile, size = _tiling(program.dimension)
     if shared == len(reads):
-        swept, drift = _accepted(program, column)
-        swept = np.repeat(swept, count)
+        swept, drift = np.repeat(_accepted(program, column), count), 0.0
     elif count == 1 << (len(reads) - shared) and np.all(keys[:-1] != keys[1:]):
         # 2^r distinct keys over r unshared reads are every pattern of them;
         # past 64 reads there are too few key bits for that many.
         dtype = _state_dtype(program)
-        size = max(1, tile.bit_length() - 1)
         bounds = list(range(len(reads), shared, -size))[::-1]
         groups = [reads[a:b] for a, b in zip([shared] + bounds[:-1], bounds)]
         buffers = [np.empty((program.dimension, 1 << len(group)), dtype) for group in groups]
-        buffers.append(None if program.post_transform is None else np.empty_like(buffers[-1]))
         swept, drift = _completions(program, column, groups, buffers)
         swept = swept[_completion_order([len(group) for group in groups])]
     else:
-        size = program.dimension * min(tile, count)
-        buffers = [np.empty(size, _state_dtype(program)) for _ in range(3)]
-        mask = np.empty(size, dtype=bool)
+        entries = program.dimension * min(tile, count)
+        buffers = [np.empty(entries, _state_dtype(program)) for _ in range(3)]
+        mask = np.empty(entries, dtype=bool)
         swept = np.empty(count)
         drift = 0.0
         for first in range(0, count, tile):
@@ -548,25 +551,35 @@ def program_to_json_dict(program: QuantumBranchingProgram) -> dict:
             }
             for instruction in program.instructions
         ],
-        "post_transform": _array_to_json(program.post_transform),
         "initial_state": _array_to_json(program.initial_state),
         "accepting": list(program.accepting),
+        "interfere": program.interfere,
     }
 
 
 # Kept because perfbench/tracing.py patches it by name; the CLI uses recipes.
 def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
     """The program program_to_json_dict wrote, its matrices as dense (d, d)
-    arrays or as (n, b, b) stacks and a null on_zero or post_transform as
-    None; ValueError on a missing key, a wrong type,
-    a missing entry, an entry that is not a [re, im] pair, or a non-null
-    pre_transform (a layout programs no longer have).  The result is not
+    arrays or as (n, b, b) stacks and a null on_zero as None; ValueError on a
+    missing key, a wrong type (interfere must be a JSON bool), a missing
+    entry, an entry that is not a [re, im] pair, or a non-null pre- or
+    post-transform (layouts programs no longer have).  The result is not
     validated: see validate()."""
 
     def optional(entry) -> np.ndarray | None:
         return None if entry is None else _array_from_json(entry)
 
     with _malformed("program file"):
+        if not isinstance(data, dict):
+            raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+        for stage in ("pre", "post"):
+            if data.get(f"{stage}_transform") is not None:
+                raise ValueError(
+                    f"malformed program file: programs no longer take a {stage}-transform"
+                )
+        interfere = data["interfere"]
+        if not isinstance(interfere, bool):
+            raise TypeError(f"interfere must be a JSON bool, got {interfere!r}")
         program = QuantumBranchingProgram(
             dimension=int(data["dimension"]),
             arity=int(data["arity"]),
@@ -580,8 +593,6 @@ def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
             ),
             initial_state=_array_from_json(data["initial_state"]),
             accepting=tuple(int(i) for i in data["accepting"]),
-            post_transform=optional(data.get("post_transform")),
+            interfere=interfere,
         )
-    if data.get("pre_transform") is not None:
-        raise ValueError("malformed program file: programs no longer take a pre_transform")
     return program

@@ -378,7 +378,8 @@ def test_build_sop_file_rejects_repeated_products(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["build", "verify"])
 def test_size_budget_is_checked_before_sampling(capsys, tmp_path, command):
-    # t = 4,194,304 parameters: width 8.4M, far beyond the dense budget.
+    # t = 4,194,304 parameters: over the sampling budget (build) and, with
+    # 512 MiB of stacks alone, over the size budget (verify).
     argv = [command, "--function", "mod", "--n", "4", "--m", "3", "--epsilon", "1e-6"]
     out = tmp_path / "program.json"
     if command == "build":

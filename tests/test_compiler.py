@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from qobdd.compiler import (
     compile_general,
     compile_single,
     error_bound_general,
-    hadamard_layer,
     recipe_from_json_dict,
     recipe_to_json_dict,
 )
@@ -30,17 +31,21 @@ from qobdd.hsf import FiniteGroup, HSFInstance, cyclic_subgroup, hsf_characteris
 from qobdd.polynomials import (
     Characteristic,
     LinearPolynomial,
+    eq_polynomial,
     mod_polynomial,
+    palindrome_polynomial,
     perm_polynomial,
 )
 from qobdd.programs import (
     accept_probability,
     is_read_once,
     metrics,
+    run,
     sweep_accept_probabilities,
+    sweep_buffer_bytes,
     validate,
 )
-from qobdd.verification import all_inputs
+from qobdd.verification import all_inputs, input_block, sampled_inputs
 
 
 def test_zero_polynomial_accepts_everything():
@@ -60,7 +65,8 @@ def test_compile_single_structure():
     t = good_set.size
     assert program.dimension == 2 * t
     assert metrics(program).qubits == 1 + int(math.log2(t))
-    assert program.accepting == (0,)
+    assert program.accepting == tuple(range(0, 2 * t, 2))
+    assert program.interfere
     assert is_read_once(program)
     assert validate(program) == []
 
@@ -173,8 +179,6 @@ def test_compile_general_single_polynomial_form():
 
 
 def test_equality_program_accepts_equal_strings():
-    from qobdd.polynomials import eq_polynomial
-
     poly = eq_polynomial(3)
     good_set, _ = sample_good(0.2, 8, seed=0, residues=list(range(1, 8)))
     program = compile_single(poly, good_set).program
@@ -228,7 +232,9 @@ def test_instruction_matrices_are_block_diagonal_over_branches():
     for instruction in general.program.instructions:
         assert instruction.on_one.shape == (t, 4, 4)
         assert instruction.on_zero is None
-    assert general.program.post_transform is None
+    assert single.program.interfere and not general.program.interfere
+    assert single.program.accepting == tuple(range(0, 2 * t, 2))
+    assert general.program.accepting == tuple(range(0, 4 * t, 4))
 
 
 def test_zero_coefficient_variables_still_read():
@@ -245,18 +251,44 @@ def test_error_bound_general_raises_the_package_error_type():
         error_bound_general(1.0)
 
 
-def test_single_post_transform_equals_the_dense_hadamard_product():
-    """The post-transform is the Hadamard layer alone; the constant rotation
-    is applied to the initial state instead."""
-    polynomial = perm_polynomial(4)
+def paper_single_circuit_probabilities(program, bits: np.ndarray) -> np.ndarray:
+    """The single construction's read-out as the paper draws it, built here
+    densely: the Hadamard layer H^(x)l on the branch register, times I_2 on
+    the target, applied to run()'s state after the reads, then the squared
+    amplitude of |0...0>|0>."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    layer = np.eye(1)
+    for _ in range((program.dimension // 2).bit_length() - 1):
+        layer = np.kron(layer, h)
+    readout = np.kron(layer, np.eye(2))
+    return np.array([abs((readout @ run(program, row))[0]) ** 2 for row in bits.tolist()])
+
+
+@pytest.mark.parametrize(
+    "polynomial",
+    [
+        pytest.param(mod_polynomial(8, 3), id="mod3-n8"),
+        pytest.param(eq_polynomial(3), id="eq3"),
+        pytest.param(palindrome_polynomial(7), id="palindrome7"),
+        pytest.param(perm_polynomial(3), id="perm3"),
+    ],
+)
+def test_interfering_readout_is_the_dense_hadamard_layer(polynomial):
+    """The measurement against the uniform superposition of the states
+    |i>|0> is the paper's final Hadamard layer and all-zero measurement."""
     good_set = sample(0.2, polynomial.modulus, seed=3)
     program = compile_single(polynomial, good_set).program
     t = good_set.size
-    hadamard = hadamard_layer(t.bit_length() - 1)
-    assert np.array_equal(program.post_transform, np.kron(hadamard, np.eye(2)))
     constant_blocks = _branch_blocks(good_set, (polynomial.coefficients[0],), 4.0 * math.pi)
-    expected = hadamard[:, 0][:, None] * constant_blocks[:, :, 0]
-    assert np.array_equal(program.initial_state, expected.ravel())
+    np.testing.assert_allclose(
+        program.initial_state, constant_blocks[:, :, 0].ravel() / math.sqrt(t), rtol=0, atol=1e-15
+    )
+    bits = all_inputs(polynomial.arity)
+    dense = paper_single_circuit_probabilities(program, bits)
+    swept, _ = sweep_accept_probabilities(program, bits)
+    np.testing.assert_allclose(swept, dense, rtol=0, atol=1e-12)
+    closed = closed_form_single_batch(polynomial, good_set, bits)
+    np.testing.assert_allclose(dense, closed, rtol=0, atol=1e-9)
 
 
 def _general_source() -> Characteristic:
@@ -286,7 +318,7 @@ def test_recipe_round_trip_rebuilds_the_same_program(general):
         assert x.variable_index == y.variable_index
         assert np.array_equal(x.on_zero, y.on_zero) and np.array_equal(x.on_one, y.on_one)
     assert np.array_equal(a.initial_state, b.initial_state)
-    assert np.array_equal(a.post_transform, b.post_transform)
+    assert a.interfere == b.interfere == (not general)
 
 
 def _recipe(**changes) -> dict:
@@ -326,23 +358,84 @@ def test_size_budget_is_checked_before_compiling(monkeypatch):
     polynomial = mod_polynomial(5, 3)
     good_set = sample(0.2, 3, seed=0)
     characteristic = Characteristic(modulus=3, arity=5, polynomials=(polynomial,))
-    needed = (5 + 3) * (2 * good_set.size) ** 2 * 16
-    monkeypatch.setattr(compiler, "DENSE_BUDGET_BYTES", needed - 1)
-    with pytest.raises(TooLargeError):
+    # Five (t, 2, 2) float64 stacks, the width-2t initial state, and one
+    # sweep's largest state buffers.
+    d = 2 * good_set.size
+    needed = 5 * d * 2 * 8 + d * 8 + sweep_buffer_bytes(d, 5)
+    assert check_budget(polynomial, good_set.size) == needed
+    assert check_budget(characteristic, good_set.size) == needed
+    monkeypatch.setattr(compiler, "BUDGET_BYTES", needed - 1)
+    with pytest.raises(TooLargeError, match="budget"):
         compile_single(polynomial, good_set)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match="budget"):
         compile_general(characteristic, good_set)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match="budget"):
         recipe_from_json_dict(recipe_to_json_dict(polynomial, good_set))
-    monkeypatch.setattr(compiler, "DENSE_BUDGET_BYTES", needed)
+    monkeypatch.setattr(compiler, "BUDGET_BYTES", needed)
     compile_single(polynomial, good_set)
     compile_general(characteristic, good_set)
+
+
+def _hsf_source(order: int, generator: int) -> Characteristic:
+    group = FiniteGroup.cyclic(order)
+    return hsf_characteristic(HSFInstance.create(group, cyclic_subgroup(order, generator)))
 
 
 def test_size_budget_admits_the_widest_benchmark_programs():
     perm = perm_polynomial(4)
     check_budget(perm, required_size(0.2, perm.modulus))
-    z8 = hsf_characteristic(HSFInstance.create(FiniteGroup.cyclic(8), cyclic_subgroup(8, 4)))
+    check_budget(perm, required_size(0.05, perm.modulus))
+    z8 = _hsf_source(8, 4)
     check_budget(z8, required_size(0.25, z8.modulus))
+    z16 = _hsf_source(16, 8)
+    check_budget(z16, required_size(0.25, z16.modulus))
+    # Four reads of (2^22, 2, 2) stacks alone are 4 * 2^22 * 32 B = 512 MiB.
     with pytest.raises(TooLargeError):
         check_budget(mod_polynomial(4, 3), required_size(1e-6, 3))
+
+
+@pytest.mark.parametrize(
+    "source, epsilon",
+    [
+        pytest.param(mod_polynomial(16, 3), 0.2, id="mod3-n16"),
+        pytest.param(perm_polynomial(4), 0.2, id="perm4-eps0.2"),
+        pytest.param(perm_polynomial(4), 0.05, id="perm4-eps0.05"),
+        pytest.param(_hsf_source(8, 4), 0.25, id="hsf-z8-4"),
+        pytest.param(_hsf_source(16, 8), 0.25, id="hsf-z16-8"),
+    ],
+)
+def test_compiling_and_sweeping_stay_within_the_counted_budget(monkeypatch, source, epsilon):
+    compile_source = compile_single if isinstance(source, LinearPolynomial) else compile_general
+    good_set = sample(epsilon, source.modulus, seed=7)
+    needed = check_budget(source, good_set.size)
+    samples = sampled_inputs(source.arity, 4096, seed=7)
+    batches = [samples[:1], samples]
+    if source.arity <= 24:
+        batches.append(input_block(source.arity, 0, 8192))
+    tracemalloc.start()
+    try:
+        program = compile_source(source, good_set).program
+        for bits in batches:
+            sweep_accept_probabilities(program, bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= needed
+    # Every array the program holds is a per-read stack or the initial state.
+    arrays = [getattr(program, field.name) for field in dataclasses.fields(program)]
+    assert [a.shape for a in arrays if isinstance(a, np.ndarray)] == [(program.dimension,)]
+    block = program.dimension // good_set.size
+    for instruction in program.instructions:
+        assert instruction.on_zero is None
+        assert instruction.on_one.shape == (good_set.size, block, block)
+    # One byte under the count, the compile is refused before it allocates
+    # anything of the program's size.
+    monkeypatch.setattr(compiler, "BUDGET_BYTES", needed - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="budget"):
+            compile_source(source, good_set)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024

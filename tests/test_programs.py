@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qobdd.compiler import compile_single, hadamard_layer
+from qobdd.compiler import compile_single
 from qobdd.errors import LengthMismatchError
 from qobdd.goodsets import sample_good
 from qobdd.polynomials import mod_polynomial
@@ -188,14 +188,6 @@ def test_metrics_small_program():
     assert (small.width, small.length, small.qubits) == (2, 1, 1)
 
 
-def test_hadamard_layer_is_unitary_uniform():
-    layer = hadamard_layer(3)
-    assert layer.shape == (8, 8)
-    np.testing.assert_allclose(layer.conj().T @ layer, np.eye(8), atol=1e-12)
-    np.testing.assert_allclose(layer[:, 0], np.full(8, 1 / math.sqrt(8)), atol=1e-12)
-    assert hadamard_layer(0).shape == (1, 1)
-
-
 def test_sweep_matches_per_input_runs():
     poly = mod_polynomial(6, 3)
     good_set, _ = sample_good(0.2, 3, seed=0)
@@ -203,9 +195,25 @@ def test_sweep_matches_per_input_runs():
     bits = all_inputs(6)
     batch, drift = sweep_accept_probabilities(program, bits)
     accepting = list(program.accepting)
-    single = np.array([np.sum(np.abs(run(program, row)[accepting]) ** 2) for row in bits])
+    # The single construction interferes: |<u|psi>|^2, u uniform on the accepting states.
+    assert program.interfere
+    single = np.array(
+        [abs(np.sum(run(program, row)[accepting])) ** 2 / len(accepting) for row in bits]
+    )
     assert drift <= 1e-9
     np.testing.assert_allclose(batch, single, atol=1e-12)
+
+
+def test_interfering_program_measures_the_uniform_superposition():
+    # (|0> - |1>)/sqrt(2) lies in the accepting span but is orthogonal to
+    # u = (|0> + |1>)/sqrt(2): projected it accepts surely, interfered never.
+    state = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    fields = dict(dimension=2, arity=1, instructions=(), initial_state=state, accepting=(0, 1))
+    projected = QuantumBranchingProgram(**fields)
+    interfered = QuantumBranchingProgram(**fields, interfere=True)
+    assert accept_probability(projected, [0]) == pytest.approx(1.0, abs=1e-15)
+    assert accept_probability(interfered, [0]) == pytest.approx(0.0, abs=1e-15)
+    np.testing.assert_allclose(run(interfered, [1]), state)
 
 
 def test_sweep_rejects_wrong_arity():
@@ -220,6 +228,7 @@ def test_program_json_round_trip():
     again = program_from_json_dict(program_to_json_dict(program))
     assert again.dimension == program.dimension
     assert again.accepting == program.accepting
+    assert again.interfere == program.interfere
     for sigma in ([0, 0, 0], [1, 0, 1], [1, 1, 1]):
         assert accept_probability(again, sigma) == pytest.approx(
             accept_probability(program, sigma), abs=1e-15
@@ -234,16 +243,18 @@ def test_program_json_reads_dense_matrices_and_block_stacks():
         dimension=4,
         arity=1,
         instructions=(Instruction(variable_index=1, on_zero=np.eye(4), on_one=stack),),
-        initial_state=basis_state(4, 0),
+        initial_state=1j * basis_state(4, 0),
         accepting=(0, 2),
-        post_transform=1j * np.eye(4),
+        interfere=True,
     )
     data = program_to_json_dict(program)
     assert np.shape(data["instructions"][0]["on_zero"]) == (4, 4, 2)
     assert np.shape(data["instructions"][0]["on_one"]) == (2, 2, 2, 2)
+    assert data["interfere"] is True
     again = program_from_json_dict(data)
     assert again.instructions[0].on_zero.dtype == np.float64
-    assert again.post_transform.dtype == np.complex128
+    assert again.initial_state.dtype == np.complex128
+    assert again.interfere
     assert np.array_equal(again.instructions[0].on_one, program.instructions[0].on_one)
     assert validate(again) == []
     for bits in ([0], [1]):
@@ -272,7 +283,17 @@ def test_program_arrays_are_frozen():
         {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [["1", "0"], ["0", "0"]], "accepting": [0]},
         # A layout programs no longer have: refused, not simulated without it.
         {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [[1, 0], [0, 0]],
-         "accepting": [0], "pre_transform": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+         "accepting": [0], "interfere": False, "pre_transform": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+        {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [[1, 0], [0, 0]],
+         "accepting": [0], "interfere": False, "post_transform": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]},
+        # interfere is required and a JSON bool: the string "false" must not
+        # read as true.
+        {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [[1, 0], [0, 0]],
+         "accepting": [0]},
+        {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [[1, 0], [0, 0]],
+         "accepting": [0], "interfere": "false"},
+        {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [[1, 0], [0, 0]],
+         "accepting": [0], "interfere": 1},
     ],
 )
 def test_program_from_json_dict_raises_value_error_on_malformed_data(data):

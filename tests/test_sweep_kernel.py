@@ -91,10 +91,14 @@ def draw_good_set(data, modulus: int) -> GoodSet:
 def dense_probabilities(
     program: QuantumBranchingProgram, bits: np.ndarray, check_norm: bool = True
 ) -> np.ndarray:
+    """The measurement of run()'s final state: |u.psi|^2 for u the uniform
+    superposition of the accepting states when the program interferes, the
+    squared norm of the projection onto them otherwise."""
     accepting = list(program.accepting)
-    return np.array(
-        [np.sum(np.abs(run(program, row, check_norm)[accepting]) ** 2) for row in bits]
-    )
+    rows = [run(program, row, check_norm)[accepting] for row in bits]
+    if program.interfere:
+        return np.array([abs(np.sum(row)) ** 2 / len(accepting) for row in rows])
+    return np.array([np.sum(np.abs(row) ** 2) for row in rows])
 
 
 def assert_matches_dense(program: QuantumBranchingProgram, bits: np.ndarray) -> np.ndarray:
@@ -162,9 +166,10 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     st.sampled_from([3, 4, 6]),
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
-def test_unstructured_complex_program_takes_the_full_width_path(d, arity, seed):
+def test_unstructured_complex_program_takes_the_full_width_path(d, arity, seed, interfere):
     rng = np.random.default_rng(seed)
     state = rng.normal(size=d) + 1j * rng.normal(size=d)
     instructions = tuple(
@@ -184,7 +189,7 @@ def test_unstructured_complex_program_takes_the_full_width_path(d, arity, seed):
         instructions=instructions,
         initial_state=initial_state,
         accepting=accepting,
-        post_transform=random_unitary(rng, d),
+        interfere=interfere,
     )
     assert program.instructions[0].on_one.shape == (d, d)
     assert program.initial_state.dtype == np.complex128
@@ -209,7 +214,7 @@ def non_identity_on_zero_program() -> tuple[QuantumBranchingProgram, QuantumBran
         ),
         initial_state=compiled.initial_state,
         accepting=compiled.accepting,
-        post_transform=compiled.post_transform,
+        interfere=compiled.interfere,
     )
 
 
@@ -226,26 +231,28 @@ def test_non_identity_on_zero_is_applied_on_the_real_block_path():
     assert np.max(np.abs(swept - identity_swept)) > 1e-3
 
 
-@pytest.mark.parametrize("field", ["initial_state", "post_transform"])
+@pytest.mark.parametrize("field", ["initial_state", "on_one"])
 def test_one_complex_array_selects_complex_arithmetic(field):
     good_set, _ = sample_good(0.2, 3, seed=0)
     compiled = compile_single(mod_polynomial(4, 3), good_set).program
-    fields = {
-        "initial_state": compiled.initial_state,
-        "post_transform": compiled.post_transform,
-    }
+    first = compiled.instructions[0]
+    arrays = {"initial_state": compiled.initial_state, "on_one": first.on_one}
     # A global phase of i changes no probability but leaves no real part.
-    fields[field] = 1j * fields[field]
+    arrays[field] = 1j * arrays[field]
     program = QuantumBranchingProgram(
         dimension=compiled.dimension,
         arity=compiled.arity,
-        instructions=compiled.instructions,
+        instructions=(
+            Instruction(first.variable_index, first.on_zero, arrays["on_one"]),
+        ) + compiled.instructions[1:],
+        initial_state=arrays["initial_state"],
         accepting=compiled.accepting,
-        **fields,
+        interfere=compiled.interfere,
     )
-    for name, value in fields.items():
+    stored = {"initial_state": program.initial_state, "on_one": program.instructions[0].on_one}
+    for name, value in stored.items():
         expected = np.complex128 if name == field else np.float64
-        assert getattr(program, name).dtype == expected
+        assert value.dtype == expected
     swept = assert_matches_dense(program, all_inputs(4))
     np.testing.assert_allclose(
         swept, sweep_accept_probabilities(compiled, all_inputs(4))[0], rtol=0, atol=DENSE_TOL
@@ -269,6 +276,19 @@ def test_norm_drift_is_measured_after_every_read():
     assert drift == pytest.approx(0.01)
 
 
+def test_a_program_without_reads_reports_its_initial_drift():
+    program = QuantumBranchingProgram(
+        dimension=2,
+        arity=1,
+        instructions=(),
+        initial_state=np.array([1.01, 0.0]),
+        accepting=(0,),
+    )
+    probabilities, drift = sweep_accept_probabilities(program, all_inputs(1))
+    np.testing.assert_allclose(probabilities, [1.0201, 1.0201], rtol=0, atol=DENSE_TOL)
+    assert drift == pytest.approx(0.01)
+
+
 def test_compiled_stacks_have_per_branch_block_sizes():
     good_set, _ = sample_good(0.2, 3, seed=0)
     t = good_set.size
@@ -277,8 +297,7 @@ def test_compiled_stacks_have_per_branch_block_sizes():
         assert instruction.on_one.shape == (t, 2, 2)
         assert instruction.on_one.dtype == np.float64
         assert instruction.on_zero is None
-    assert single.post_transform.shape == (single.dimension, single.dimension)
-    assert single.post_transform.dtype == np.float64
+    assert single.interfere
     assert single.initial_state.dtype == np.float64
     for count in (1, 2, 3):
         modulus = 7
@@ -296,7 +315,7 @@ def test_compiled_stacks_have_per_branch_block_sizes():
         shape = (good_set.size, 2**count, 2**count)
         assert all(instruction.on_one.shape == shape for instruction in program.instructions)
         assert all(instruction.on_zero is None for instruction in program.instructions)
-        assert program.post_transform is None
+        assert not program.interfere
         assert program.initial_state.dtype == np.float64
 
 
@@ -366,7 +385,7 @@ def scaled_block_program() -> QuantumBranchingProgram:
         instructions=tuple(instructions),
         initial_state=compiled.initial_state,
         accepting=compiled.accepting,
-        post_transform=compiled.post_transform,
+        interfere=compiled.interfere,
     )
 
 
@@ -449,7 +468,6 @@ def test_compiled_reads_store_no_identity_and_freeze_u1():
     for instruction in program.instructions:
         assert instruction.on_zero is None
         assert not instruction.on_one.flags.writeable
-    assert not program.post_transform.flags.writeable
     assert not program.initial_state.flags.writeable
 
 
@@ -458,20 +476,22 @@ def reference_fingerprint_program(
 ) -> QuantumBranchingProgram:
     """The fingerprinting circuit as the paper draws it: uniform branches,
     an explicit identity U(0) and a per-branch R_y U(1) per read, then the
-    constant-coefficient rotation (and, for single, the Hadamard layer) as a
-    trailing post-transform."""
+    constant-coefficient rotation (and, for single, the dense Hadamard layer
+    H^(x)l (x) I_2) as a trailing step that reads x_1 again with the same
+    matrix on either bit, and the projection onto |0...0>|0> (single) or
+    onto every branch's all-zero targets."""
     t, size = good_set.size, 2 ** len(characteristic)
     numerator = (4.0 if single else 2.0) * math.pi
     constants = reference_branch_block(
         good_set, tuple(p.coefficients[0] for p in characteristic.polynomials), numerator
     )
-    post_transform = constants
+    trailing = constants
     if single:
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
         layer = np.eye(1)
         for _ in range(t.bit_length() - 1):
             layer = np.kron(layer, h)
-        post_transform = np.kron(layer, np.eye(2)) @ constants
+        trailing = np.kron(layer, np.eye(2)) @ constants
     instructions = tuple(
         Instruction(
             variable_index=j,
@@ -485,10 +505,9 @@ def reference_fingerprint_program(
     return QuantumBranchingProgram(
         dimension=t * size,
         arity=characteristic.arity,
-        instructions=instructions,
+        instructions=instructions + (Instruction(1, trailing, trailing),),
         initial_state=uniform_branches(t, size),
         accepting=(0,) if single else tuple(range(0, t * size, size)),
-        post_transform=post_transform,
     )
 
 
@@ -522,7 +541,7 @@ def test_compiled_program_is_the_circuit_with_trailing_constants(data):
     )
     loaded = program_from_json_dict(json.loads(json.dumps(program_to_json_dict(compiled))))
     assert all(instruction.on_zero is None for instruction in loaded.instructions)
-    assert (loaded.post_transform is None) == (compiled.post_transform is None)
+    assert loaded.interfere == compiled.interfere == single
 
 
 # The scalar closed forms, their batch forms and the goodness measure share one
@@ -740,7 +759,7 @@ def test_prefix_path_on_a_complex_dense_program(seed):
         instructions=instructions,
         initial_state=initial_state,
         accepting=(0, 3),
-        post_transform=random_unitary(rng, d),
+        interfere=seed % 2 == 0,
     )
     assert program.initial_state.dtype == np.complex128
     for start, stop in ((0, 32), (16, 24), (30, 32)):
@@ -767,8 +786,7 @@ def test_prefix_drift_sees_states_that_later_steps_undo():
     shrink = np.linalg.inv(stretch)
     start = np.array([1.0, 0.0])
     # Every U(0) and U(1) of read 2 undoes read 1, so only the states in
-    # between drift; read 3 changes nothing.  Then a post-transform undoes
-    # the last read.
+    # between drift; read 3 changes nothing.
     undone_by_a_read = QuantumBranchingProgram(
         dimension=2,
         arity=3,
@@ -780,18 +798,9 @@ def test_prefix_drift_sees_states_that_later_steps_undo():
         initial_state=start,
         accepting=(0,),
     )
-    undone_by_the_post_transform = QuantumBranchingProgram(
-        dimension=2,
-        arity=1,
-        instructions=(Instruction(variable_index=1, on_zero=stretch, on_one=stretch),),
-        initial_state=start,
-        accepting=(0,),
-        post_transform=shrink,
-    )
     cases = (
         (undone_by_a_read, all_inputs(3), 3),
         (undone_by_a_read, input_block(3, 4, 6), 1),  # reads 1 and 2 shared
-        (undone_by_the_post_transform, all_inputs(1), 1),
     )
     for program, bits, doublings in cases:
         drift, sorted_drift = assert_prefix_path_matches(
@@ -812,7 +821,7 @@ def test_other_read_orders_double_or_take_the_tiles():
         arity=compiled.arity,
         initial_state=compiled.initial_state,
         accepting=compiled.accepting,
-        post_transform=compiled.post_transform,
+        interfere=compiled.interfere,
     )
     reversed_order = QuantumBranchingProgram(
         instructions=compiled.instructions[::-1], **fields
@@ -857,7 +866,7 @@ def test_exhaustive_batch_under_a_permuted_read_order_doubles(seed):
         instructions=tuple(compiled.instructions[i] for i in order),
         initial_state=compiled.initial_state,
         accepting=compiled.accepting,
-        post_transform=compiled.post_transform,
+        interfere=compiled.interfere,
     )
     assert_prefix_path_matches(program, all_inputs(6), 6)
     # Rows sharing the first read's variable share one read and double the rest.
@@ -968,13 +977,17 @@ def rewired_program(data, compiled: QuantumBranchingProgram) -> QuantumBranching
         ),
         initial_state=compiled.initial_state,
         accepting=compiled.accepting,
-        post_transform=compiled.post_transform,
+        interfere=compiled.interfere,
     )
 
 
-def random_dense_program(rng: np.random.Generator, d: int, arity: int, length: int):
-    """Complex dense reads of random variables, repeats included."""
+def random_dense_program(
+    rng: np.random.Generator, d: int, arity: int, length: int, interfere: bool = False
+):
+    """Complex dense reads of random variables, repeats included, and a
+    random nonempty accepting set."""
     state = rng.normal(size=d) + 1j * rng.normal(size=d)
+    accepting = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
     return QuantumBranchingProgram(
         dimension=d,
         arity=arity,
@@ -987,8 +1000,8 @@ def random_dense_program(rng: np.random.Generator, d: int, arity: int, length: i
             for _ in range(length)
         ),
         initial_state=state / np.linalg.norm(state),
-        accepting=(0,),
-        post_transform=random_unitary(rng, d),
+        accepting=tuple(int(i) for i in accepting),
+        interfere=interfere,
     )
 
 
@@ -999,7 +1012,9 @@ def test_sorted_prefix_sweep_matches_run(data):
     kind = data.draw(st.sampled_from(["single", "general", "dense"]))
     if kind == "dense":
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        program = random_dense_program(rng, data.draw(st.sampled_from([2, 3, 4])), arity, 2 * arity)
+        program = random_dense_program(
+            rng, data.draw(st.sampled_from([2, 3, 4])), arity, 2 * arity, data.draw(st.booleans())
+        )
     else:
         modulus = data.draw(MODULI)
         good_set = draw_good_set(data, modulus)
@@ -1060,8 +1075,7 @@ def test_sorted_prefix_sweep_past_the_sort_key(tile_factor):
 def test_sorted_prefix_sweep_shares_read_prefixes():
     # Inputs 0..47 of n = 6 in shuffled order, an incomplete batch: read k
     # acts on one column per distinct prefix of k + 1 bits, 2 + 3 + 6 + 12 +
-    # 24 + 48 = 95 columns in all instead of 6 * 48 = 288, and the
-    # post-transform on the 48 leaves.
+    # 24 + 48 = 95 columns in all instead of 6 * 48 = 288.
     good_set, _ = sample_good(0.3, 5, seed=4)
     program = compile_single(mod_polynomial(6, 5), good_set).program
     bits = input_block(6, 0, 48)[np.random.default_rng(0).permutation(48)]
@@ -1074,7 +1088,7 @@ def test_sorted_prefix_sweep_shares_read_prefixes():
 
     with mock.patch.object(programs, "_apply_blocks", counted):
         swept, _ = sweep_accept_probabilities(program, bits)
-    assert sum(columns) == 95 + 48
+    assert sum(columns) == 95
     np.testing.assert_allclose(swept, dense_probabilities(program, bits), rtol=0, atol=DENSE_TOL)
 
 
