@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import compiler, goodsets, hsf, polynomials, programs, verification
-from .errors import _json_list, _malformed
+from .errors import _json_int, _json_list, _malformed
 
 
 def _emit(payload) -> None:
@@ -125,8 +125,10 @@ def _load_hsf_instance(args: argparse.Namespace) -> hsf.HSFInstance:
         with open(args.cayley_file, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         with _malformed(f"Cayley file {args.cayley_file}"):
-            group = hsf.FiniteGroup.from_table(_json_list(data["table"]))
-            subgroup = tuple(int(s) for s in _json_list(data["subgroup"]))
+            rows = _json_list(data["table"])
+            table = [[_json_int(g) for g in _json_list(row)] for row in rows]
+            group = hsf.FiniteGroup.from_table(table)
+            subgroup = tuple(_json_int(s) for s in _json_list(data["subgroup"]))
     elif args.cyclic is not None:
         if args.subgroup_generator is None:
             raise ValueError("--cyclic requires --subgroup-generator")

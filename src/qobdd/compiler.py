@@ -45,6 +45,7 @@ from .errors import (
     LengthMismatchError,
     ModulusMismatchError,
     TooLargeError,
+    _json_int,
     _json_list,
     _malformed,
 )
@@ -233,9 +234,9 @@ def recipe_from_json_dict(recipe: dict) -> SingleCompilation | GeneralCompilatio
         params = _json_list(goodset["params"])
         check_budget(source, len(params))
         good_set = GoodSet(
-            modulus=int(goodset["m"]),
+            modulus=_json_int(goodset["m"]),
             error_rate=float(goodset["epsilon"]),
-            parameters=tuple(int(k) for k in params),
+            parameters=tuple(_json_int(k) for k in params),
         )
     required = required_size(good_set.error_rate, good_set.modulus)
     if good_set.size < required:
@@ -257,19 +258,16 @@ def error_bound_general(epsilon: float) -> float:
 def evaluate_linear_batch(
     polynomial: LinearPolynomial, bit_matrix: np.ndarray
 ) -> np.ndarray:
-    """Residues g(sigma) for every row of bit_matrix, as int64 when safe."""
+    """Residues g(sigma) for every row of bit_matrix: int64 while the sums
+    cannot overflow, Python integers in an object array past that."""
     if bit_matrix.shape[1] != polynomial.arity:
         raise LengthMismatchError(
             f"expected {polynomial.arity} bits, got {bit_matrix.shape[1]}"
         )
     m = polynomial.modulus
-    if (polynomial.arity + 1) * (m - 1) < _INT64_SAFE:
-        coeffs = np.array(polynomial.coefficients[1:], dtype=np.int64)
-        values = bit_matrix.astype(np.int64) @ coeffs + polynomial.coefficients[0]
-        return values % m
-    return np.array(
-        [polynomial.evaluate(row) for row in bit_matrix.tolist()], dtype=object
-    )
+    dtype = np.int64 if (polynomial.arity + 1) * (m - 1) < _INT64_SAFE else object
+    coeffs = np.array(polynomial.coefficients[1:], dtype=dtype)
+    return (bit_matrix.astype(dtype) @ coeffs + polynomial.coefficients[0]) % m
 
 
 def _residue_table(

@@ -51,3 +51,14 @@ def _json_list(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a JSON list, got {type(value).__name__}")
     return value
+
+
+def _json_int(value) -> int:
+    """value as an int if it is a JSON integer (not a bool) or a string of
+    decimal digits with an optional minus; TypeError otherwise, so that a
+    float is not truncated and a bool is not read as 0 or 1."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
+        return int(value)
+    raise TypeError(f"expected a JSON integer or a decimal string, got {value!r}")

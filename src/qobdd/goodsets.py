@@ -97,15 +97,13 @@ class GoodSet:
 
 def _residue_products(values, good_set: GoodSet) -> np.ndarray:
     """(k_i * v mod m) / m for every residue v and parameter k_i, shape (rows, t):
-    exact products (int64 while they cannot overflow), then one rounding."""
+    exact products (int64 while they cannot overflow, Python integers in an
+    object array past that), then one rounding."""
     m = good_set.modulus
-    if (m - 1) * (m - 1) >= _INT64_SAFE:
-        params = [int(k) for k in good_set.parameters]
-        rows = [[(k * int(v)) % m / m for k in params] for v in values]
-        return np.array(rows, dtype=np.float64).reshape(len(rows), len(params))
-    params = np.array(good_set.parameters, dtype=np.int64)
-    products = (np.asarray(values, dtype=np.int64)[:, None] * params[None, :]) % m
-    return products.astype(np.float64) / m
+    dtype = np.int64 if (m - 1) * (m - 1) < _INT64_SAFE else object
+    params = np.array(good_set.parameters, dtype=dtype)
+    products = (np.asarray(values, dtype=dtype)[:, None] * params[None, :]) % m
+    return np.asarray(products / m, dtype=np.float64)
 
 
 def _cosine_kernel(values, good_set: GoodSet) -> np.ndarray:
@@ -114,28 +112,26 @@ def _cosine_kernel(values, good_set: GoodSet) -> np.ndarray:
     return np.mean(np.cos(2.0 * math.pi * ratios), axis=1) ** 2
 
 
+def _nonzero_residues(good_set: GoodSet, b) -> np.ndarray:
+    """b mod m, a scalar b as a one-entry array, in an object array once m
+    reaches _INT64_SAFE; ZeroResidueError when any of them is 0."""
+    m = good_set.modulus
+    residues = np.asarray(b, dtype=None if m < _INT64_SAFE else object).reshape(-1) % m
+    if (residues == 0).any():
+        raise ZeroResidueError("goodness is undefined for b == 0 (mod m)")
+    return residues
+
+
 def cosine_sum(good_set: GoodSet, b: int) -> float:
     """(1/t^2) (sum_i cos(2 pi (k_i b mod m) / m))^2 for b != 0 mod m."""
-    residue = b % good_set.modulus
-    if residue == 0:
-        raise ZeroResidueError("goodness is undefined for b == 0 (mod m)")
-    return float(_cosine_kernel([residue], good_set)[0])
+    return float(_cosine_kernel(_nonzero_residues(good_set, b), good_set)[0])
 
 
 def is_good_for(good_set: GoodSet, b) -> bool:
     """Whether the set is good for residue b, or for every residue in an
     array b: one kernel call either way."""
-    if np.ndim(b) == 0:
-        return cosine_sum(good_set, b) < good_set.error_rate
-    m = good_set.modulus
-    residues = np.asarray(b)
-    if residues.dtype.kind in "iu" and m < _INT64_SAFE:
-        residues = residues % m
-    else:
-        residues = np.array([int(v) % m for v in residues], dtype=object)
-    if (residues == 0).any():
-        raise ZeroResidueError("goodness is undefined for b == 0 (mod m)")
-    return bool(np.all(_cosine_kernel(residues, good_set) < good_set.error_rate))
+    cosines = _cosine_kernel(_nonzero_residues(good_set, b), good_set)
+    return bool(np.all(cosines < good_set.error_rate))
 
 
 def is_good_for_all(good_set: GoodSet, residues: Iterable[int]) -> bool:

@@ -16,7 +16,13 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import LengthMismatchError, TooLargeError, _json_list, _malformed
+from .errors import (
+    LengthMismatchError,
+    TooLargeError,
+    _json_int,
+    _json_list,
+    _malformed,
+)
 
 # The most signed monomials sop_to_polynomial expands, about 20 us each: a
 # product with k negated literals gives 2^k, a minterm SOP over 10 variables <= 3^10.
@@ -78,9 +84,9 @@ class LinearPolynomial:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LinearPolynomial":
         return cls(
-            modulus=int(data["m"]),
-            arity=int(data["n"]),
-            coefficients=tuple(int(c) for c in _json_list(data["coeffs"])),
+            modulus=_json_int(data["m"]),
+            arity=_json_int(data["n"]),
+            coefficients=tuple(_json_int(c) for c in _json_list(data["coeffs"])),
         )
 
 
@@ -344,6 +350,7 @@ def load_sop(path: str) -> SOPFormula:
         data = json.load(handle)
     with _malformed(f"SOP file {path}"):
         products = tuple(
-            tuple(int(lit) for lit in _json_list(p)) for p in _json_list(data["products"])
+            tuple(_json_int(lit) for lit in _json_list(p))
+            for p in _json_list(data["products"])
         )
-        return SOPFormula(arity=int(data["n"]), products=products)
+        return SOPFormula(arity=_json_int(data["n"]), products=products)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LengthMismatchError, _malformed
+from .errors import LengthMismatchError, _json_int, _malformed
 
 UNITARY_TOL = 1e-9
 NORM_TOL = 1e-9
@@ -264,31 +264,29 @@ def _sweep_sorted_tile(
     values: np.ndarray,
     start: int,
     column: np.ndarray,
-    key_reads: int,
     buffers: list[np.ndarray],
     mask: np.ndarray,
 ) -> tuple[np.ndarray, float]:
-    """Acceptance of a tile of rows sorted on their first key_reads read
-    values, with one state column per distinct read prefix.
+    """Acceptance of a tile of sorted rows, with one state column per
+    distinct read prefix.
 
     values[k, i] is row i's bit at read k.  Every row shares its first start
     reads, after which the state is column.  A row gets a column of its own,
-    copied from its prefix's, at the first key read from start on where it
-    differs from the row before it, or at read max(start, key_reads) when it
-    differs nowhere there; until then it shares the column of the row that
-    opened its prefix.  Once more than half the rows have columns, every row
-    gets one: the few prefixes left to share save less than the copies of
-    further splits cost.  Every read applies on_one to the columns whose bit
-    is 1 and on_zero (unless it is None) to the rest, and the drift
-    is measured on every column it produces.  The states live in buffers[0];
-    a read writes into the other flat buffers and swaps, so no state array
-    is allocated per read.
+    copied from its prefix's, at the first read from start on where it
+    differs from the row before it; until then, and for good when it differs
+    nowhere, it shares the column of the row that opened its prefix.  Once
+    more than half the rows have columns, every row gets one: the few
+    prefixes left to share save less than the copies of further splits cost.
+    Every read applies on_one to the columns whose bit is 1 and on_zero
+    (unless it is None) to the rest, and the drift is measured on every
+    column it produces.  The states live in buffers[0]; a read writes into
+    the other flat buffers and swaps, so no state array is allocated per read.
     """
     rows = values.shape[1]
-    # The read that opens each row's column: the first key read from start
-    # on at which it differs from the row before it (the last row of
-    # differs stands for read max(start, key_reads)); row 0 holds column.
-    lead = values[start:key_reads]
+    # The read that opens each row's column: the first read from start on at
+    # which it differs from the row before it (the last row of differs, past
+    # every read, for a row equal to the one before it); row 0 holds column.
+    lead = values[start:]
     differs = np.ones((lead.shape[0] + 1, rows - 1), dtype=bool)
     np.not_equal(lead[:, 1:], lead[:, :-1], out=differs[:-1])
     splits = np.concatenate(([-1], start + differs.argmax(axis=0)))
@@ -503,7 +501,7 @@ def sweep_accept_probabilities(
         for first in range(0, count, tile):
             stop = min(first + tile, count)
             swept[first:stop], tile_drift = _sweep_sorted_tile(
-                program, values[:, first:stop], shared, column, key_reads, buffers, mask
+                program, values[:, first:stop], shared, column, buffers, mask
             )
             drift = max(drift, tile_drift)
     probabilities = np.empty(count)
@@ -581,18 +579,18 @@ def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
         if not isinstance(interfere, bool):
             raise TypeError(f"interfere must be a JSON bool, got {interfere!r}")
         program = QuantumBranchingProgram(
-            dimension=int(data["dimension"]),
-            arity=int(data["arity"]),
+            dimension=_json_int(data["dimension"]),
+            arity=_json_int(data["arity"]),
             instructions=tuple(
                 Instruction(
-                    variable_index=int(entry["variable"]),
+                    variable_index=_json_int(entry["variable"]),
                     on_zero=optional(entry["on_zero"]),
                     on_one=_array_from_json(entry["on_one"]),
                 )
                 for entry in data["instructions"]
             ),
             initial_state=_array_from_json(data["initial_state"]),
-            accepting=tuple(int(i) for i in data["accepting"]),
+            accepting=tuple(_json_int(i) for i in data["accepting"]),
             interfere=interfere,
         )
     return program

@@ -450,3 +450,90 @@ def test_malformed_input_files_are_usage_errors(capsys, tmp_path, command, data)
     assert captured.out == ""
     assert captured.err.startswith("error: malformed ")
     assert str(path) in captured.err
+
+
+def _recipe_file(tmp_path, edit) -> str:
+    """A program file holding the recipe of MOD_3 over four bits, edited."""
+    recipe = compiler.recipe_to_json_dict(mod_polynomial(4, 3), sample(0.2, 3, seed=2))
+    edit(recipe)
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps({"fingerprint": recipe}))
+    return str(path)
+
+
+def _set_params(recipe):
+    recipe["goodset"]["params"] = [int(k) + 0.5 for k in recipe["goodset"]["params"]]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_params,
+        lambda recipe: recipe["polynomials"][0]["coeffs"].__setitem__(1, 1.9),
+        lambda recipe: recipe["polynomials"][0].__setitem__("n", 4.7),
+        lambda recipe: recipe["polynomials"][0].__setitem__("m", 3.5),
+        lambda recipe: recipe["goodset"].__setitem__("m", 3.5),
+        lambda recipe: recipe["polynomials"][0].__setitem__("n", True),
+        lambda recipe: recipe["polynomials"][0]["coeffs"].__setitem__(1, "1.0"),
+    ],
+    ids=["params", "coeffs", "n", "polynomial-m", "goodset-m", "bool-n", "string-coeff"],
+)
+def test_eval_refuses_recipe_integer_fields_that_are_not_integers(capsys, tmp_path, edit):
+    assert cli.main(["eval", "--program", _recipe_file(tmp_path, lambda r: None), "--input", "1110"]) == 0
+    capsys.readouterr()
+    assert cli.main(["eval", "--program", _recipe_file(tmp_path, edit), "--input", "1110"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed program recipe" in captured.err and "JSON integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("sop-file", {"n": 2, "products": [[1, 1.5]]}),
+        ("sop-file", {"n": 3.9, "products": [[1, 2]]}),
+        ("char-file", [{"m": "3", "n": 2, "coeffs": ["0", 1.5, "1"]}]),
+        ("cayley-file", {"table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
+                         "subgroup": [0, 2.5]}),
+        ("cayley-file", {"table": [[float((a + b) % 66) for b in range(66)] for a in range(66)],
+                         "subgroup": [0, 33]}),
+    ],
+    ids=["sop-literal", "sop-n", "char-coefficient", "cayley-subgroup", "cayley-float-table"],
+)
+def test_input_file_integer_fields_are_checked_not_truncated(capsys, tmp_path, command, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if command == "cayley-file":
+        argv = ["hsf", "--cayley-file", str(path)]
+    else:
+        argv = ["build", "--function", command, "--file", str(path), "--epsilon", "0.5",
+                "--out", str(tmp_path / "program.json")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed ") and "JSON integer" in captured.err
+    assert not (tmp_path / "program.json").exists()
+
+
+def _loop_times_z13() -> list[list[int]]:
+    """The order-5 non-associative loop times Z_13: 65 elements, a Latin
+    square with identity 0, not associative."""
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    return [
+        [13 * loop[a // 13][b // 13] + (a + b) % 13 for b in range(65)] for a in range(65)
+    ]
+
+
+@pytest.mark.parametrize("case", ["non-associative-65", "cyclic-257"])
+def test_cayley_tables_are_checked_or_refused_at_every_size(capsys, tmp_path, case):
+    if case == "non-associative-65":
+        data, message = {"table": _loop_times_z13(), "subgroup": [0]}, "associativity fails"
+    else:
+        table = [[(a + b) % 257 for b in range(257)] for a in range(257)]
+        data, message = {"table": table, "subgroup": [0]}, "over the limit of 256"
+    path = tmp_path / "cayley.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["hsf", "--cayley-file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qobdd.errors import LengthMismatchError, NotNormalError, PromiseViolation
+from qobdd.errors import LengthMismatchError, NotNormalError, PromiseViolation, TooLargeError
 from qobdd.goodsets import required_size
 from qobdd.hsf import (
+    CAYLEY_ORDER_LIMIT,
     FiniteGroup,
     HSFInstance,
     check_normal_subgroup,
@@ -76,6 +78,29 @@ def test_from_table_rejects_non_associative_loop():
     ]
     with pytest.raises(ValueError, match="associativity"):
         FiniteGroup.from_table(table)
+
+
+def test_from_table_checks_associativity_past_64_elements():
+    # The loop above times Z_13: 65 elements, and the message names the
+    # first failing (a, b, c) in lexicographic order.
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]]
+    table = [[13 * loop[a // 13][b // 13] + (a + b) % 13 for b in range(65)] for a in range(65)]
+    first = next(
+        (a, b, c)
+        for a, b, c in product(range(65), repeat=3)
+        if table[table[a][b]][c] != table[a][table[b][c]]
+    )
+    with pytest.raises(ValueError, match=re.escape(f"associativity fails at {first}")):
+        FiniteGroup.from_table(table)
+
+
+def test_from_table_refuses_tables_over_the_order_limit():
+    order = CAYLEY_ORDER_LIMIT
+    table = [[(a + b) % order for b in range(order)] for a in range(order)]
+    assert FiniteGroup.from_table(table).identity == 0
+    larger = [[(a + b) % (order + 1) for b in range(order + 1)] for a in range(order + 1)]
+    with pytest.raises(TooLargeError, match="over the limit"):
+        FiniteGroup.from_table(larger)
 
 
 def test_coset_decompositions():

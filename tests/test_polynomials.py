@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qobdd.errors import LengthMismatchError, TooLargeError
+from qobdd.errors import LengthMismatchError, TooLargeError, _json_int
 from qobdd import polynomials
 from qobdd.polynomials import (
     Characteristic,
@@ -237,6 +237,17 @@ def test_polynomial_json_round_trip():
     assert again == poly
     chi = Characteristic(modulus=3, arity=3, polynomials=(mod_polynomial(3, 3),))
     assert Characteristic.from_json_list(chi.to_json_list()) == chi
+
+
+def test_json_integers_are_integers_or_decimal_strings():
+    assert [_json_int(v) for v in (3, -4, "12", "-7", "0", str(7**40))] == [
+        3, -4, 12, -7, 0, 7**40
+    ]
+    for value in (1.0, 2.5, True, False, None, "1.5", " 1", "1_0", "+1", "", "-", "0x1", [1]):
+        with pytest.raises(TypeError, match="JSON integer"):
+            _json_int(value)
+    with pytest.raises(TypeError, match="JSON integer"):
+        LinearPolynomial.from_json_dict({"m": "3", "n": 2, "coeffs": ["0", 1.5, "1"]})
 
 
 def test_sop_rejects_repeated_products():

@@ -299,3 +299,20 @@ def test_program_arrays_are_frozen():
 def test_program_from_json_dict_raises_value_error_on_malformed_data(data):
     with pytest.raises(ValueError, match="malformed program file"):
         program_from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("dimension", 2.0), ("arity", 1.5), ("arity", True), ("variable", 1.9), ("accepting", [0.5])],
+)
+def test_program_from_json_dict_refuses_non_integer_fields(field, value):
+    data = {"dimension": 2, "arity": 1, "instructions": [{"variable": 1, "on_zero": None,
+            "on_one": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}],
+            "initial_state": [[1, 0], [0, 0]], "accepting": [0], "interfere": False}
+    assert program_from_json_dict(data).arity == 1
+    if field == "variable":
+        data["instructions"][0]["variable"] = value
+    else:
+        data[field] = value
+    with pytest.raises(ValueError, match="JSON integer"):
+        program_from_json_dict(data)

@@ -1103,3 +1103,31 @@ def test_one_row_batches_do_no_sort_or_prefix_work():
             swept, _ = sweep_accept_probabilities(program, row[None, :])
             assert swept[0] == pytest.approx(dense_probabilities(program, row[None, :])[0], abs=DENSE_TOL)
             assert accept_probability(program, row.tolist()) == swept[0]
+
+
+def test_sorted_prefix_sweep_shares_equal_rows_past_the_sort_key():
+    # Two pairs of equal rows over 70 reads that agree on their first 66:
+    # each pair splits from the other at read 66, past the 64-read key, and
+    # each row equal to the one before it keeps sharing its column.
+    good_set, _ = sample_good(0.3, 3, seed=1)
+    program = compile_single(mod_polynomial(70, 3), good_set).program
+    row = np.random.default_rng(8).integers(0, 2, size=70, dtype=np.uint8)
+    row[66:] = 1
+    other = row.copy()
+    other[66] = 0
+    bits = np.stack([row, row, other, other])
+    columns = []
+    apply_blocks = programs._apply_blocks
+
+    def counted(stack, states, out=None):
+        columns.append(states.shape[1])
+        return apply_blocks(stack, states, out=out)
+
+    with mock.patch.object(programs, "_apply_blocks", counted), mock.patch.object(
+        programs, "_sweep_sorted_tile", wraps=programs._sweep_sorted_tile
+    ) as tiles:
+        swept, drift = sweep_accept_probabilities(program, bits)
+    assert [call.args[2] for call in tiles.call_args_list] == [66]
+    assert max(columns) == 2
+    np.testing.assert_allclose(swept, dense_probabilities(program, bits), rtol=0, atol=DENSE_TOL)
+    assert drift <= 1e-9
