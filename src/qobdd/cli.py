@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import compiler, goodsets, hsf, polynomials, programs, verification
 from .errors import _json_int, _json_list, _malformed
@@ -146,7 +147,6 @@ def _cmd_hsf(args: argparse.Namespace) -> int:
         _emit(report.to_json_dict())
         return 0 if report.passed else 1
     compilation = hsf.compile_hsf(instance, args.epsilon, args.seed)
-    program_metrics = programs.metrics(compilation.program)
     _emit(
         {
             "group_order": instance.group.order,
@@ -156,11 +156,7 @@ def _cmd_hsf(args: argparse.Namespace) -> int:
             "bits_per_value": instance.bits_per_value,
             "arity": instance.arity,
             "characteristic": compilation.characteristic.to_json_list(),
-            "metrics": {
-                "width": program_metrics.width,
-                "length": program_metrics.length,
-                "qubits": program_metrics.qubits,
-            },
+            "metrics": asdict(programs.metrics(compilation.program)),
         }
     )
     return 0

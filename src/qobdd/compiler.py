@@ -2,36 +2,35 @@
 
 Single-polynomial construction: a branch register of log2(t) qubits in
 uniform superposition plus one target qubit.  Branch i's target starts
-rotated by 4 pi k_i c_0 / m about the y axis, the constant coefficient;
-reading x_j = 1 rotates it further by 4 pi k_i c_j / m and reading x_j = 0
-does nothing.  After the reads a final Hadamard layer interferes the
-branches, so the all-zero state carries amplitude
-(1/t) sum_i cos(2 pi k_i g(sigma) / m), which is <u|psi> for u the uniform
-superposition of the states |i>|0>: the program interferes, measuring its
-state after the reads against u, instead of storing the layer.  Inputs with
-g(sigma) = 0 are accepted with probability exactly 1; for g(sigma) != 0 a
+rotated by 4 pi k_i c_0 / m about the y axis, the constant coefficient.
+Reading x_j = 1 rotates it further by 4 pi k_i c_j / m; reading x_j = 0
+does nothing.  A final Hadamard layer would interfere the branches, so that
+the all-zero state carries amplitude (1/t) sum_i cos(2 pi k_i g(sigma) / m).
+That amplitude is <u|psi> for u the uniform superposition of the states
+|i>|0>, so the program interferes instead of storing the layer.  Inputs with
+g(sigma) = 0 are accepted with probability exactly 1.  For g(sigma) != 0 a
 good parameter set pushes the probability below the error rate.
 
 Generalized construction: one target qubit per polynomial of the
 characteristic, rotation angles 2 pi k_i c_j / m (half the single-polynomial
 angle), no final Hadamard, and measurement in the computational basis.  The
 input is accepted when all target qubits read zero, with probability
-(1/t) sum_i prod_s cos^2(pi k_i g_s(sigma) / m); a good set bounds the false
-accepts by 1/2 + sqrt(eps)/2.
+(1/t) sum_i prod_s cos^2(pi k_i g_s(sigma) / m).  A good set bounds the
+false accepts by 1/2 + sqrt(eps)/2.
 
-Rotation angles use the exact residue (k_i c_j mod m): the reduction shifts
+Rotation angles use the exact residue (k_i c_j mod m).  The reduction shifts
 single-construction angles by multiples of 4 pi (the R_y period, so exactly
 nothing) and generalized angles by multiples of 2 pi (a per-branch sign that
 squares away in the measurement).
 
 Rotations about one axis commute, so starting in the constant rotation is
-the circuit that applies it after the reads.  Every U(1) is stored as the
-(t, 2^l, 2^l) stack of per-branch blocks the compiler builds and every U(0)
-as None, the identity; a program holds no other array than these stacks and
-its initial state.  Both constructions accept the states |i>|0...0>; they
-differ only in the angle and in whether the program interferes.  Both are
-rebuilt from a recipe, the polynomial(s) and the parameter set, which is
-what a program file stores: O(n + t) numbers instead of the matrices.
+the circuit that applies it after the reads.  Each read stores its U(1) as
+the float64 (t, 2^l, 2^l) stack of per-branch R_y blocks; a read of x_j = 0
+is the identity and stores nothing.  Both constructions accept the states
+|i>|0...0>; they differ only in the angle and in whether the program
+interferes.  Both are rebuilt from a recipe, the polynomial(s) and the
+parameter set, which is what a program file stores: O(n + t) numbers
+instead of the matrices.
 """
 
 from __future__ import annotations
@@ -124,7 +123,7 @@ def _fingerprint_program(
     block, which rotates target s by numer * (k_i c_s0 mod m) / m.  Reading
     x_j = 1 rotates target s of branch i by numer * (k_i c_sj mod m) / m, a
     (t, 2^l, 2^l) stack of per-branch blocks, and reading x_j = 0 does
-    nothing (on_zero is None).  Both accept the states where every target
+    nothing.  Both accept the states where every target
     reads zero.  The single-polynomial circuit (one polynomial, single=True)
     uses twice the generalized angle and interferes: its final Hadamard
     layer and all-zero measurement are the measurement against the uniform
@@ -142,7 +141,6 @@ def _fingerprint_program(
     instructions = tuple(
         Instruction(
             variable_index=j,
-            on_zero=None,
             on_one=_branch_blocks(
                 good_set,
                 tuple(poly.coefficients[j] for poly in characteristic.polynomials),

@@ -113,10 +113,16 @@ def _cosine_kernel(values, good_set: GoodSet) -> np.ndarray:
 
 
 def _nonzero_residues(good_set: GoodSet, b) -> np.ndarray:
-    """b mod m, a scalar b as a one-entry array, in an object array once m
-    reaches _INT64_SAFE; ZeroResidueError when any of them is 0."""
+    """b mod m, a scalar b as a one-entry array, reduced in int64 (so a
+    narrow integer dtype cannot overflow) or, once m reaches _INT64_SAFE or
+    b does not fit int64, in Python integers (an object array);
+    ZeroResidueError when any of them is 0."""
     m = good_set.modulus
-    residues = np.asarray(b, dtype=None if m < _INT64_SAFE else object).reshape(-1) % m
+    values = np.asarray(b).reshape(-1)
+    if values.dtype.kind not in "biu":  # Python integers no integer dtype holds
+        values = np.asarray(b, dtype=object).reshape(-1)
+    exact = m < _INT64_SAFE and np.can_cast(values.dtype, np.int64)
+    residues = values.astype(np.int64 if exact else object) % m
     if (residues == 0).any():
         raise ZeroResidueError("goodness is undefined for b == 0 (mod m)")
     return residues

@@ -1,29 +1,27 @@
 """Quantum branching programs and their exact state-vector simulation.
 
-A program is an initial state, a sequence of instructions (variable index,
-U(0), U(1)) acting on the d-dimensional state, and a set of accepting basis
-indices.  Running a program on a bit string applies the matrix selected by
-each read bit in sequence order, then measures: the acceptance probability
-is the squared norm of the projection onto the accepting indices or, when
-the program interferes, |<u|psi>|^2 for u their uniform superposition.  A
-U(0) of None is the identity, and costs nothing to apply: compiled reads
-rotate on x_j = 1 only.
+A program is a real initial state, a sequence of reads and a set of
+accepting basis indices.  A read names a variable x_j and holds U(1): it
+applies U(1) when x_j = 1 and nothing when x_j = 0.  That is the paper's
+circuit, where every level is an R_y rotation controlled by x_j.  Every
+array is float64, so every amplitude is real.  The acceptance probability is
+the squared norm of the projection onto the accepting indices or, when the
+program interferes, |<u|psi>|^2 for u their uniform superposition.
 
-Every matrix is stored as a stack of diagonal blocks, shape (d/b, b, b): a
-compiled read acts on each branch's target register alone, so it is t
-independent 2 x 2 (or 2^l x 2^l) rotations and costs O(d b) per input
-instead of O(d^2).  A dense (d, d) matrix is the one-block stack.  Arrays are
-float64 when they have no imaginary part, so real programs are simulated in
-real arithmetic.  sweep_accept_probabilities simulates a batch of inputs on
-the stacks, and accept_probability is its 1-row case.  Since a program's
-state after k reads depends only on the first k values it read, inputs that
-share those values share those reads: every batch is sorted on its read
-values and runs the reads all its rows share once, on one column.  A batch
-holding every pattern of the remaining reads (an exhaustive chunk, in any
-read order) then doubles the column at each of them; any other batch keeps
-one state column per distinct read prefix.
-run() expands every stack to its dense matrix and is kept as the
-independent per-input reference.
+Every U(1) is a stack of diagonal blocks, shape (d/b, b, b).  A compiled
+read rotates each branch's targets alone, so it costs O(d b) per input
+instead of O(d^2).  A dense (d, d) matrix is the one-block stack.
+
+sweep_accept_probabilities simulates a batch of inputs, and
+accept_probability is its 1-row case.  The state after k reads depends only
+on the first k values read.  So every batch is sorted on its read values,
+and the reads all its rows share run once, on one column.  Two kernels take
+the rest.  A batch holding every pattern of the remaining reads (an
+exhaustive chunk, in any read order) doubles the column at each read.  Any
+other batch is swept in tiles with one column per distinct read prefix.
+Both stay: one kernel alone measured 1.2-4.9x slower on exhaustive chunks.
+run() expands every stack to its dense matrix; it is the independent
+per-input reference.
 """
 
 from __future__ import annotations
@@ -43,21 +41,22 @@ _KEY_READS = 64
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    """A read-only C-ordered array, float64 when no entry has a nonzero
-    imaginary part and complex128 otherwise: the argument itself when it
-    already is one and owns its data, so shared stacks are stored once."""
+    """A read-only C-ordered float64 array: the argument itself when it
+    already is one and owns its data, so shared stacks are stored once.
+    TypeError when an entry has a nonzero imaginary part."""
     array = np.asarray(array)
-    if np.iscomplexobj(array) and not np.any(array.imag):
+    if np.iscomplexobj(array):
+        if np.any(array.imag):
+            raise TypeError("program arrays are real: got a complex entry")
         array = array.real
-    dtype = np.complex128 if np.iscomplexobj(array) else np.float64
     if (
-        array.dtype == dtype
+        array.dtype == np.float64
         and array.flags.c_contiguous
         and array.flags.owndata
         and not array.flags.writeable
     ):
         return array
-    out = np.array(array, dtype=dtype, order="C")
+    out = np.array(array, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out
 
@@ -85,25 +84,23 @@ def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     if matrix.ndim not in (2, 3) or matrix.shape[-2] != size:
         return False
     blocks = _blocks(matrix)
-    gram = blocks.conj().transpose(0, 2, 1) @ blocks
+    gram = blocks.transpose(0, 2, 1) @ blocks
     return bool(np.max(np.abs(gram - np.eye(size)), initial=0.0) <= tol)
 
 
 @dataclass(frozen=True)
 class Instruction:
-    """One variable read: apply on_zero or on_one depending on the bit.
+    """One variable read: apply on_one, U(1), when the bit is 1 and nothing
+    when it is 0.
 
-    Each matrix is a stack of diagonal blocks, (d/b, b, b), or a dense (d, d)
-    matrix, the one-block stack; on_zero may be None, the identity.
+    on_one is a stack of diagonal blocks, (d/b, b, b), or a dense (d, d)
+    matrix, the one-block stack.
     """
 
     variable_index: int
-    on_zero: np.ndarray | None
     on_one: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.on_zero is not None:
-            object.__setattr__(self, "on_zero", _frozen(self.on_zero))
         object.__setattr__(self, "on_one", _frozen(self.on_one))
 
 
@@ -155,21 +152,18 @@ def validate(program: QuantumBranchingProgram) -> list[str]:
                 f"instruction {step}: variable index {instruction.variable_index} "
                 f"out of range [1, {program.arity}]"
             )
-        for bit, matrix in enumerate((instruction.on_zero, instruction.on_one)):
-            if matrix is None:
-                continue
-            label = f"instruction {step}: U({bit})"
-            if (
-                matrix.ndim not in (2, 3)
-                or matrix.shape[-2] != matrix.shape[-1]
-                or math.prod(matrix.shape[:-1]) != d
-            ):
-                violations.append(
-                    f"{label} has shape {matrix.shape}, expected ({d}, {d}) "
-                    f"or (n, b, b) with n * b = {d}"
-                )
-            elif not is_unitary(matrix):
-                violations.append(f"{label} is non-unitary")
+        matrix = instruction.on_one
+        if (
+            matrix.ndim not in (2, 3)
+            or matrix.shape[-2] != matrix.shape[-1]
+            or math.prod(matrix.shape[:-1]) != d
+        ):
+            violations.append(
+                f"instruction {step}: U(1) has shape {matrix.shape}, expected "
+                f"({d}, {d}) or (n, b, b) with n * b = {d}"
+            )
+        elif not is_unitary(matrix):
+            violations.append(f"instruction {step}: U(1) is non-unitary")
     return violations
 
 
@@ -195,10 +189,8 @@ def run(
         )
     state = program.initial_state.copy()
     for instruction in program.instructions:
-        bit = bits[instruction.variable_index - 1]
-        matrix = instruction.on_one if bit else instruction.on_zero
-        if matrix is not None:
-            state = _block_diagonal(matrix) @ state
+        if bits[instruction.variable_index - 1]:
+            state = _block_diagonal(instruction.on_one) @ state
         if check_norm:
             drift = abs(np.linalg.norm(state) - 1.0)
             if drift > NORM_TOL:
@@ -233,8 +225,6 @@ def _apply_blocks(
 
 
 def _squared_norms(states: np.ndarray) -> np.ndarray:
-    if np.iscomplexobj(states):
-        return _squared_norms(states.real) + _squared_norms(states.imag)
     return np.einsum("dc,dc->c", states, states)
 
 
@@ -250,13 +240,6 @@ def _accepted(program: QuantumBranchingProgram, states: np.ndarray) -> np.ndarra
     if not program.interfere:
         return _squared_norms(rows)
     return _squared_norms(rows.sum(axis=0, keepdims=True)) / rows.shape[0]
-
-
-def _state_dtype(program: QuantumBranchingProgram) -> np.dtype:
-    """The dtype of the states: float64 unless an array of the program is complex."""
-    arrays = [program.initial_state]
-    arrays += [matrix for i in program.instructions for matrix in (i.on_zero, i.on_one)]
-    return np.result_type(*(array for array in arrays if array is not None))
 
 
 def _sweep_sorted_tile(
@@ -277,10 +260,10 @@ def _sweep_sorted_tile(
     nowhere, it shares the column of the row that opened its prefix.  Once
     more than half the rows have columns, every row gets one: the few
     prefixes left to share save less than the copies of further splits cost.
-    Every read applies on_one to the columns whose bit is 1 and on_zero
-    (unless it is None) to the rest, and the drift is measured on every
-    column it produces.  The states live in buffers[0]; a read writes into
-    the other flat buffers and swaps, so no state array is allocated per read.
+    A read whose bit is 1 on some columns applies on_one to all of them into
+    buffers[1] and keeps the products where the bit is 1, and the drift is
+    measured on the columns it leaves.  The states live in buffers[0]; the
+    buffers swap, so no state array is allocated per read.
     """
     rows = values.shape[1]
     # The read that opens each row's column: the first read from start on at
@@ -297,12 +280,6 @@ def _sweep_sorted_tile(
     def view(flat: np.ndarray) -> np.ndarray:
         return flat[: d * starts.size].reshape(d, starts.size)
 
-    def apply(stack: np.ndarray, slot: int) -> None:
-        _apply_blocks(stack, view(buffers[0]), out=view(buffers[slot]))
-
-    def swap(slot: int) -> None:
-        buffers[0], buffers[slot] = buffers[slot], buffers[0]
-
     view(buffers[0])[:] = column
     max_drift = 0.0
     for k, instruction in enumerate(program.instructions[start:], start):
@@ -317,17 +294,14 @@ def _sweep_sorted_tile(
                 starts = np.flatnonzero(opened)
                 # The indices are in range; mode="raise" would buffer out.
                 np.take(states, prefix[starts], axis=1, out=view(buffers[1]), mode="clip")
-                swap(1)
+                buffers.reverse()
         ones = values[k, starts] if starts.size < rows else values[k]
-        some, every = ones.any(), ones.all()
-        if some:
-            apply(instruction.on_one, 1)
-        if every:
-            swap(1)
-        elif instruction.on_zero is not None:
-            apply(instruction.on_zero, 2)
-            swap(2)
-        if some and not every:
+        if not ones.any():
+            continue
+        _apply_blocks(instruction.on_one, view(buffers[0]), out=view(buffers[1]))
+        if ones.all():
+            buffers.reverse()
+        else:
             np.copyto(view(mask), ones)
             np.putmask(view(buffers[0]), view(mask), view(buffers[1]))
         max_drift = max(max_drift, _norm_drift(view(buffers[0])))
@@ -337,37 +311,23 @@ def _sweep_sorted_tile(
     return probabilities, max_drift
 
 
-def _bit_reversal(bits: int) -> np.ndarray:
-    """order[v] = v with its `bits` binary digits reversed."""
-    order = np.zeros(1, dtype=np.intp)
-    for _ in range(bits):
-        order = np.concatenate((2 * order, 2 * order + 1))
-    return order
-
-
 def _doubled(
     column: np.ndarray, instructions: Sequence[Instruction], states: np.ndarray
 ) -> float:
     """Fill states, (d, 2^r), with a (d, 1) state column after each of the
     2^r bit patterns of r reads; return the largest drift.
 
-    Each read doubles the filled columns: it writes the on_one half after
-    them and applies on_zero to them in place (unless it is None),
-    so column j holds the pattern whose bits, read in order, spell j
-    backwards.  Every state a read produces is measured once: before an
-    on_zero overwrites it, or at the end.
+    Each read writes the on_one products of the filled columns after them,
+    so read i sets bit i of a pattern's column.  No state is overwritten:
+    every state a read produces is still in states at the end, where the
+    drift is measured once.
     """
     states[:, :1] = column
-    max_drift = 0.0
     filled = 1
     for instruction in instructions:
-        old = states[:, :filled]
-        _apply_blocks(instruction.on_one, old, out=states[:, filled : 2 * filled])
-        if instruction.on_zero is not None:
-            max_drift = max(max_drift, _norm_drift(old))
-            _apply_blocks(instruction.on_zero, old, out=old)
+        _apply_blocks(instruction.on_one, states[:, :filled], out=states[:, filled : 2 * filled])
         filled *= 2
-    return max(max_drift, _norm_drift(states))
+    return _norm_drift(states)
 
 
 def _completions(
@@ -382,8 +342,8 @@ def _completions(
     The first group doubles the column into its buffer, up to its roots;
     each root then runs the remaining groups on its own, reusing their
     buffers, so no state array outgrows a group's.  The probabilities come
-    root by root, each group's patterns bit-reversed as _doubled leaves
-    them; _completion_order undoes that.
+    root by root: read i of group g sets bit i + (the sizes of the groups
+    after g) of a pattern's position.
     """
     states = buffers[0]
     max_drift = _doubled(column, groups[0], states)
@@ -399,15 +359,6 @@ def _completions(
     return np.concatenate(parts), max_drift
 
 
-def _completion_order(sizes: list[int]) -> np.ndarray:
-    """order[v] = the position _completions gives the bit pattern v, for
-    groups of the given sizes."""
-    order = np.zeros(1, dtype=np.intp)
-    for size in sizes:
-        order = ((order[:, None] << size) | _bit_reversal(size)[None, :]).ravel()
-    return order
-
-
 def _tiling(dimension: int) -> tuple[int, int]:
     """The columns of a tile, whose states stay in a core's cache across all
     reads, and the reads of a doubling group, which fills at most a tile."""
@@ -417,12 +368,12 @@ def _tiling(dimension: int) -> tuple[int, int]:
 
 def sweep_buffer_bytes(dimension: int, reads: int) -> int:
     """The most bytes of state buffers one sweep of a real program of this
-    width and read count allocates, whatever its batch: the tiles' three
+    width and read count allocates, whatever its batch: the tiles' two
     state buffers and their mask, plus the doubling path's buffer per group
     (it doubles at most _KEY_READS reads: no batch holds more patterns)."""
     tile, size = _tiling(dimension)
     groups = -(-min(reads, _KEY_READS) // size)
-    return dimension * tile * (3 * 8 + 1) + groups * dimension * (8 << size)
+    return dimension * tile * (2 * 8 + 1) + groups * dimension * (8 << size)
 
 
 def sweep_accept_probabilities(
@@ -433,22 +384,20 @@ def sweep_accept_probabilities(
 
     bit_matrix has one input per row.  Column v of the internal state matrix
     goes through the same steps run() applies to input v, each read as d/b
-    independent b x b products: the on_one blocks when the bit is 1 and the
-    on_zero blocks otherwise (skipped when they are None, the identity).  Every
-    batch takes one path.  Its rows' read values (their bits in instruction
-    order, so any read order or repeated read needs no special case) are
-    sorted on their first _KEY_READS reads, packed into one uint64 key with
-    the first read the most significant bit; an ascending batch, such as an
-    exhaustive chunk read in variable order, is not reordered.  The reads
-    every row shares run once, on one column.  When no read is left, that
-    column is every row's state.  When the rows are every bit pattern of the
-    remaining reads, once each, the column doubles at each of them
-    (_completions), in groups of at most log2(tile) reads, the last group
-    the largest.  Any other batch is swept in tiles of sorted rows, each
-    starting from the column and keeping one state column per distinct read
-    prefix (_sweep_sorted_tile).  The arithmetic is float64 exactly when
-    every array of the program is.  The results match run() up to
-    floating-point rounding.  Returns the probabilities and the largest norm
+    independent b x b products of the on_one blocks when the bit is 1, and
+    nothing when it is 0.  Every batch takes one path.  Its rows' read values
+    (their bits in instruction order, so any read order or repeated read
+    needs no special case) are sorted on their first _KEY_READS reads,
+    packed into one uint64 key with the first read the most significant bit;
+    an ascending batch, such as an exhaustive chunk read in variable order,
+    is not reordered.  The reads every row shares run once, on one column.
+    When no read is left, that column is every row's state.  When the rows
+    are every bit pattern of the remaining reads, once each, the column
+    doubles at each of them (_completions), in groups of at most log2(tile)
+    reads, the last group the largest.  Any other batch is swept in tiles of
+    sorted rows, each starting from the column and keeping one state column
+    per distinct read prefix (_sweep_sorted_tile).  The results match run()
+    up to floating-point rounding.  Returns the probabilities and the largest norm
     drift of the initial state or any state a read produces.
     """
     count, width = bit_matrix.shape
@@ -476,25 +425,29 @@ def sweep_accept_probabilities(
     column = program.initial_state[:, None]
     max_drift = _norm_drift(column)
     for instruction, bit in zip(reads[:shared], values[:shared, 0]):
-        matrix = instruction.on_one if bit else instruction.on_zero
-        if matrix is not None:
-            column = _apply_blocks(matrix, column)
-        max_drift = max(max_drift, _norm_drift(column))
+        if bit:
+            column = _apply_blocks(instruction.on_one, column)
+            max_drift = max(max_drift, _norm_drift(column))
     tile, size = _tiling(program.dimension)
     if shared == len(reads):
         swept, drift = np.repeat(_accepted(program, column), count), 0.0
     elif count == 1 << (len(reads) - shared) and np.all(keys[:-1] != keys[1:]):
         # 2^r distinct keys over r unshared reads are every pattern of them;
         # past 64 reads there are too few key bits for that many.
-        dtype = _state_dtype(program)
         bounds = list(range(len(reads), shared, -size))[::-1]
-        groups = [reads[a:b] for a, b in zip([shared] + bounds[:-1], bounds)]
-        buffers = [np.empty((program.dimension, 1 << len(group)), dtype) for group in groups]
+        starts = [shared] + bounds[:-1]
+        groups = [reads[a:b] for a, b in zip(starts, bounds)]
+        buffers = [np.empty((program.dimension, 1 << len(group))) for group in groups]
         swept, drift = _completions(program, column, groups, buffers)
-        swept = swept[_completion_order([len(group) for group in groups])]
+        # Each row's position among the patterns, as _completions orders them.
+        shifts = [k - a + len(reads) - b for a, b in zip(starts, bounds) for k in range(a, b)]
+        index = np.zeros(count, dtype=np.intp)
+        for row, shift in zip(values[shared:], shifts):
+            index |= np.left_shift(row, shift, dtype=np.intp)
+        swept = swept[index]
     else:
         entries = program.dimension * min(tile, count)
-        buffers = [np.empty(entries, _state_dtype(program)) for _ in range(3)]
+        buffers = [np.empty(entries), np.empty(entries)]
         mask = np.empty(entries, dtype=bool)
         swept = np.empty(count)
         drift = 0.0
@@ -517,16 +470,14 @@ def metrics(program: QuantumBranchingProgram) -> ProgramMetrics:
     )
 
 
-def _array_to_json(array: np.ndarray | None) -> list | None:
-    """The array in its own shape, each entry a [re, im] pair; None as null."""
-    if array is None:
-        return None
-    return np.stack((array.real, array.imag), axis=-1).tolist()
+def _array_to_json(array: np.ndarray) -> list:
+    """The array in its own shape, each entry a [re, im] pair."""
+    return np.stack((array, np.zeros_like(array)), axis=-1).tolist()
 
 
 def _array_from_json(data: list) -> np.ndarray:
     """The array _array_to_json wrote; TypeError unless every innermost entry
-    is a [re, im] pair of numbers."""
+    is a [re, im] pair of numbers (a nonzero im is refused by _frozen)."""
     try:
         pairs = np.array(data)
     except ValueError as error:  # ragged nesting
@@ -542,11 +493,7 @@ def program_to_json_dict(program: QuantumBranchingProgram) -> dict:
         "dimension": program.dimension,
         "arity": program.arity,
         "instructions": [
-            {
-                "variable": instruction.variable_index,
-                "on_zero": _array_to_json(instruction.on_zero),
-                "on_one": _array_to_json(instruction.on_one),
-            }
+            {"variable": instruction.variable_index, "on_one": _array_to_json(instruction.on_one)}
             for instruction in program.instructions
         ],
         "initial_state": _array_to_json(program.initial_state),
@@ -558,14 +505,19 @@ def program_to_json_dict(program: QuantumBranchingProgram) -> dict:
 # Kept because perfbench/tracing.py patches it by name; the CLI uses recipes.
 def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
     """The program program_to_json_dict wrote, its matrices as dense (d, d)
-    arrays or as (n, b, b) stacks and a null on_zero as None; ValueError on a
-    missing key, a wrong type (interfere must be a JSON bool), a missing
-    entry, an entry that is not a [re, im] pair, or a non-null pre- or
-    post-transform (layouts programs no longer have).  The result is not
+    arrays or as (n, b, b) stacks; ValueError on a missing key, a wrong type
+    (interfere must be a JSON bool), a missing entry, an entry that is not a
+    [re, im] pair, a nonzero imaginary part, or a layout programs no longer
+    have: a non-null U(0) or pre- or post-transform.  The result is not
     validated: see validate()."""
 
-    def optional(entry) -> np.ndarray | None:
-        return None if entry is None else _array_from_json(entry)
+    def read(entry) -> Instruction:
+        variable = _json_int(entry["variable"])
+        if entry.get("on_zero") is not None:
+            raise ValueError(
+                "malformed program file: reads act on x_j = 1 only, so on_zero must be null"
+            )
+        return Instruction(variable, _array_from_json(entry["on_one"]))
 
     with _malformed("program file"):
         if not isinstance(data, dict):
@@ -581,14 +533,7 @@ def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
         program = QuantumBranchingProgram(
             dimension=_json_int(data["dimension"]),
             arity=_json_int(data["arity"]),
-            instructions=tuple(
-                Instruction(
-                    variable_index=_json_int(entry["variable"]),
-                    on_zero=optional(entry["on_zero"]),
-                    on_one=_array_from_json(entry["on_one"]),
-                )
-                for entry in data["instructions"]
-            ),
+            instructions=tuple(read(entry) for entry in data["instructions"]),
             initial_state=_array_from_json(data["initial_state"]),
             accepting=tuple(_json_int(i) for i in data["accepting"]),
             interfere=interfere,

@@ -10,11 +10,12 @@ the partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import compiler
 from .compiler import (
     GeneralCompilation,
     SingleCompilation,
@@ -45,6 +46,7 @@ from .polynomials import (
     perm_polynomial,
 )
 from .programs import (
+    ProgramMetrics,
     QuantumBranchingProgram,
     metrics,
     sweep_accept_probabilities,
@@ -99,9 +101,7 @@ class VerificationReport:
     filtered: int
     bound: float
     passed: bool
-    width: int
-    length: int
-    qubits: int
+    metrics: ProgramMetrics
     max_norm_drift: float
     max_closed_form_gap: float | None
     goodness: str
@@ -122,11 +122,7 @@ class VerificationReport:
             "max_accept_on_zeros": self.zeros.max_accept,
             "bound": self.bound,
             "pass": self.passed,
-            "metrics": {
-                "width": self.width,
-                "length": self.length,
-                "qubits": self.qubits,
-            },
+            "metrics": asdict(self.metrics),
             "max_norm_drift": self.max_norm_drift,
             "max_closed_form_gap": self.max_closed_form_gap,
             "goodness": self.goodness,
@@ -165,8 +161,9 @@ def _input_walk(
     arity: int, mode: str, samples=DEFAULT_SAMPLES, seed=0, chunk_size=DEFAULT_CHUNK
 ) -> tuple[dict, Iterator[np.ndarray]]:
     """The report's mode entry and the mode's inputs, chunk by chunk; the one
-    place the exhaustive guard and the chunk size are checked, before
-    anything is allocated."""
+    place the exhaustive guard, the chunk size and the sampled pool's bytes
+    (against compiler.BUDGET_BYTES) are checked, before anything is
+    allocated."""
     if chunk_size < 1:
         raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
     if mode == "exhaustive":
@@ -179,6 +176,11 @@ def _input_walk(
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"sampled mode needs at least 1 sample, got {samples}")
+        if samples * arity > compiler.BUDGET_BYTES:
+            raise TooLargeError(
+                f"{samples} samples of {arity} bits need {samples * arity} bytes, "
+                f"over the budget of {compiler.BUDGET_BYTES}"
+            )
         pool = sampled_inputs(arity, samples, seed)
         total, mode_dict = samples, {"kind": "sampled", "samples": samples, "seed": seed}
         block = lambda a, b: pool[a:b]
@@ -250,7 +252,6 @@ def verify(
 
     ones_ok = ones.count == 0 or ones.min_accept >= 1.0 - ONES_TOL
     zeros_ok = zeros.count == 0 or zeros.max_accept < bound
-    program_metrics = metrics(program)
     return VerificationReport(
         function=function,
         arity=n,
@@ -262,9 +263,7 @@ def verify(
         filtered=filtered,
         bound=bound,
         passed=bool(ones_ok and zeros_ok),
-        width=program_metrics.width,
-        length=program_metrics.length,
-        qubits=program_metrics.qubits,
+        metrics=metrics(program),
         max_norm_drift=max_drift,
         max_closed_form_gap=max_gap,
         goodness=goodness,

@@ -211,14 +211,14 @@ def test_criterion_7_width_accounting(campaigns):
     ok = (
         (mod_metrics.width, mod_metrics.qubits, mod_metrics.length) == (128, 7, 64)
         and z4_metrics.qubits == (t.bit_length() - 1) + 2
-        and z6.qubits == (z6.t.bit_length() - 1) + 2
+        and z6.metrics.qubits == (z6.t.bit_length() - 1) + 2
     )
     criterion(
         7,
         ok,
         f"MOD_64 metrics {(mod_metrics.width, mod_metrics.qubits, mod_metrics.length)} "
         f"== (128, 7, 64); HSF Z_4 qubits {z4_metrics.qubits} == log2({t}) + 2; "
-        f"HSF Z_6 qubits {z6.qubits} == log2({z6.t}) + 2",
+        f"HSF Z_6 qubits {z6.metrics.qubits} == log2({z6.t}) + 2",
     )
 
 

@@ -226,12 +226,10 @@ def test_instruction_matrices_are_block_diagonal_over_branches():
     single = compile_single(poly, good_set)
     for instruction in single.program.instructions:
         assert instruction.on_one.shape == (t, 2, 2)
-        assert instruction.on_zero is None
     chi = Characteristic(modulus=5, arity=3, polynomials=(poly, poly))
     general = compile_general(chi, good_set)
     for instruction in general.program.instructions:
         assert instruction.on_one.shape == (t, 4, 4)
-        assert instruction.on_zero is None
     assert single.program.interfere and not general.program.interfere
     assert single.program.accepting == tuple(range(0, 2 * t, 2))
     assert general.program.accepting == tuple(range(0, 4 * t, 4))
@@ -316,7 +314,7 @@ def test_recipe_round_trip_rebuilds_the_same_program(general):
     assert (a.dimension, a.arity, a.accepting) == (b.dimension, b.arity, b.accepting)
     for x, y in zip(a.instructions, b.instructions):
         assert x.variable_index == y.variable_index
-        assert np.array_equal(x.on_zero, y.on_zero) and np.array_equal(x.on_one, y.on_one)
+        assert np.array_equal(x.on_one, y.on_one)
     assert np.array_equal(a.initial_state, b.initial_state)
     assert a.interfere == b.interfere == (not general)
 
@@ -426,7 +424,6 @@ def test_compiling_and_sweeping_stay_within_the_counted_budget(monkeypatch, sour
     assert [a.shape for a in arrays if isinstance(a, np.ndarray)] == [(program.dimension,)]
     block = program.dimension // good_set.size
     for instruction in program.instructions:
-        assert instruction.on_zero is None
         assert instruction.on_one.shape == (good_set.size, block, block)
     # One byte under the count, the compile is refused before it allocates
     # anything of the program's size.

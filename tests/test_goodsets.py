@@ -234,6 +234,26 @@ def test_chunk_kernel_equals_per_residue_values_on_the_object_path():
     assert is_good_for(good, shifted) == is_good_for(good, residues)
 
 
+@pytest.mark.parametrize("modulus", [1000, _INT64_SAFE + 5], ids=["int64", "object"])
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([1, 2, 200, 255], dtype=np.uint8),
+        np.array([-3, 1999, 30001], dtype=np.int16),
+        np.array([5, 2**63 + 7, 2**64 - 1], dtype=np.uint64),
+        np.array([True]),
+    ],
+    ids=["uint8", "int16", "uint64", "bool"],
+)
+def test_narrow_and_unsigned_residue_dtypes_match_python_integers(modulus, values):
+    good = sample(0.3, modulus, seed=1)
+    as_ints = [int(v) for v in values.tolist()]
+    assert is_good_for(good, values) == is_good_for(good, as_ints)
+    for value, as_int in zip(values, as_ints):
+        assert cosine_sum(good, value) == cosine_sum(good, as_int)
+        assert is_good_for(good, value) == is_good_for(good, as_int)
+
+
 def test_array_goodness_rejects_a_zero_residue():
     good = GoodSet(modulus=16, error_rate=0.5, parameters=(1, 3))
     for residues in ([1, 16, 3], np.array([0, 5]), [2**70 * 16]):

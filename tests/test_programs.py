@@ -25,27 +25,26 @@ from qobdd.programs import (
 )
 from qobdd.verification import all_inputs
 
-I2 = np.eye(2, dtype=np.complex128)
+I2 = np.eye(2)
 
 
 def ry(theta: float) -> np.ndarray:
     """Rotation by theta about the Bloch-sphere y axis."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return np.array([[c, -s], [s, c]])
 
 
 def basis_state(dimension: int, index: int) -> np.ndarray:
-    state = np.zeros(dimension, dtype=np.complex128)
+    state = np.zeros(dimension)
     state[index] = 1.0
     return state
 
 
 def identity_program(d: int = 2, arity: int = 1) -> QuantumBranchingProgram:
-    eye = np.eye(d, dtype=np.complex128)
     return QuantumBranchingProgram(
         dimension=d,
         arity=arity,
-        instructions=(Instruction(variable_index=1, on_zero=eye, on_one=eye),),
+        instructions=(Instruction(variable_index=1, on_one=np.eye(d)),),
         initial_state=basis_state(d, 0),
         accepting=(0,),
     )
@@ -56,11 +55,11 @@ def test_validate_identity_program_ok():
 
 
 def test_validate_flags_non_unitary_matrix():
-    broken = np.array([[1, 0], [0, 0]], dtype=np.complex128)
+    broken = np.array([[1.0, 0.0], [0.0, 0.0]])
     program = QuantumBranchingProgram(
         dimension=2,
         arity=1,
-        instructions=(Instruction(variable_index=1, on_zero=I2, on_one=broken),),
+        instructions=(Instruction(variable_index=1, on_one=broken),),
         initial_state=basis_state(2, 0),
         accepting=(0,),
     )
@@ -72,7 +71,7 @@ def test_validate_checks_stack_shapes_and_every_block():
         return QuantumBranchingProgram(
             dimension=4,
             arity=1,
-            instructions=(Instruction(variable_index=1, on_zero=np.eye(4), on_one=on_one),),
+            instructions=(Instruction(variable_index=1, on_one=on_one),),
             initial_state=basis_state(4, 0),
             accepting=(0,),
         )
@@ -87,7 +86,7 @@ def test_validate_flags_variable_index_out_of_range():
     program = QuantumBranchingProgram(
         dimension=2,
         arity=1,
-        instructions=(Instruction(variable_index=0, on_zero=I2, on_one=I2),),
+        instructions=(Instruction(variable_index=0, on_one=I2),),
         initial_state=basis_state(2, 0),
         accepting=(0,),
     )
@@ -123,7 +122,7 @@ def test_read_once_detection():
             dimension=2,
             arity=3,
             instructions=tuple(
-                Instruction(variable_index=i, on_zero=I2, on_one=I2) for i in indices
+                Instruction(variable_index=i, on_one=I2) for i in indices
             ),
             initial_state=basis_state(2, 0),
             accepting=(0,),
@@ -142,7 +141,7 @@ def test_run_half_turn_rotation():
     program = QuantumBranchingProgram(
         dimension=2,
         arity=1,
-        instructions=(Instruction(variable_index=1, on_zero=I2, on_one=ry(math.pi)),),
+        instructions=(Instruction(variable_index=1, on_one=ry(math.pi)),),
         initial_state=basis_state(2, 0),
         accepting=(0,),
     )
@@ -158,11 +157,11 @@ def test_run_length_mismatch():
 
 
 def test_run_detects_norm_drift():
-    shrink = np.array([[0.5, 0], [0, 0.5]], dtype=np.complex128)
+    shrink = 0.5 * I2
     program = QuantumBranchingProgram(
         dimension=2,
         arity=1,
-        instructions=(Instruction(variable_index=1, on_zero=I2, on_one=shrink),),
+        instructions=(Instruction(variable_index=1, on_one=shrink),),
         initial_state=basis_state(2, 0),
         accepting=(0,),
     )
@@ -175,7 +174,7 @@ def test_accept_probability_completeness():
     program = QuantumBranchingProgram(
         dimension=2,
         arity=1,
-        instructions=(Instruction(variable_index=1, on_zero=I2, on_one=ry(1.234)),),
+        instructions=(Instruction(variable_index=1, on_one=ry(1.234)),),
         initial_state=basis_state(2, 0),
         accepting=(0, 1),
     )
@@ -241,23 +240,26 @@ def test_program_json_reads_dense_matrices_and_block_stacks():
     stack = np.stack([ry(0.3), ry(1.1)])
     program = QuantumBranchingProgram(
         dimension=4,
-        arity=1,
-        instructions=(Instruction(variable_index=1, on_zero=np.eye(4), on_one=stack),),
-        initial_state=1j * basis_state(4, 0),
+        arity=2,
+        instructions=(
+            Instruction(variable_index=1, on_one=np.kron(ry(0.7), I2)),
+            Instruction(variable_index=2, on_one=stack),
+        ),
+        initial_state=basis_state(4, 0),
         accepting=(0, 2),
         interfere=True,
     )
     data = program_to_json_dict(program)
-    assert np.shape(data["instructions"][0]["on_zero"]) == (4, 4, 2)
-    assert np.shape(data["instructions"][0]["on_one"]) == (2, 2, 2, 2)
+    assert [np.shape(entry["on_one"]) for entry in data["instructions"]] == [(4, 4, 2), (2, 2, 2, 2)]
     assert data["interfere"] is True
     again = program_from_json_dict(data)
-    assert again.instructions[0].on_zero.dtype == np.float64
-    assert again.initial_state.dtype == np.complex128
+    assert again.initial_state.dtype == np.float64
     assert again.interfere
-    assert np.array_equal(again.instructions[0].on_one, program.instructions[0].on_one)
+    for ours, theirs in zip(again.instructions, program.instructions):
+        assert ours.on_one.dtype == np.float64
+        assert np.array_equal(ours.on_one, theirs.on_one)
     assert validate(again) == []
-    for bits in ([0], [1]):
+    for bits in ([0, 0], [1, 0], [0, 1], [1, 1]):
         assert accept_probability(again, bits) == accept_probability(program, bits)
 
 
@@ -294,6 +296,16 @@ def test_program_arrays_are_frozen():
          "accepting": [0], "interfere": "false"},
         {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [[1, 0], [0, 0]],
          "accepting": [0], "interfere": 1},
+        # A read acts on x_j = 1 only, and programs are real: a non-null U(0)
+        # or a nonzero imaginary part is refused.
+        {"dimension": 2, "arity": 1, "instructions": [{"variable": 1,
+         "on_zero": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]], "on_one": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}],
+         "initial_state": [[1, 0], [0, 0]], "accepting": [0], "interfere": False},
+        {"dimension": 2, "arity": 1, "instructions": [{"variable": 1,
+         "on_one": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]}],
+         "initial_state": [[1, 0], [0, 0]], "accepting": [0], "interfere": False},
+        {"dimension": 2, "arity": 1, "instructions": [], "initial_state": [[0, 1], [0, 0]],
+         "accepting": [0], "interfere": False},
     ],
 )
 def test_program_from_json_dict_raises_value_error_on_malformed_data(data):
@@ -316,3 +328,27 @@ def test_program_from_json_dict_refuses_non_integer_fields(field, value):
         data[field] = value
     with pytest.raises(ValueError, match="JSON integer"):
         program_from_json_dict(data)
+
+
+@pytest.mark.parametrize("field", ["initial_state", "on_one"])
+def test_program_arrays_with_an_imaginary_part_are_refused(field):
+    arrays = {"initial_state": basis_state(2, 0), "on_one": ry(0.4)}
+    real = QuantumBranchingProgram(
+        dimension=2,
+        arity=1,
+        instructions=(Instruction(variable_index=1, on_one=arrays["on_one"] + 0j),),
+        initial_state=arrays["initial_state"] + 0j,
+        accepting=(0,),
+    )
+    # A complex dtype with every imaginary part zero is stored as float64.
+    assert real.initial_state.dtype == real.instructions[0].on_one.dtype == np.float64
+    # A global phase of i changes no probability but leaves no real program.
+    arrays[field] = 1j * arrays[field]
+    with pytest.raises(TypeError, match="real"):
+        QuantumBranchingProgram(
+            dimension=2,
+            arity=1,
+            instructions=(Instruction(variable_index=1, on_one=arrays["on_one"]),),
+            initial_state=arrays["initial_state"],
+            accepting=(0,),
+        )

@@ -11,6 +11,7 @@ arithmetic.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -156,10 +157,14 @@ def test_general_sweep_matches_dense_closed_form_and_oracle(data):
             assert probability >= 1.0 - 1e-9
 
 
-def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
-    gaussian = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(gaussian)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(d, d)))
+    return q * np.sign(np.diag(r))
+
+
+def random_state(rng: np.random.Generator, d: int) -> np.ndarray:
+    state = rng.normal(size=d)
+    return state / np.linalg.norm(state)
 
 
 @given(
@@ -169,94 +174,26 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
-def test_unstructured_complex_program_takes_the_full_width_path(d, arity, seed, interfere):
+def test_unstructured_program_takes_the_full_width_path(d, arity, seed, interfere):
     rng = np.random.default_rng(seed)
-    state = rng.normal(size=d) + 1j * rng.normal(size=d)
     instructions = tuple(
         Instruction(
             variable_index=int(rng.integers(1, arity + 1)),
-            on_zero=random_unitary(rng, d),
-            on_one=random_unitary(rng, d),
+            on_one=random_orthogonal(rng, d),
         )
         for _ in range(arity + 1)
     )
     accepting = tuple(sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)))
-    # A random input-independent first step, folded into the initial state.
-    initial_state = random_unitary(rng, d) @ state / np.linalg.norm(state)
     program = QuantumBranchingProgram(
         dimension=d,
         arity=arity,
         instructions=instructions,
-        initial_state=initial_state,
+        initial_state=random_state(rng, d),
         accepting=accepting,
         interfere=interfere,
     )
     assert program.instructions[0].on_one.shape == (d, d)
-    assert program.initial_state.dtype == np.complex128
     assert_matches_dense(program, all_inputs(arity))
-
-
-def non_identity_on_zero_program() -> tuple[QuantumBranchingProgram, QuantumBranchingProgram]:
-    """MOD_3 over 5 variables, and a copy whose every U(0) is another read's U(1)."""
-    good_set, _ = sample_good(0.2, 3, seed=0)
-    compiled = compile_single(mod_polynomial(5, 3), good_set).program
-    reads = compiled.instructions
-    return compiled, QuantumBranchingProgram(
-        dimension=compiled.dimension,
-        arity=compiled.arity,
-        instructions=tuple(
-            Instruction(
-                variable_index=instruction.variable_index,
-                on_zero=reads[(step + 1) % len(reads)].on_one,
-                on_one=instruction.on_one,
-            )
-            for step, instruction in enumerate(reads)
-        ),
-        initial_state=compiled.initial_state,
-        accepting=compiled.accepting,
-        interfere=compiled.interfere,
-    )
-
-
-def test_non_identity_on_zero_is_applied_on_the_real_block_path():
-    compiled, program = non_identity_on_zero_program()
-    t = compiled.dimension // 2
-    assert all(
-        instruction.on_zero.shape == (t, 2, 2)
-        and instruction.on_zero.dtype == np.float64
-        for instruction in program.instructions
-    )
-    swept = assert_matches_dense(program, all_inputs(5))
-    identity_swept, _ = sweep_accept_probabilities(compiled, all_inputs(5))
-    assert np.max(np.abs(swept - identity_swept)) > 1e-3
-
-
-@pytest.mark.parametrize("field", ["initial_state", "on_one"])
-def test_one_complex_array_selects_complex_arithmetic(field):
-    good_set, _ = sample_good(0.2, 3, seed=0)
-    compiled = compile_single(mod_polynomial(4, 3), good_set).program
-    first = compiled.instructions[0]
-    arrays = {"initial_state": compiled.initial_state, "on_one": first.on_one}
-    # A global phase of i changes no probability but leaves no real part.
-    arrays[field] = 1j * arrays[field]
-    program = QuantumBranchingProgram(
-        dimension=compiled.dimension,
-        arity=compiled.arity,
-        instructions=(
-            Instruction(first.variable_index, first.on_zero, arrays["on_one"]),
-        ) + compiled.instructions[1:],
-        initial_state=arrays["initial_state"],
-        accepting=compiled.accepting,
-        interfere=compiled.interfere,
-    )
-    stored = {"initial_state": program.initial_state, "on_one": program.instructions[0].on_one}
-    for name, value in stored.items():
-        expected = np.complex128 if name == field else np.float64
-        assert value.dtype == expected
-    swept = assert_matches_dense(program, all_inputs(4))
-    np.testing.assert_allclose(
-        swept, sweep_accept_probabilities(compiled, all_inputs(4))[0], rtol=0, atol=DENSE_TOL
-    )
 
 
 def test_norm_drift_is_measured_after_every_read():
@@ -265,8 +202,8 @@ def test_norm_drift_is_measured_after_every_read():
         dimension=2,
         arity=1,
         instructions=(
-            Instruction(variable_index=1, on_zero=np.eye(2), on_one=stretch),
-            Instruction(variable_index=1, on_zero=np.eye(2), on_one=np.linalg.inv(stretch)),
+            Instruction(variable_index=1, on_one=stretch),
+            Instruction(variable_index=1, on_one=np.linalg.inv(stretch)),
         ),
         initial_state=np.array([1.0, 0.0]),
         accepting=(0,),
@@ -296,7 +233,6 @@ def test_compiled_stacks_have_per_branch_block_sizes():
     for instruction in single.instructions:
         assert instruction.on_one.shape == (t, 2, 2)
         assert instruction.on_one.dtype == np.float64
-        assert instruction.on_zero is None
     assert single.interfere
     assert single.initial_state.dtype == np.float64
     for count in (1, 2, 3):
@@ -314,7 +250,6 @@ def test_compiled_stacks_have_per_branch_block_sizes():
         program = compile_general(characteristic, good_set).program
         shape = (good_set.size, 2**count, 2**count)
         assert all(instruction.on_one.shape == shape for instruction in program.instructions)
-        assert all(instruction.on_zero is None for instruction in program.instructions)
         assert not program.interfere
         assert program.initial_state.dtype == np.float64
 
@@ -340,7 +275,6 @@ def test_json_loaded_program_keeps_its_block_form():
     loaded = program_from_json_dict(program_to_json_dict(program))
     for ours, theirs in zip(loaded.instructions, program.instructions):
         assert ours.on_one.dtype == np.float64
-        assert np.array_equal(ours.on_zero, theirs.on_zero)
         assert np.array_equal(ours.on_one, theirs.on_one)
     bits = all_inputs(4)
     np.testing.assert_allclose(
@@ -374,11 +308,7 @@ def scaled_block_program() -> QuantumBranchingProgram:
     scaled = compiled.instructions[1].on_one.copy()
     scaled[0] *= 1.01
     instructions = list(compiled.instructions)
-    instructions[1] = Instruction(
-        variable_index=instructions[1].variable_index,
-        on_zero=instructions[1].on_zero,
-        on_one=scaled,
-    )
+    instructions[1] = Instruction(variable_index=instructions[1].variable_index, on_one=scaled)
     return QuantumBranchingProgram(
         dimension=compiled.dimension,
         arity=compiled.arity,
@@ -403,7 +333,7 @@ def test_non_unitary_block_shows_in_norm_drift():
 def ry(theta: float) -> np.ndarray:
     """Rotation by theta about the Bloch-sphere y axis."""
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return np.array([[c, -s], [s, c]])
 
 
 def uniform_branches(t: int, size: int) -> np.ndarray:
@@ -417,9 +347,9 @@ def reference_branch_block(good_set: GoodSet, coefficients, angle_numerator: flo
     """The per-branch loop the compiler used to run: one ry call per rotation."""
     m = good_set.modulus
     size = 2 ** len(coefficients)
-    matrix = np.zeros((good_set.size * size, good_set.size * size), dtype=np.complex128)
+    matrix = np.zeros((good_set.size * size, good_set.size * size))
     for i, k in enumerate(good_set.parameters):
-        block = np.array([[1.0]], dtype=np.complex128)
+        block = np.eye(1)
         for c in coefficients:
             block = np.kron(block, ry(angle_numerator * (((k * c) % m) / m)))
         matrix[i * size : (i + 1) * size, i * size : (i + 1) * size] = block
@@ -466,20 +396,19 @@ def test_compiled_reads_store_no_identity_and_freeze_u1():
     good_set, _ = sample_good(0.2, 3, seed=0)
     program = compile_single(mod_polynomial(5, 3), good_set).program
     for instruction in program.instructions:
-        assert instruction.on_zero is None
+        assert [field.name for field in dataclasses.fields(instruction)] == ["variable_index", "on_one"]
         assert not instruction.on_one.flags.writeable
     assert not program.initial_state.flags.writeable
 
 
-def reference_fingerprint_program(
-    characteristic: Characteristic, good_set: GoodSet, single: bool
-) -> QuantumBranchingProgram:
-    """The fingerprinting circuit as the paper draws it: uniform branches,
-    an explicit identity U(0) and a per-branch R_y U(1) per read, then the
+def reference_fingerprint_probabilities(
+    characteristic: Characteristic, good_set: GoodSet, single: bool, bits: np.ndarray
+) -> np.ndarray:
+    """The fingerprinting circuit as the paper draws it: uniform branches and
+    a per-branch R_y U(1) per read, run by run(); then the
     constant-coefficient rotation (and, for single, the dense Hadamard layer
-    H^(x)l (x) I_2) as a trailing step that reads x_1 again with the same
-    matrix on either bit, and the projection onto |0...0>|0> (single) or
-    onto every branch's all-zero targets."""
+    H^(x)l (x) I_2) as a trailing input-independent step, and the projection
+    onto |0...0>|0> (single) or onto every branch's all-zero targets."""
     t, size = good_set.size, 2 ** len(characteristic)
     numerator = (4.0 if single else 2.0) * math.pi
     constants = reference_branch_block(
@@ -495,28 +424,30 @@ def reference_fingerprint_program(
     instructions = tuple(
         Instruction(
             variable_index=j,
-            on_zero=np.eye(t * size),
             on_one=reference_branch_block(
                 good_set, tuple(p.coefficients[j] for p in characteristic.polynomials), numerator
             ),
         )
         for j in range(1, characteristic.arity + 1)
     )
-    return QuantumBranchingProgram(
+    reads = QuantumBranchingProgram(
         dimension=t * size,
         arity=characteristic.arity,
-        instructions=instructions + (Instruction(1, trailing, trailing),),
+        instructions=instructions,
         initial_state=uniform_branches(t, size),
-        accepting=(0,) if single else tuple(range(0, t * size, size)),
+        accepting=(0,),
     )
+    finals = np.array([trailing @ run(reads, row) for row in bits])
+    accepting = [0] if single else list(range(0, t * size, size))
+    return np.sum(finals[:, accepting] ** 2, axis=1)
 
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_compiled_program_is_the_circuit_with_trailing_constants(data):
-    # The compiler starts each branch in its constant rotation and stores no
-    # U(0); rotations about one axis commute, so this is the circuit that
-    # rotates the constants in after the reads.
+    # The compiler starts each branch in its constant rotation; rotations
+    # about one axis commute, so this is the circuit that rotates the
+    # constants in after the reads.
     modulus = data.draw(MODULI)
     arity = data.draw(st.integers(min_value=1, max_value=6))
     good_set = draw_good_set(data, modulus)
@@ -531,16 +462,16 @@ def test_compiled_program_is_the_circuit_with_trailing_constants(data):
         compiled = compile_single(characteristic.polynomials[0], good_set).program
     else:
         compiled = compile_general(characteristic, good_set).program
-    reference = reference_fingerprint_program(characteristic, good_set, single)
     bits = all_inputs(arity)
     np.testing.assert_allclose(
         sweep_accept_probabilities(compiled, bits)[0],
-        dense_probabilities(reference, bits),
+        reference_fingerprint_probabilities(characteristic, good_set, single, bits),
         rtol=0,
         atol=DENSE_TOL,
     )
     loaded = program_from_json_dict(json.loads(json.dumps(program_to_json_dict(compiled))))
-    assert all(instruction.on_zero is None for instruction in loaded.instructions)
+    for ours, theirs in zip(loaded.instructions, compiled.instructions):
+        assert np.array_equal(ours.on_one, theirs.on_one)
     assert loaded.interfere == compiled.interfere == single
 
 
@@ -726,42 +657,22 @@ def test_unaligned_one_row_and_empty_batches_skip_the_prefix_path():
     assert probabilities.shape == (0,) and drift == 0.0 and path == 0
 
 
-def test_prefix_path_applies_non_identity_on_zero():
-    compiled, program = non_identity_on_zero_program()
-    for start, stop in ((0, 32), (8, 16), (20, 24)):
-        assert_prefix_path_matches(program, input_block(5, start, stop), (stop - start).bit_length() - 1)
-    # The shared reads with bit 0 apply U(0) too: rows 16..23 differ from the
-    # identity-U(0) program.
-    bits = input_block(5, 16, 24)
-    assert np.max(np.abs(
-        sweep_accept_probabilities(program, bits)[0] - sweep_accept_probabilities(compiled, bits)[0]
-    )) > 1e-3
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_prefix_path_on_a_complex_dense_program(seed):
+def test_prefix_path_on_a_dense_program(seed):
     rng = np.random.default_rng(seed)
     d, arity = 6, 5
-    state = rng.normal(size=d) + 1j * rng.normal(size=d)
     instructions = tuple(
-        Instruction(
-            variable_index=j,
-            on_zero=random_unitary(rng, d),
-            on_one=random_unitary(rng, d),
-        )
+        Instruction(variable_index=j, on_one=random_orthogonal(rng, d))
         for j in range(1, arity + 1)
     )
-    # A random input-independent first step, folded into the initial state.
-    initial_state = random_unitary(rng, d) @ state / np.linalg.norm(state)
     program = QuantumBranchingProgram(
         dimension=d,
         arity=arity,
         instructions=instructions,
-        initial_state=initial_state,
+        initial_state=random_state(rng, d),
         accepting=(0, 3),
         interfere=seed % 2 == 0,
     )
-    assert program.initial_state.dtype == np.complex128
     for start, stop in ((0, 32), (16, 24), (30, 32)):
         with mock.patch.object(programs, "_TILE_ENTRIES", 4 * d):
             assert_prefix_path_matches(program, input_block(arity, start, stop), (stop - start).bit_length() - 1)
@@ -785,22 +696,24 @@ def test_prefix_drift_sees_states_that_later_steps_undo():
     stretch = np.diag([1.01, 1.0])
     shrink = np.linalg.inv(stretch)
     start = np.array([1.0, 0.0])
-    # Every U(0) and U(1) of read 2 undoes read 1, so only the states in
-    # between drift; read 3 changes nothing.
+    # Read 2 reads x_1 again and undoes read 1, so only the states in
+    # between drift; reads 3 and 4 change nothing.
     undone_by_a_read = QuantumBranchingProgram(
         dimension=2,
         arity=3,
         instructions=(
-            Instruction(variable_index=1, on_zero=stretch, on_one=stretch),
-            Instruction(variable_index=2, on_zero=shrink, on_one=shrink),
-            Instruction(variable_index=3, on_zero=np.eye(2), on_one=np.eye(2)),
+            Instruction(variable_index=1, on_one=stretch),
+            Instruction(variable_index=1, on_one=shrink),
+            Instruction(variable_index=2, on_one=np.eye(2)),
+            Instruction(variable_index=3, on_one=np.eye(2)),
         ),
         initial_state=start,
         accepting=(0,),
     )
     cases = (
-        (undone_by_a_read, all_inputs(3), 3),
-        (undone_by_a_read, input_block(3, 4, 6), 1),  # reads 1 and 2 shared
+        # x_1 differs between rows: the tiles see the stretched states.
+        (undone_by_a_read, all_inputs(3), None),
+        (undone_by_a_read, input_block(3, 4, 8), 2),  # reads 1 and 2 shared
     )
     for program, bits, doublings in cases:
         drift, sorted_drift = assert_prefix_path_matches(
@@ -957,21 +870,20 @@ def test_residue_table_closed_forms_on_both_residue_dtypes(modulus):
 
 
 def rewired_program(data, compiled: QuantumBranchingProgram) -> QuantumBranchingProgram:
-    """The compiled reads in a drawn order, some of them repeated, each U(0)
-    optionally another read's U(1)."""
+    """The compiled reads in a drawn order, some of them repeated, each
+    variable optionally reading another read's U(1)."""
     reads = list(compiled.instructions)
     order = data.draw(st.permutations(range(len(reads))))
     repeats = data.draw(st.lists(st.sampled_from(range(len(reads))), max_size=3))
     chosen = [reads[i] for i in list(order) + repeats]
-    swap_zero = data.draw(st.booleans())
+    swap_one = data.draw(st.booleans())
     return QuantumBranchingProgram(
         dimension=compiled.dimension,
         arity=compiled.arity,
         instructions=tuple(
             Instruction(
                 variable_index=instruction.variable_index,
-                on_zero=chosen[(step + 1) % len(chosen)].on_one if swap_zero else instruction.on_zero,
-                on_one=instruction.on_one,
+                on_one=chosen[(step + 1) % len(chosen)].on_one if swap_one else instruction.on_one,
             )
             for step, instruction in enumerate(chosen)
         ),
@@ -984,9 +896,8 @@ def rewired_program(data, compiled: QuantumBranchingProgram) -> QuantumBranching
 def random_dense_program(
     rng: np.random.Generator, d: int, arity: int, length: int, interfere: bool = False
 ):
-    """Complex dense reads of random variables, repeats included, and a
+    """Dense orthogonal reads of random variables, repeats included, and a
     random nonempty accepting set."""
-    state = rng.normal(size=d) + 1j * rng.normal(size=d)
     accepting = rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False)
     return QuantumBranchingProgram(
         dimension=d,
@@ -994,12 +905,11 @@ def random_dense_program(
         instructions=tuple(
             Instruction(
                 variable_index=int(rng.integers(1, arity + 1)),
-                on_zero=random_unitary(rng, d),
-                on_one=random_unitary(rng, d),
+                on_one=random_orthogonal(rng, d),
             )
             for _ in range(length)
         ),
-        initial_state=state / np.linalg.norm(state),
+        initial_state=random_state(rng, d),
         accepting=tuple(int(i) for i in accepting),
         interfere=interfere,
     )

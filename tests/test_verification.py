@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qobdd import verification
+from qobdd import compiler, verification
 from qobdd.compiler import compile_single
 from qobdd.errors import TooLargeError
 from qobdd.goodsets import sample
@@ -255,6 +255,23 @@ def test_chunk_size_below_one_is_refused_before_sampling(monkeypatch, chunk_size
                 popcount_mod_labels(3), program, bound=0.2, mode=mode, samples=10,
                 chunk_size=chunk_size,
             )
+
+
+def test_sampled_pool_over_the_budget_is_refused_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("drew the sample before checking its size")
+
+    program = compile_single(mod_polynomial(16, 3), sample(0.2, 3, seed=0)).program
+    labels = popcount_mod_labels(3)
+    # 1,000 samples of 16 bits are 16,000 bytes: refused one byte under that.
+    monkeypatch.setattr(compiler, "BUDGET_BYTES", 16_000 - 1)
+    with monkeypatch.context() as patched:
+        patched.setattr(verification, "sampled_inputs", no_sampling)
+        with pytest.raises(TooLargeError, match="budget"):
+            verify(labels, program, bound=0.2, mode="sampled", samples=1000)
+    monkeypatch.setattr(compiler, "BUDGET_BYTES", 16_000)
+    report = verify(labels, program, bound=0.2, mode="sampled", samples=1000)
+    assert report.ones.count + report.zeros.count == 1000
 
 
 def test_width_table_rows():
