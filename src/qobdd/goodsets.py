@@ -6,17 +6,17 @@ below the error rate; at b = g(sigma) it is the single-polynomial program's
 acceptance, so one kernel over residue arrays serves goodness and closed forms.
 Sets are drawn uniformly at random; an Azuma-type bound makes a random set
 good for every b with positive probability once t >= ceil((2/eps) ln 2m).
-t is then padded to the next power of two so the compiled branch register
-supports an exact Hadamard layer.
+t is then padded to the next power of two, because the branch register
+that selects k_i is log2 t qubits; the single-polynomial program then
+interferes its t branches in its read-out.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -140,31 +140,28 @@ def is_good_for(good_set: GoodSet, b) -> bool:
     return bool(np.all(cosines < good_set.error_rate))
 
 
-def is_good_for_all(good_set: GoodSet, residues: Iterable[int]) -> bool:
-    """True when the set is good for every residue in the collection.
-
-    The residues go to is_good_for in chunks of at most _CHUNK_ENTRIES
-    residue-parameter pairs, and the first chunk with a residue the set is
-    not good for ends the check.
-    """
+def is_good_for_all(good_set: GoodSet, residues: Sequence[int]) -> bool:
+    """True when the set is good for every residue in the sequence (a list,
+    a range or an array), checked by is_good_for in slices of at most
+    _CHUNK_ENTRIES residue-parameter pairs up to the first failing slice."""
     chunk = max(1, _CHUNK_ENTRIES // good_set.size)
-    residues = iter(residues)
-    while values := list(itertools.islice(residues, chunk)):
-        if not is_good_for(good_set, values):
-            return False
-    return True
+    return all(
+        is_good_for(good_set, residues[start : start + chunk])
+        for start in range(0, len(residues), chunk)
+    )
+
+
+def _exhaustive_residues(modulus: int, limit: int) -> range:
+    """[1, m-1]: by the cosine's period m in b, every b != 0 mod m.  Guarded
+    by a caller-supplied tractability limit."""
+    if modulus > limit:
+        raise TooLargeError(f"a {modulus.bit_length()}-bit modulus exceeds the exhaustive limit {limit}")
+    return range(1, modulus)
 
 
 def verify_exhaustive(good_set: GoodSet, limit: int = DEFAULT_VERIFY_LIMIT) -> bool:
-    """Check goodness for every b in [1, m-1].
-
-    Periodicity of the cosine in b (period m) means this range covers all
-    integers b != 0 mod m.  Guarded by a caller-supplied tractability limit.
-    """
-    m = good_set.modulus
-    if m > limit:
-        raise TooLargeError(f"modulus {m} exceeds exhaustive limit {limit}")
-    return is_good_for_all(good_set, range(1, m))
+    """Check goodness for every b in [1, m-1], for m up to limit."""
+    return is_good_for_all(good_set, _exhaustive_residues(good_set.modulus, limit))
 
 
 def sample(epsilon: float, modulus: int, seed: int) -> GoodSet:
@@ -177,8 +174,8 @@ def sample(epsilon: float, modulus: int, seed: int) -> GoodSet:
     t = required_size(epsilon, modulus)
     if t > _SAMPLE_LIMIT:
         raise TooLargeError(
-            f"epsilon {epsilon} over Z_{modulus} needs t = {t} parameters, over "
-            f"the sampling budget of {_SAMPLE_LIMIT}"
+            f"epsilon {epsilon} over a {modulus.bit_length()}-bit modulus needs "
+            f"t = {t} parameters, over the sampling budget of {_SAMPLE_LIMIT}"
         )
     rng = random.Random(seed)
     parameters = tuple(rng.randrange(modulus) for _ in range(t))
@@ -194,20 +191,19 @@ def sample_good(
 ) -> tuple[GoodSet, int]:
     """Sample sets at seed, seed+1, ... until one passes the goodness check.
 
-    With residues given, goodness is checked on exactly those values
-    (spot verification); otherwise the whole range [1, m-1] is swept, which
-    requires m <= DEFAULT_VERIFY_LIMIT.  Returns the set and the seed that
-    produced it.  Raises RuntimeError if max_attempts seeds all fail, which
-    the Azuma bound makes overwhelmingly unlikely at the sampled size.
+    With residues given (a list, a range or an array), goodness is checked
+    on exactly those values; otherwise on [1, m-1], which requires m <=
+    DEFAULT_VERIFY_LIMIT.  Returns the set and the seed that produced it.
+    Raises RuntimeError if max_attempts seeds all fail, which the Azuma
+    bound makes overwhelmingly unlikely at the sampled size.
     """
+    if residues is None:
+        residues = _exhaustive_residues(modulus, DEFAULT_VERIFY_LIMIT)
     for attempt in range(max_attempts):
         candidate = sample(epsilon, modulus, seed + attempt)
-        if residues is not None:
-            if is_good_for_all(candidate, residues):
-                return candidate, seed + attempt
-        elif verify_exhaustive(candidate):
+        if is_good_for_all(candidate, residues):
             return candidate, seed + attempt
     raise RuntimeError(
         f"no good set found in {max_attempts} attempts from seed {seed} "
-        f"(epsilon={epsilon}, modulus={modulus})"
+        f"(epsilon={epsilon}, a {modulus.bit_length()}-bit modulus)"
     )

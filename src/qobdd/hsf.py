@@ -37,6 +37,12 @@ from .polynomials import Characteristic, LinearPolynomial
 # the order.
 CAYLEY_ORDER_LIMIT = 256
 
+# The largest cyclic order, checked before the order^2 table is built.  From
+# order 1477 up even one bit per element makes m >= 2^1477, so t >= 4096 at
+# every eps < 1, and the program's stacks alone (1477 reads of 4t x 4 floats)
+# are over compiler.BUDGET_BYTES: the limit refuses no instance that compiles.
+CYCLIC_ORDER_LIMIT = 2048
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -99,9 +105,9 @@ class FiniteGroup:
     def cyclic(cls, order: int) -> "FiniteGroup":
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        table = tuple(
-            tuple((a + b) % order for b in range(order)) for a in range(order)
-        )
+        if order > CYCLIC_ORDER_LIMIT:
+            raise TooLargeError(f"cyclic order {order} is over the limit of {CYCLIC_ORDER_LIMIT}")
+        table = tuple(tuple((a + b) % order for b in range(order)) for a in range(order))
         return cls(order=order, cayley=table, identity=0)
 
 

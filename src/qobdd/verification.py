@@ -10,6 +10,7 @@ the partition.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -148,13 +149,12 @@ def sampled_inputs(arity: int, samples: int, seed: int) -> np.ndarray:
 
 def realized_residues(
     polynomials: Sequence[LinearPolynomial], bit_matrix: np.ndarray
-) -> list[int]:
-    """Distinct nonzero residues any of the polynomials takes on the inputs."""
-    residues: set[int] = set()
-    for polynomial in polynomials:
-        values = evaluate_linear_batch(polynomial, bit_matrix)
-        residues.update(int(v) for v in np.unique(values) if v != 0)
-    return sorted(residues)
+) -> np.ndarray:
+    """Distinct nonzero residues any of the polynomials takes on the inputs,
+    ascending, in evaluate_linear_batch's dtype: int64, or an object array
+    of Python integers past it."""
+    residues = np.unique(np.concatenate([evaluate_linear_batch(p, bit_matrix) for p in polynomials]))
+    return residues[residues != 0]
 
 
 def _input_walk(
@@ -163,7 +163,8 @@ def _input_walk(
     """The report's mode entry and the mode's inputs, chunk by chunk; the one
     place the exhaustive guard, the chunk size and the sampled pool's bytes
     (against compiler.BUDGET_BYTES) are checked, before anything is
-    allocated."""
+    allocated.  The sampled pool is drawn when the first chunk is taken, so
+    a walk that is never read draws nothing."""
     if chunk_size < 1:
         raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
     if mode == "exhaustive":
@@ -181,21 +182,18 @@ def _input_walk(
                 f"{samples} samples of {arity} bits need {samples * arity} bytes, "
                 f"over the budget of {compiler.BUDGET_BYTES}"
             )
-        pool = sampled_inputs(arity, samples, seed)
+        pool = functools.cache(lambda: sampled_inputs(arity, samples, seed))
         total, mode_dict = samples, {"kind": "sampled", "samples": samples, "seed": seed}
-        block = lambda a, b: pool[a:b]
+        block = lambda a, b: pool()[a:b]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     starts = range(0, total, chunk_size)
     return mode_dict, (block(a, min(a + chunk_size, total)) for a in starts)
 
 
-def _walk_residues(polynomials, chunks: Iterable[np.ndarray]) -> list[int]:
+def _walk_residues(polynomials, chunks: Iterable[np.ndarray]) -> np.ndarray:
     """realized_residues over every chunk, without holding all inputs at once."""
-    residues: set[int] = set()
-    for bits in chunks:
-        residues.update(realized_residues(polynomials, bits))
-    return sorted(residues)
+    return np.unique(np.concatenate([realized_residues(polynomials, bits) for bits in chunks]))
 
 
 def verify(
@@ -329,14 +327,12 @@ def _certify(
     source type picks the compiler, the bound and the closed form."""
     check_budget(source, required_size(epsilon, source.modulus))
     _, chunks = _input_walk(source.arity, mode, samples, seed)
-    single = isinstance(source, LinearPolynomial)
-    if goodness == "exhaustive":
-        good_set, _ = sample_good(epsilon, source.modulus, seed)
-    elif goodness == "realized":
-        residues = _walk_residues([source] if single else source.polynomials, chunks)
-        good_set, _ = sample_good(epsilon, source.modulus, seed, residues=residues)
-    else:
+    if goodness not in ("exhaustive", "realized"):
         raise ValueError(f"unknown goodness policy {goodness!r}")
+    single = isinstance(source, LinearPolynomial)
+    polynomials = [source] if single else source.polynomials
+    residues = _walk_residues(polynomials, chunks) if goodness == "realized" else None
+    good_set, _ = sample_good(epsilon, source.modulus, seed, residues=residues)
     if single:
         compilation = compile_single(source, good_set)
         bound = epsilon

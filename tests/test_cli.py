@@ -392,6 +392,27 @@ def test_size_budget_is_checked_before_sampling(capsys, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--function", "eq", "--n", "15000", "--epsilon", "0.2"],
+        ["hsf", "--cyclic", "1500", "--subgroup-generator", "750"],
+    ],
+    ids=["eq-15000", "hsf-z1500"],
+)
+def test_a_modulus_past_the_digit_limit_is_refused_by_the_sampling_budget(capsys, tmp_path, argv):
+    # Both moduli are 2^15000 (1500 blocks of 10 bits for the HSF), so t =
+    # 131,072 parameters.  The message names the modulus by its bit length:
+    # its 4,516 digits are past the int-to-str conversion limit.
+    out = tmp_path / "program.json"
+    code = cli.main(argv + (["--out", str(out)] if argv[0] == "build" else []))
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "15001-bit modulus" in captured.err and "sampling budget" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sop-file", "goodset"])
 def test_expansion_and_sampling_budgets_are_usage_errors(capsys, tmp_path, command):
     # 2^30 signed monomials from one SOP product, and t = 2^32 parameters.

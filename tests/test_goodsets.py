@@ -107,6 +107,13 @@ def test_verify_exhaustive_guard():
     big = GoodSet(modulus=2**20, error_rate=0.5, parameters=(1,))
     with pytest.raises(TooLargeError):
         verify_exhaustive(big, limit=2**16)
+    # A modulus past the digit limit of int-to-str conversion is named by
+    # its bit length, so the refusal is not a conversion error.
+    huge = GoodSet(modulus=2**15000, error_rate=0.5, parameters=(1,))
+    with pytest.raises(TooLargeError, match="15001-bit modulus"):
+        verify_exhaustive(huge)
+    with pytest.raises(TooLargeError, match="15001-bit modulus"):
+        sample_good(0.5, 2**15000, seed=0)
 
 
 def test_good_set_requires_power_of_two():
@@ -144,6 +151,8 @@ def test_sample_refuses_oversized_sets_before_drawing():
     assert sample(1e-4, 3, seed=0).size == goodsets._SAMPLE_LIMIT
     with pytest.raises(TooLargeError):
         sample(5e-5, 3, seed=0)
+    with pytest.raises(TooLargeError, match="sampling budget"):
+        sample(0.2, 2**15000, 0)
 
 
 def test_sampler_success_fraction_meets_azuma_bound():
@@ -167,6 +176,25 @@ def test_sample_good_exhaustive_and_realized():
 def test_sample_good_raises_when_attempts_exhausted():
     with pytest.raises(RuntimeError):
         sample_good(0.25, 64, seed=0, residues=[1], max_attempts=0)
+    with pytest.raises(RuntimeError, match="5000-bit modulus"):
+        sample_good(0.9, 2**4999, seed=0, residues=[1], max_attempts=0)
+
+
+@pytest.mark.parametrize("modulus", [97, _INT64_SAFE + 5], ids=["int64", "object"])
+def test_sample_good_takes_any_residue_sequence(modulus):
+    # A list, a range and an int64 or object array of the same residues give
+    # the per-residue reference's set and seed.
+    residues = range(1, modulus, modulus // 32 + 1)
+    forms = [
+        list(residues),
+        residues,
+        np.array(residues, dtype=np.int64),
+        np.array(list(residues), dtype=object),
+    ]
+    for seed in (0, 1):
+        expected = per_residue_sample_good(0.25, modulus, seed, list(residues))
+        for form in forms:
+            assert sample_good(0.25, modulus, seed, residues=form) == expected
 
 
 def test_exhaustive_verification_partitions_conjunctively():

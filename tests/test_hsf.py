@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qobdd.compiler import check_budget
 from qobdd.errors import LengthMismatchError, NotNormalError, PromiseViolation, TooLargeError
 from qobdd.goodsets import required_size
 from qobdd.hsf import (
     CAYLEY_ORDER_LIMIT,
+    CYCLIC_ORDER_LIMIT,
     FiniteGroup,
     HSFInstance,
     check_normal_subgroup,
@@ -29,7 +31,7 @@ from qobdd.hsf import (
     satisfies_promise,
     satisfies_promise_batch,
 )
-from qobdd.polynomials import LinearPolynomial
+from qobdd.polynomials import Characteristic, LinearPolynomial
 from qobdd.programs import accept_probability, is_read_once, metrics
 from qobdd.verification import all_inputs
 
@@ -101,6 +103,21 @@ def test_from_table_refuses_tables_over_the_order_limit():
     larger = [[(a + b) % (order + 1) for b in range(order + 1)] for a in range(order + 1)]
     with pytest.raises(TooLargeError, match="over the limit"):
         FiniteGroup.from_table(larger)
+
+
+def test_cyclic_refuses_orders_over_the_limit_before_building_the_table():
+    for order in (CYCLIC_ORDER_LIMIT + 1, 10**5, 10**12):
+        with pytest.raises(TooLargeError, match="over the limit"):
+            FiniteGroup.cyclic(order)
+    # The limit refuses no instance that compiles: from order 1477 up, one
+    # bit per element gives m >= 2^1477, t = 4096 even as eps -> 1, and the
+    # two-polynomial program over the size budget.
+    assert required_size(1 - 1e-9, 2**1476) == 2048
+    assert required_size(1 - 1e-9, 2**1477) == 4096
+    zero = LinearPolynomial(2**1477, 1477, (0,) * 1478)
+    with pytest.raises(TooLargeError, match="budget"):
+        check_budget(Characteristic(2**1477, 1477, (zero, zero)), 4096)
+    assert 1477 <= CYCLIC_ORDER_LIMIT
 
 
 def test_coset_decompositions():

@@ -75,12 +75,24 @@ def test_sampled_inputs_deterministic():
 
 
 def test_realized_residues_matches_brute_force():
-    poly = mod_polynomial(5, 3)
-    bits = all_inputs(5)
-    expected = sorted(
-        {poly.evaluate(list(row)) for row in bits} - {0}
-    )
-    assert realized_residues([poly], bits) == expected
+    # One ascending array of distinct nonzero residues, of one polynomial or
+    # two: int64 while evaluate_linear_batch sums in int64, Python integers
+    # in an object array past that (3^40 and 2^127 - 1 do not fit int64;
+    # the sums of 2^62 + 5 do not).
+    bits = all_inputs(6)
+    for modulus in (3, 2**12, 3**40, 2**62 + 5, 2**127 - 1):
+        rng = random.Random(modulus)
+        polynomials = [
+            mod_polynomial(6, modulus),
+            LinearPolynomial(modulus, 6, tuple(rng.randrange(modulus) for _ in range(7))),
+        ]
+        wide = (6 + 1) * (modulus - 1) >= 2**62
+        for chosen in (polynomials[:1], polynomials):
+            residues = realized_residues(chosen, bits)
+            expected = {p.evaluate(list(row)) for p in chosen for row in bits} - {0}
+            assert residues.tolist() == sorted(expected)
+            assert residues.dtype == (object if wide else np.int64)
+            assert all(type(r) is int for r in residues) or not wide
 
 
 def test_class_stats_merge_partition_invariant():
@@ -300,7 +312,7 @@ def test_residue_pass_walks_its_inputs_in_chunks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert residues == [1, 2]
+    assert residues.tolist() == [1, 2]
     assert peak < 16 * 2**20
 
 
@@ -321,13 +333,13 @@ def test_chunked_residues_equal_residues_of_all_inputs(data):
     ]
     chunk_size = data.draw(st.integers(min_value=1, max_value=700))
     chunks = _input_walk(arity, "exhaustive", chunk_size=chunk_size)[1]
-    assert _walk_residues(polynomials, chunks) == realized_residues(
+    assert _walk_residues(polynomials, chunks).tolist() == realized_residues(
         polynomials, all_inputs(arity)
-    )
+    ).tolist()
     chunks = _input_walk(arity, "sampled", 300, 5, chunk_size)[1]
-    assert _walk_residues(polynomials, chunks) == realized_residues(
+    assert _walk_residues(polynomials, chunks).tolist() == realized_residues(
         polynomials, sampled_inputs(arity, 300, 5)
-    )
+    ).tolist()
 
 
 @pytest.mark.parametrize(
@@ -335,9 +347,9 @@ def test_chunked_residues_equal_residues_of_all_inputs(data):
 )
 def test_chunked_residues_of_named_functions(polynomial):
     chunks = _input_walk(polynomial.arity, "exhaustive", chunk_size=100)[1]
-    assert _walk_residues([polynomial], chunks) == realized_residues(
+    assert _walk_residues([polynomial], chunks).tolist() == realized_residues(
         [polynomial], all_inputs(polynomial.arity)
-    )
+    ).tolist()
 
 
 def test_exhaustive_goodness_skips_the_residue_pass(monkeypatch):
@@ -348,6 +360,45 @@ def test_exhaustive_goodness_skips_the_residue_pass(monkeypatch):
     poly, oracle, name = named_function("mod", 8, 3)
     report, _ = certify_single(poly, oracle, 0.2, seed=0, function=name, goodness="exhaustive")
     assert report.passed and report.goodness == "exhaustive"
+
+
+def test_exhaustive_goodness_draws_the_sampled_pool_once(monkeypatch):
+    # The residue pass is skipped, so only the sweep draws the pool: one
+    # 12.8 MB pool and the sweep's chunk buffers, not two pools.
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return sampled_inputs(*args)
+
+    monkeypatch.setattr(verification, "sampled_inputs", counted)
+    samples, arity = 200_000, 64
+    tracemalloc.start()
+    try:
+        report, _ = verification._certify(
+            mod_polynomial(arity, 3), lambda bits: bits.sum(axis=1) % 3 == 0, 0.9, 0,
+            function="", goodness="exhaustive", mode="sampled", samples=samples,
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.ones.count + report.zeros.count == samples
+    assert draws == [(arity, samples, 0)]
+    assert peak < 2 * samples * arity
+
+
+def test_certify_refuses_an_oversized_pool_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing the sampled pool")
+
+    monkeypatch.setattr(verification, "sampled_inputs", no_draw)
+    monkeypatch.setattr(verification, "sample_good", no_draw)
+    poly, oracle, _ = named_function("mod", 16, 3)
+    # One sample more than compiler.BUDGET_BYTES admits at 16 bytes each.
+    samples = compiler.BUDGET_BYTES // 16 + 1
+    for goodness in ("exhaustive", "realized"):
+        with pytest.raises(TooLargeError, match="samples of 16 bits"):
+            certify_single(poly, oracle, 0.2, 0, goodness=goodness, mode="sampled", samples=samples)
 
 
 def test_certify_checks_the_exhaustive_guard_before_sampling(monkeypatch):
