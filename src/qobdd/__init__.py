@@ -55,6 +55,7 @@ from .programs import (
     validate,
 )
 from .verification import (
+    NamedOracle,
     VerificationReport,
     certify_general,
     certify_hsf,

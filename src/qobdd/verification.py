@@ -131,10 +131,12 @@ class VerificationReport:
 
 
 def input_block(arity: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the exhaustive input enumeration (x_1 = MSB)."""
-    indices = np.arange(start, stop, dtype=np.int64)
-    shifts = np.arange(arity - 1, -1, -1, dtype=np.int64)
-    return ((indices[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    """Rows start..stop-1 of the exhaustive input enumeration (x_1 = MSB):
+    the low `arity` bits of each index, unpacked from its big-endian bytes."""
+    width = (arity + 7) // 8
+    indices = np.arange(start, stop, dtype=">u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(indices[:, 8 - width :], axis=1)
+    return np.ascontiguousarray(bits[:, 8 * width - arity :])
 
 
 def all_inputs(arity: int) -> np.ndarray:
@@ -294,29 +296,69 @@ def permutation_matrix_oracle(n: int) -> Callable[[Sequence[int]], int]:
     return oracle
 
 
+@dataclass(frozen=True)
+class NamedOracle:
+    """A named function's brute-force oracle in two forms.  Calling it calls
+    `row`, the per-input reference (a sequence of bits to 0 or 1); `batch`
+    labels a (rows, n) uint8 bit matrix, one boolean per row, in numpy over
+    the bits alone.  Neither goes through the function's polynomial."""
+
+    row: Callable[[Sequence[int]], int]
+    batch: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, bits: Sequence[int]) -> int:
+        return self.row(bits)
+
+
+def _popcount_mod_batch(n: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    # A popcount lies in [0, n], so reducing it by min(m, n + 1) finds the
+    # same multiples of m, in int64 whatever the size of m.
+    divisor = min(m, n + 1)
+    return lambda bits: bits.sum(axis=1, dtype=np.int64) % divisor == 0
+
+
+def _permutation_matrix_batch(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    def batch(bits: np.ndarray) -> np.ndarray:
+        squares = bits.reshape(-1, n, n)
+        return (squares.sum(axis=1) == 1).all(axis=1) & (squares.sum(axis=2) == 1).all(axis=1)
+
+    return batch
+
+
 def named_function(
     function: str, n: int, m: int | None = None
-) -> tuple[LinearPolynomial, Callable[[Sequence[int]], int], str]:
-    """Builder polynomial, brute-force oracle, and display name for a CLI name."""
+) -> tuple[LinearPolynomial, NamedOracle, str]:
+    """Builder polynomial, brute-force oracle, and display name for a CLI name.
+
+    The oracle is a NamedOracle: certify_single and certify_general label
+    each chunk with its batch form, and calling it runs the per-input
+    reference oracle (popcount_mod_oracle, equality_oracle,
+    palindrome_oracle, permutation_matrix_oracle).
+    """
     if function == "mod":
         if m is None:
             raise ValueError("mod requires a modulus")
-        return mod_polynomial(n, m), popcount_mod_oracle(m), f"MOD_{m}"
+        oracle = NamedOracle(popcount_mod_oracle(m), _popcount_mod_batch(n, m))
+        return mod_polynomial(n, m), oracle, f"MOD_{m}"
     if function == "eq":
-        return eq_polynomial(n), equality_oracle(n), f"EQ_{n}"
+        equal_halves = lambda bits: (bits[:, :n] == bits[:, n:]).all(axis=1)
+        return eq_polynomial(n), NamedOracle(equality_oracle(n), equal_halves), f"EQ_{n}"
     if function == "palindrome":
-        return palindrome_polynomial(n), palindrome_oracle, f"Palindrome_{n}"
+        reversible = lambda bits: (bits == bits[:, ::-1]).all(axis=1)
+        return palindrome_polynomial(n), NamedOracle(palindrome_oracle, reversible), f"Palindrome_{n}"
     if function == "perm":
-        return perm_polynomial(n), permutation_matrix_oracle(n), f"PERM_{n}"
+        oracle = NamedOracle(permutation_matrix_oracle(n), _permutation_matrix_batch(n))
+        return perm_polynomial(n), oracle, f"PERM_{n}"
     raise ValueError(f"unknown function {function!r}")
 
 
-def _per_row(predicate: Callable[[Sequence[int]], int]) -> Callable[[np.ndarray], np.ndarray]:
-    """A per-row predicate as a labeller for verify: each row of the bit
-    matrix goes to it as a Python list (bits.tolist())."""
-    return lambda bits: np.fromiter(
-        map(predicate, bits.tolist()), dtype=bool, count=bits.shape[0]
-    )
+def _labeller(oracle: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """A chunk labeller for verify.  A NamedOracle labels with its batch
+    form; any other callable, a wrapped NamedOracle included, is called once
+    per input with the row as a Python list (bits.tolist())."""
+    if isinstance(oracle, NamedOracle):
+        return oracle.batch
+    return lambda bits: np.fromiter(map(oracle, bits.tolist()), dtype=bool, count=bits.shape[0])
 
 
 def _certify(
@@ -363,12 +405,13 @@ def certify_single(
 ) -> tuple[VerificationReport, SingleCompilation]:
     """Certify a polynomial's program against the false-accept bound eps.
 
-    The oracle is called once per input, with the input's bits as a Python
-    list of ints.  goodness='exhaustive' verifies the set on every b in
-    [1, m-1] (small m); 'realized' spot-verifies it on exactly the nonzero
-    residues the polynomial takes on the swept inputs.
+    A NamedOracle (what named_function returns) labels each chunk with its
+    numpy batch form.  Any other oracle is called once per input, with the
+    input's bits as a Python list of ints.  goodness='exhaustive' verifies
+    the set on every b in [1, m-1] (small m); 'realized' spot-verifies it on
+    exactly the nonzero residues the polynomial takes on the swept inputs.
     """
-    return _certify(polynomial, _per_row(oracle), epsilon, seed, function=function,
+    return _certify(polynomial, _labeller(oracle), epsilon, seed, function=function,
                     goodness=goodness, mode=mode, samples=samples)
 
 
@@ -386,14 +429,15 @@ def certify_general(
     """Certify a characteristic's program against 1/2 + sqrt(eps)/2.
 
     The oracle and the optional promise, which restricts the checked inputs,
-    are called once per input, with the input's bits as a Python list of
-    ints.  Goodness is checked on the nonzero residues every polynomial of
-    the characteristic realizes on the swept inputs (exactly what the bound
-    needs for those inputs).
+    each label a chunk with their batch form when they are NamedOracles;
+    any other callable is called once per input, with the input's bits as a
+    Python list of ints.  Goodness is checked on the nonzero residues every
+    polynomial of the characteristic realizes on the swept inputs (exactly
+    what the bound needs for those inputs).
     """
-    return _certify(characteristic, _per_row(oracle), epsilon, seed, function=function,
+    return _certify(characteristic, _labeller(oracle), epsilon, seed, function=function,
                     goodness="realized", mode=mode, samples=samples,
-                    promise=None if promise is None else _per_row(promise))
+                    promise=None if promise is None else _labeller(promise))
 
 
 def certify_hsf(
