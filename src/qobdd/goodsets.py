@@ -3,7 +3,11 @@
 A parameter set K = {k_1, ..., k_t} over Z_m is good for a residue b != 0 when
 the squared normalized cosine sum (1/t^2) (sum_i cos(2 pi k_i b / m))^2 stays
 below the error rate; at b = g(sigma) it is the single-polynomial program's
-acceptance, so one kernel over residue arrays serves goodness and closed forms.
+acceptance.  One cosine helper over residue arrays serves the goodness check
+and both closed forms: the products k_i b mod m take only m values, so a
+check of at least m residue-parameter pairs over m <= DEFAULT_VERIFY_LIMIT
+gathers cos(scale j / m) from a cached table built by the same expression,
+the same floats for m cosines instead of one per pair.
 Sets are drawn uniformly at random; an Azuma-type bound makes a random set
 good for every b with positive probability once t >= ceil((2/eps) ln 2m).
 t is then padded to the next power of two, because the branch register
@@ -13,6 +17,7 @@ interferes its t branches in its read-out.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -95,21 +100,57 @@ class GoodSet:
         return len(self.parameters)
 
 
-def _residue_products(values, good_set: GoodSet) -> np.ndarray:
-    """(k_i * v mod m) / m for every residue v and parameter k_i, shape (rows, t):
-    exact products (int64 while they cannot overflow, Python integers in an
-    object array past that), then one rounding."""
+def _reduced_products(values, good_set: GoodSet) -> np.ndarray:
+    """k_i * v mod m for every residue v and parameter k_i, shape (rows, t),
+    exact: int64 while the products cannot overflow, Python integers in an
+    object array past that."""
     m = good_set.modulus
     dtype = np.int64 if (m - 1) * (m - 1) < _INT64_SAFE else object
     params = np.array(good_set.parameters, dtype=dtype)
-    products = (np.asarray(values, dtype=dtype)[:, None] * params[None, :]) % m
-    return np.asarray(products / m, dtype=np.float64)
+    return (np.asarray(values, dtype=dtype)[:, None] * params[None, :]) % m
 
 
-def _cosine_kernel(values, good_set: GoodSet) -> np.ndarray:
-    """(mean_i cos(2 pi (k_i v mod m) / m))^2 for every residue v in values."""
-    ratios = _residue_products(values, good_set)
-    return np.mean(np.cos(2.0 * math.pi * ratios), axis=1) ** 2
+def _residue_products(values, good_set: GoodSet) -> np.ndarray:
+    """(k_i * v mod m) / m for every residue v and parameter k_i, shape (rows, t):
+    the exact products, then one rounding."""
+    products = _reduced_products(values, good_set)
+    return np.asarray(products / good_set.modulus, dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=2)
+def _cosine_table(modulus: int, scale: float) -> np.ndarray:
+    """cos(scale * (j / m)) for every j in [0, m), read-only: the direct
+    path's expression on every product k_i v mod m can take.  At most two
+    are held, enough for one goodness scale and one closed-form scale."""
+    table = np.cos(scale * (np.arange(modulus) / modulus))
+    table.flags.writeable = False
+    return table
+
+
+def _cosines(values, good_set: GoodSet, scale: float, pairs: int | None = None) -> np.ndarray:
+    """cos(scale * (k_i v mod m) / m) for every residue v in values and
+    parameter k_i, shape (rows, t).
+
+    pairs is the residue-parameter pair count of the whole check this call
+    belongs to (by default this call's own).  When it is at least m and m <=
+    DEFAULT_VERIFY_LIMIT, the cosines are gathered from _cosine_table at the
+    int64 products; otherwise each pair takes np.cos, which also keeps object
+    dtype past _INT64_SAFE.  Both paths round the same integer k_i v mod m
+    the same way and apply the same cosine to it, so they give the same floats.
+    """
+    m = good_set.modulus
+    products = _reduced_products(values, good_set)
+    if pairs is None:
+        pairs = products.size
+    if m <= DEFAULT_VERIFY_LIMIT and pairs >= m:
+        return _cosine_table(m, scale)[products]
+    return np.cos(scale * np.asarray(products / m, dtype=np.float64))
+
+
+def _cosine_kernel(values, good_set: GoodSet, pairs: int | None = None) -> np.ndarray:
+    """(mean_i cos(2 pi (k_i v mod m) / m))^2 for every residue v in values,
+    the cosines from _cosines (pairs as there)."""
+    return np.mean(_cosines(values, good_set, 2.0 * math.pi, pairs), axis=1) ** 2
 
 
 def _nonzero_residues(good_set: GoodSet, b) -> np.ndarray:
@@ -133,20 +174,25 @@ def cosine_sum(good_set: GoodSet, b: int) -> float:
     return float(_cosine_kernel(_nonzero_residues(good_set, b), good_set)[0])
 
 
-def is_good_for(good_set: GoodSet, b) -> bool:
+def is_good_for(good_set: GoodSet, b, *, pairs: int | None = None) -> bool:
     """Whether the set is good for residue b, or for every residue in an
-    array b: one kernel call either way."""
-    cosines = _cosine_kernel(_nonzero_residues(good_set, b), good_set)
+    array b: one kernel call either way.  pairs, the residue-parameter pair
+    count of a larger check this call is a slice of, only picks how the
+    cosines are computed (see _cosines), never their values."""
+    cosines = _cosine_kernel(_nonzero_residues(good_set, b), good_set, pairs)
     return bool(np.all(cosines < good_set.error_rate))
 
 
 def is_good_for_all(good_set: GoodSet, residues: Sequence[int]) -> bool:
     """True when the set is good for every residue in the sequence (a list,
     a range or an array), checked by is_good_for in slices of at most
-    _CHUNK_ENTRIES residue-parameter pairs up to the first failing slice."""
+    _CHUNK_ENTRIES residue-parameter pairs up to the first failing slice.
+    Whether the slices gather from the cosine table is decided once, from
+    all len(residues) * t pairs."""
     chunk = max(1, _CHUNK_ENTRIES // good_set.size)
+    pairs = len(residues) * good_set.size
     return all(
-        is_good_for(good_set, residues[start : start + chunk])
+        is_good_for(good_set, residues[start : start + chunk], pairs=pairs)
         for start in range(0, len(residues), chunk)
     )
 

@@ -11,7 +11,7 @@ the partition.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -106,6 +106,9 @@ class VerificationReport:
     max_norm_drift: float
     max_closed_form_gap: float | None
     goodness: str
+    # The seed sample_good certified the set at and its attempt count, when
+    # the report comes from a certification (see _certify).
+    goodset: dict | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -127,6 +130,7 @@ class VerificationReport:
             "max_norm_drift": self.max_norm_drift,
             "max_closed_form_gap": self.max_closed_form_gap,
             "goodness": self.goodness,
+            "goodset": self.goodset,
         }
 
 
@@ -366,7 +370,9 @@ def _certify(
     function: str, goodness: str, mode: str, samples: int, promise=None,
 ) -> tuple[VerificationReport, SingleCompilation | GeneralCompilation]:
     """Pick a good set, compile the source, and verify the contract; the
-    source type picks the compiler, the bound and the closed form."""
+    source type picks the compiler, the bound and the closed form.  The
+    report's goodset entry names the seed sample_good certified the set at
+    (goodsets.sample at that seed rebuilds it) and its attempt count."""
     check_budget(source, required_size(epsilon, source.modulus))
     _, chunks = _input_walk(source.arity, mode, samples, seed)
     if goodness not in ("exhaustive", "realized"):
@@ -374,7 +380,7 @@ def _certify(
     single = isinstance(source, LinearPolynomial)
     polynomials = [source] if single else source.polynomials
     residues = _walk_residues(polynomials, chunks) if goodness == "realized" else None
-    good_set, _ = sample_good(epsilon, source.modulus, seed, residues=residues)
+    good_set, used_seed = sample_good(epsilon, source.modulus, seed, residues=residues)
     if single:
         compilation = compile_single(source, good_set)
         bound = epsilon
@@ -389,7 +395,8 @@ def _certify(
         closed_form=lambda rows: closed_form_batch(source, good_set, rows),
         goodness=goodness,
     )
-    return report, compilation
+    chosen = {"seed": used_seed, "attempts": used_seed - seed + 1}
+    return replace(report, goodset=chosen), compilation
 
 
 def certify_single(

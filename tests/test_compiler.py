@@ -26,7 +26,14 @@ from qobdd.compiler import (
     recipe_to_json_dict,
 )
 from qobdd.errors import InvalidErrorRateError, ModulusMismatchError, TooLargeError
-from qobdd.goodsets import GoodSet, required_size, sample, sample_good, verify_exhaustive
+from qobdd.goodsets import (
+    GoodSet,
+    _cosine_table,
+    required_size,
+    sample,
+    sample_good,
+    verify_exhaustive,
+)
 from qobdd.hsf import FiniteGroup, HSFInstance, cyclic_subgroup, hsf_characteristic
 from qobdd.polynomials import (
     Characteristic,
@@ -436,3 +443,29 @@ def test_compiling_and_sweeping_stay_within_the_counted_budget(monkeypatch, sour
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_closed_forms_take_the_cosine_table_by_their_distinct_residues():
+    # A scalar form holds t = 64 pairs against m = 3^9 and computes each
+    # cosine; a batch of all 4,096 inputs holds distinct residues x 64 pairs,
+    # past m, and gathers (the generalized form at scale pi).  Both give the
+    # same values, so every row equals its scalar form.
+    modulus = 3**9
+    coefficients = tuple(7**j % modulus for j in range(13))
+    polynomial = LinearPolynomial(modulus=modulus, arity=12, coefficients=coefficients)
+    characteristic = Characteristic(
+        modulus=modulus, arity=12, polynomials=(polynomial, mod_polynomial(12, modulus))
+    )
+    parameters = np.random.default_rng(5).integers(0, modulus, size=64).tolist()
+    good_set = GoodSet(modulus=modulus, error_rate=0.3, parameters=tuple(parameters))
+    bits = all_inputs(12)
+    _cosine_table.cache_clear()
+    scalar = [
+        (closed_form_single(polynomial, good_set, row), closed_form_general(characteristic, good_set, row))
+        for row in bits[::61].tolist()
+    ]
+    assert _cosine_table.cache_info().misses == 0
+    single = closed_form_single_batch(polynomial, good_set, bits)
+    general = closed_form_general_batch(characteristic, good_set, bits)
+    assert _cosine_table.cache_info().misses == 2
+    assert scalar == list(zip(single[::61], general[::61]))

@@ -19,8 +19,12 @@ from qobdd.errors import (
 from qobdd import goodsets
 from qobdd.goodsets import (
     _INT64_SAFE,
+    DEFAULT_VERIFY_LIMIT,
     GoodSet,
     _cosine_kernel,
+    _cosine_table,
+    _cosines,
+    _residue_products,
     azuma_failure_bound,
     cosine_sum,
     is_good_for,
@@ -229,12 +233,26 @@ def test_cosine_sum_bounded_and_periodic(data):
 # the sets sample_good picks do not move.
 
 
+def direct_cosines(values, good, scale):
+    """The cosines by the direct path: one np.cos per pair, no table."""
+    return np.cos(scale * _residue_products(values, good))
+
+
+def direct_kernel(values, good):
+    return np.mean(direct_cosines(values, good, 2.0 * math.pi), axis=1) ** 2
+
+
+def direct_cosine_sum(good, b):
+    return float(direct_kernel(np.array([b % good.modulus]), good)[0])
+
+
 def per_residue_sample_good(epsilon, modulus, seed, residues=None):
-    """sample_good as one cosine_sum per residue, stopping at the first bad one."""
+    """sample_good as one direct cosine sum per residue, stopping at the
+    first bad one."""
     for attempt in range(64):
         candidate = sample(epsilon, modulus, seed + attempt)
         checked = range(1, modulus) if residues is None else residues
-        if all(cosine_sum(candidate, b) < epsilon for b in checked):
+        if all(direct_cosine_sum(candidate, b) < epsilon for b in checked):
             return candidate, seed + attempt
     raise AssertionError("no good set")
 
@@ -299,6 +317,9 @@ def test_array_goodness_rejects_a_zero_residue():
         (0.25, 64, [78, 1]),
         (0.2, 5, [0, 9]),
         (0.3, 243, [2, 17]),
+        # Tables past a SIMD register's width: 3^7 and 2^12 entries.
+        (0.25, 2187, [4]),
+        (0.3, 4096, [11]),
     ],
 )
 def test_sample_good_picks_the_per_residue_set_and_seed(chunk_entries, epsilon, modulus, seeds):
@@ -325,3 +346,95 @@ def test_exhaustive_check_exits_on_the_first_failing_chunk():
         kernel.reset_mock()
         assert is_good_for_all(good, range(1, 64)) == verify_exhaustive(good)
         assert kernel.call_count == 2 * math.ceil(63 / (64 // good.size))
+
+
+# The cosine table: checks of at least m residue-parameter pairs over m <=
+# DEFAULT_VERIFY_LIMIT gather cos(scale j / m) from a cached table instead of
+# calling np.cos per pair.  The gathered cosines must be the direct ones bit
+# for bit, so every value, verdict and sampled set stays where it was.
+
+SCALES = (2.0 * math.pi, math.pi)
+TABLE_MODULI = (
+    [2, 3, 5, 7, 11, 13, 97, 101]
+    + [2**k for k in (2, 5, 8, 16)]
+    + [3**k for k in (2, 5, 9)]
+    + [390_625, 2**20]
+)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_gathered_cosines_equal_the_direct_cosines(data):
+    m = data.draw(st.sampled_from(TABLE_MODULI), label="m")
+    t = data.draw(st.sampled_from([1, 2, 4, 8, 16]), label="t")
+    parameter = st.one_of(st.just(0), st.integers(min_value=0, max_value=m - 1))
+    params = tuple(data.draw(st.lists(parameter, min_size=t, max_size=t), label="params"))
+    good = GoodSet(modulus=m, error_rate=0.5, parameters=params)
+    # Row counts around SIMD widths; residues up to 5m and 0, as closed forms pass.
+    rows = data.draw(st.integers(min_value=1, max_value=37), label="rows")
+    values = np.array(
+        data.draw(
+            st.lists(st.integers(min_value=0, max_value=5 * m), min_size=rows, max_size=rows),
+            label="values",
+        ),
+        dtype=np.int64,
+    )
+    for scale in SCALES:
+        expected = direct_cosines(values, good, scale)
+        _cosine_table.cache_clear()
+        cold = _cosines(values, good, scale, pairs=m)
+        warm = _cosines(values, good, scale, pairs=m)
+        assert _cosine_table.cache_info()[:2] == (1, 1)  # (hits, misses)
+        below = _cosines(values, good, scale, pairs=m - 1)
+        assert _cosine_table.cache_info()[:2] == (1, 1)
+        for gathered in (cold, warm, below):
+            assert gathered.shape == expected.shape
+            assert np.array_equal(gathered, expected)
+
+
+def test_tables_are_read_only_and_at_most_two_are_held():
+    _cosine_table.cache_clear()
+    for m in (16, 27, 125):
+        for scale in SCALES:
+            table = _cosine_table(m, scale)
+            assert not table.flags.writeable
+            assert np.array_equal(table, np.cos(scale * (np.arange(m) / m)))
+    assert _cosine_table.cache_info().currsize == 2
+
+
+def test_the_pair_rule_decides_once_per_check():
+    # PERM_4's modulus: each 2^17-pair slice of 512 residues holds fewer
+    # pairs than m, but the check's 2,048 residues x 256 parameters do not.
+    good = sample(0.2, 390_625, seed=7)
+    _cosine_table.cache_clear()
+    assert is_good_for_all(good, range(1, 2049)) == all(
+        direct_cosine_sum(good, b) < 0.2 for b in range(1, 2049)
+    )
+    assert _cosine_table.cache_info().misses == 1
+    # A check of fewer pairs than m, or over m > DEFAULT_VERIFY_LIMIT, never
+    # builds a table.
+    _cosine_table.cache_clear()
+    assert is_good_for_all(good, range(1, 1000)) == all(
+        direct_cosine_sum(good, b) < 0.2 for b in range(1, 1000)
+    )
+    cosine_sum(good, 5)
+    past = sample(0.5, DEFAULT_VERIFY_LIMIT + 1, seed=1)
+    residues = np.arange(1, DEFAULT_VERIFY_LIMIT // past.size + 2)
+    assert is_good_for_all(past, residues) == bool(np.all(direct_kernel(residues, past) < 0.5))
+    assert len(residues) * past.size > past.modulus
+    assert _cosine_table.cache_info().misses == 0
+
+
+def test_exhaustive_verdicts_equal_the_direct_values_for_every_small_modulus():
+    # Four seeded parameters, so every check from m = 2 on gathers (its
+    # (m - 1) * 4 pairs reach m), and error rates at which both verdicts occur.
+    epsilons = (0.5, 0.8, 0.95)
+    verdicts = {epsilon: set() for epsilon in epsilons}
+    for m in range(2, 2**12 + 1):
+        params = tuple(np.random.default_rng(m).integers(0, m, 4).tolist())
+        direct = direct_kernel(np.arange(1, m), GoodSet(m, 0.5, params))
+        for epsilon in epsilons:
+            verdict = verify_exhaustive(GoodSet(m, epsilon, params))
+            assert verdict == bool(np.all(direct < epsilon)), (m, epsilon)
+            verdicts[epsilon].add(verdict)
+    assert all(seen == {True, False} for seen in verdicts.values())

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from qobdd import compiler, verification
 from qobdd.compiler import compile_single
 from qobdd.errors import TooLargeError
-from qobdd.goodsets import sample
+from qobdd.goodsets import is_good_for, sample
 from qobdd.polynomials import (
     LinearPolynomial,
     mod_polynomial,
@@ -198,6 +198,28 @@ def test_certify_single_report_reproducible():
     second, _ = certify_single(poly, oracle, 0.2, seed=0, function=name)
     assert json.dumps(first.to_json_dict()) == json.dumps(second.to_json_dict())
     assert first.passed
+
+
+@pytest.mark.parametrize("goodness", ["realized", "exhaustive"])
+def test_report_names_the_good_set_it_certified(goodness):
+    # Seed 143's set over Z_3 is not good for residue 1, so sample_good
+    # certifies a later seed's set, and the report says which.
+    assert not is_good_for(sample(0.5, 3, 143), 1)
+    polynomial, oracle, name = named_function("mod", 4, 3)
+    report, compilation = certify_single(
+        polynomial, oracle, 0.5, seed=143, function=name, goodness=goodness
+    )
+    payload = report.to_json_dict()
+    assert list(payload)[-2:] == ["goodness", "goodset"]
+    chosen = payload["goodset"]
+    assert chosen["seed"] > 143
+    assert chosen["attempts"] == chosen["seed"] - 143 + 1
+    assert sample(0.5, 3, chosen["seed"]) == compilation.good_set
+    assert report.passed
+    # A first seed that passes takes one attempt.
+    report, compilation = certify_single(polynomial, oracle, 0.5, seed=chosen["seed"])
+    assert report.goodset == chosen | {"attempts": 1}
+    assert sample(0.5, 3, chosen["seed"]) == compilation.good_set
 
 
 def test_certify_hsf_exhaustive_z4():
