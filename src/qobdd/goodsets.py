@@ -157,9 +157,13 @@ def _nonzero_residues(good_set: GoodSet, b) -> np.ndarray:
     """b mod m, a scalar b as a one-entry array, reduced in int64 (so a
     narrow integer dtype cannot overflow) or, once m reaches _INT64_SAFE or
     b does not fit int64, in Python integers (an object array);
-    ZeroResidueError when any of them is 0."""
+    ZeroResidueError when any of them is 0.  A range within int64 is
+    converted by np.arange, not one Python integer at a time."""
     m = good_set.modulus
-    values = np.asarray(b).reshape(-1)
+    if isinstance(b, range) and all(-(2**63) <= v < 2**63 for v in (b.start, b.stop)):
+        values = np.arange(b.start, b.stop, b.step, dtype=np.int64)
+    else:
+        values = np.asarray(b).reshape(-1)
     if values.dtype.kind not in "biu":  # Python integers no integer dtype holds
         values = np.asarray(b, dtype=object).reshape(-1)
     exact = m < _INT64_SAFE and np.can_cast(values.dtype, np.int64)

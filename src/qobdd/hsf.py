@@ -17,6 +17,7 @@ distinct values occur.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,29 +45,32 @@ CAYLEY_ORDER_LIMIT = 256
 CYCLIC_ORDER_LIMIT = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteGroup:
-    """Group on element indices 0..order-1 via an explicit Cayley table."""
+    """Group on element indices 0..order-1 via an explicit Cayley table: one
+    read-only int64 (order, order) array with cayley[a, b] = ab, which every
+    group check reads by lookup."""
 
     order: int
-    cayley: tuple[tuple[int, ...], ...]
+    cayley: np.ndarray
     identity: int
 
+    def __post_init__(self) -> None:
+        self.cayley.flags.writeable = False
+
     def multiply(self, a: int, b: int) -> int:
-        return self.cayley[a][b]
+        return int(self.cayley[a, b])
 
     def inverse(self, a: int) -> int:
-        for b in range(self.order):
-            if self.cayley[a][b] == self.identity:
-                return b
-        raise ValueError(f"element {a} has no inverse")
+        return int(np.flatnonzero(self.cayley[a] == self.identity)[0])
 
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]]) -> "FiniteGroup":
-        """The group of a Cayley table: a Latin square over 0..N-1 with a
-        two-sided identity, checked associative with one numpy comparison
-        per element.  Raises TooLargeError over CAYLEY_ORDER_LIMIT elements
-        and ValueError on a table that is not a group's."""
+        """The group of a Cayley table: a Latin square of integers over
+        0..N-1 with a two-sided identity, checked associative with one numpy
+        comparison per element.  Raises TooLargeError over
+        CAYLEY_ORDER_LIMIT elements and ValueError on a table that is not a
+        group's."""
         order = len(table)
         if order < 1:
             raise ValueError("empty Cayley table")
@@ -75,31 +79,32 @@ class FiniteGroup:
                 f"a Cayley table of {order} elements is over the limit of "
                 f"{CAYLEY_ORDER_LIMIT}"
             )
-        rows = tuple(tuple(row) for row in table)
-        full = set(range(order))
-        for row in rows:
-            if len(row) != order or set(row) != full:
-                raise ValueError("each Cayley row must be a permutation of 0..N-1")
-        for j in range(order):
-            if {rows[i][j] for i in range(order)} != full:
-                raise ValueError("each Cayley column must be a permutation of 0..N-1")
-        identity = None
-        for e in range(order):
-            if all(rows[e][b] == b for b in range(order)) and all(
-                rows[a][e] == a for a in range(order)
-            ):
-                identity = e
-                break
-        if identity is None:
+        row_error = "each Cayley row must be a permutation of 0..N-1"
+        if any(len(row) != order for row in table):
+            raise ValueError(row_error)
+        cayley = np.array(table)
+        # Not a cast: np.array(..., dtype=int64) would truncate 1.5 to 1.
+        if cayley.dtype.kind not in "iu":
+            raise ValueError("each Cayley entry must be an integer in 0..N-1")
+        full = np.arange(order)
+        if (np.sort(cayley, axis=1) != full).any():
+            raise ValueError(row_error)
+        if (np.sort(cayley, axis=0) != full[:, None]).any():
+            raise ValueError("each Cayley column must be a permutation of 0..N-1")
+        cayley = cayley.astype(np.int64)
+        # e is an identity when its row and its column are both 0..N-1.
+        identities = np.flatnonzero(
+            (cayley == full).all(axis=1) & (cayley == full[:, None]).all(axis=0)
+        )
+        if not identities.size:
             raise ValueError("Cayley table has no two-sided identity")
-        cayley = np.array(rows)
         for a in range(order):
             # (ab)c against a(bc), for every b (rows) and c (columns).
             failures = np.argwhere(cayley[cayley[a]] != cayley[a][cayley])
             if failures.size:
                 b, c = failures[0]
                 raise ValueError(f"associativity fails at ({a}, {b}, {c})")
-        return cls(order=order, cayley=rows, identity=identity)
+        return cls(order=order, cayley=cayley, identity=int(identities[0]))
 
     @classmethod
     def cyclic(cls, order: int) -> "FiniteGroup":
@@ -107,40 +112,41 @@ class FiniteGroup:
             raise ValueError(f"order must be >= 1, got {order}")
         if order > CYCLIC_ORDER_LIMIT:
             raise TooLargeError(f"cyclic order {order} is over the limit of {CYCLIC_ORDER_LIMIT}")
-        table = tuple(tuple((a + b) % order for b in range(order)) for a in range(order))
+        r = np.arange(order, dtype=np.int64)
+        table = np.add.outer(r, r)
+        table %= order
         return cls(order=order, cayley=table, identity=0)
 
 
 def cyclic_subgroup(order: int, generator: int) -> tuple[int, ...]:
-    """Elements {0, d, 2d, ...} mod order generated by d in the cyclic group."""
-    elements = {0}
-    current = generator % order
-    while current not in elements:
-        elements.add(current)
-        current = (current + generator) % order
-    return tuple(sorted(elements))
+    """Elements {0, d, 2d, ...} mod order generated by d in the cyclic group:
+    the multiples of gcd(d, order)."""
+    return tuple(range(0, order, math.gcd(generator, order)))
 
 
 def check_normal_subgroup(group: FiniteGroup, elements: Sequence[int]) -> tuple[int, ...]:
-    """Validate identity, closure, inverses, and normality; return sorted elements."""
-    subgroup = tuple(sorted(set(elements)))
-    if any(not (0 <= s < group.order) for s in subgroup):
+    """Validate identity, closure and normality by table lookups; return the
+    sorted elements.  Closure under products covers inverses: in a finite
+    group a nonempty subset closed under products is a subgroup."""
+    if any(not (0 <= s < group.order) for s in elements):
         raise NotNormalError("subgroup element out of range")
-    if group.identity not in subgroup:
+    member = np.zeros(group.order, dtype=bool)
+    member[np.array(elements, dtype=np.int64)] = True
+    if not member[group.identity]:
         raise NotNormalError("subgroup does not contain the identity")
-    member = set(subgroup)
-    for a in subgroup:
-        if group.inverse(a) not in member:
-            raise NotNormalError(f"subgroup is not closed under inverse at {a}")
-        for b in subgroup:
-            if group.multiply(a, b) not in member:
-                raise NotNormalError(f"subgroup is not closed under product at ({a}, {b})")
-    for a in range(group.order):
-        left = {group.multiply(a, s) for s in subgroup}
-        right = {group.multiply(s, a) for s in subgroup}
-        if left != right:
-            raise NotNormalError(f"aK != Ka at a = {a}")
-    return subgroup
+    subgroup = np.flatnonzero(member)
+    outside = np.argwhere(~member[group.cayley[np.ix_(subgroup, subgroup)]])
+    if outside.size:
+        a, b = subgroup[outside[0]]
+        raise NotNormalError(f"subgroup is not closed under product at ({a}, {b})")
+    # aK = Ka exactly when every ak lies in Ka: label each right coset Kx
+    # by min(Kx) and compare the labels of ak and a.
+    right = group.cayley[subgroup].min(axis=0)
+    products = group.cayley.take(subgroup, axis=1)
+    escapes = np.flatnonzero((right[products] != right[:, None]).any(axis=1))
+    if escapes.size:
+        raise NotNormalError(f"aK != Ka at a = {escapes[0]}")
+    return tuple(subgroup.tolist())
 
 
 def coset_decomposition(
@@ -149,17 +155,13 @@ def coset_decomposition(
     """Cosets of a normal subgroup, ordered by minimal element, ascending within.
 
     The representative of each coset is its first (minimal) element.
+    Each element a is labelled by min(aK); a stable sort on the labels
+    lists the cosets in order, each one ascending.
     """
     validated = check_normal_subgroup(group, subgroup)
-    seen: set[int] = set()
-    cosets = []
-    for a in range(group.order):
-        if a in seen:
-            continue
-        coset = tuple(sorted(group.multiply(a, s) for s in validated))
-        cosets.append(coset)
-        seen.update(coset)
-    return tuple(sorted(cosets, key=lambda c: c[0]))
+    labels = group.cayley.take(validated, axis=1).min(axis=1)
+    ordered = np.argsort(labels, kind="stable").reshape(-1, len(validated))
+    return tuple(map(tuple, ordered.tolist()))
 
 
 @dataclass(frozen=True)
@@ -175,11 +177,8 @@ class HSFInstance:
         cosets = coset_decomposition(group, subgroup)
         if len(cosets) < 2:
             raise ValueError("subgroup index must be >= 2 for a nontrivial instance")
-        return cls(
-            group=group,
-            subgroup=tuple(sorted(set(subgroup))),
-            cosets=cosets,
-        )
+        subgroup = next(coset for coset in cosets if group.identity in coset)
+        return cls(group=group, subgroup=subgroup, cosets=cosets)
 
     @property
     def index(self) -> int:

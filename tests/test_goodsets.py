@@ -24,6 +24,7 @@ from qobdd.goodsets import (
     _cosine_kernel,
     _cosine_table,
     _cosines,
+    _nonzero_residues,
     _residue_products,
     azuma_failure_bound,
     cosine_sum,
@@ -298,6 +299,31 @@ def test_narrow_and_unsigned_residue_dtypes_match_python_integers(modulus, value
     for value, as_int in zip(values, as_ints):
         assert cosine_sum(good, value) == cosine_sum(good, as_int)
         assert is_good_for(good, value) == is_good_for(good, as_int)
+
+
+@pytest.mark.parametrize("modulus", [2**61 - 1, 2**89 - 1], ids=["int64", "object"])
+@pytest.mark.parametrize(
+    "residues",
+    [
+        range(1, 1000),
+        range(5, 2**40, 2**31 + 1),
+        range(2**63 - 3, 2**63 + 4),
+        range(-(2**63) - 2, -(2**63) + 3),
+    ],
+    ids=["small", "wide-step", "past-int64-top", "past-int64-bottom"],
+)
+def test_range_slices_convert_like_their_python_integers(modulus, residues):
+    good = sample(0.5, modulus, seed=1)
+    as_list = _nonzero_residues(good, list(residues))
+    if all(-(2**63) <= v < 2**63 for v in (residues.start, residues.stop)):
+        # Within int64 the range is converted in C, never element by element.
+        with mock.patch.object(np, "asarray", side_effect=AssertionError("per-element")):
+            converted = _nonzero_residues(good, residues)
+    else:
+        converted = _nonzero_residues(good, residues)
+    assert converted.dtype == as_list.dtype
+    assert converted.tolist() == as_list.tolist()
+    assert is_good_for_all(good, residues) == all(is_good_for(good, b) for b in residues)
 
 
 def test_array_goodness_rejects_a_zero_residue():

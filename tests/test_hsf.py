@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import math
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import permutations, product
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qobdd import cli
 from qobdd.compiler import check_budget
 from qobdd.errors import LengthMismatchError, NotNormalError, PromiseViolation, TooLargeError
 from qobdd.goodsets import required_size
@@ -51,6 +54,70 @@ def symmetric_group_3() -> FiniteGroup:
         [index[tuple(p[q[k]] for k in range(3))] for q in elements] for p in elements
     ]
     return FiniteGroup.from_table(table)
+
+
+def cayley_table(elements, product) -> list[list[int]]:
+    """The Cayley table of the elements (listed once each) under product."""
+    index = {e: i for i, e in enumerate(elements)}
+    return [[index[product(a, b)] for b in elements] for a in elements]
+
+
+def compose(p, q):
+    return tuple(p[q[k]] for k in range(len(q)))
+
+
+def power(p, k):
+    result = tuple(range(len(p)))
+    for _ in range(k):
+        result = compose(result, p)
+    return result
+
+
+def dihedral_4_table() -> list[list[int]]:
+    """D_4 as symmetries of a square's vertices 0..3: element i + 4j is r^i s^j
+    for the rotation r and a reflection s, so 0 is e, 2 is r^2 and 4 is s."""
+    r, s = (1, 2, 3, 0), (0, 3, 2, 1)
+    elements = [compose(power(r, i), power(s, j)) for j in range(2) for i in range(4)]
+    return cayley_table(elements, compose)
+
+
+def quaternion_product(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def quaternion_8_table() -> list[list[int]]:
+    """Q_8 = {1, i, j, k, -1, -i, -j, -k} as elements 0..7 in that order."""
+    units = [tuple(int(u == v) for v in range(4)) for u in range(4)]
+    elements = units + [tuple(-x for x in u) for u in units]
+    return cayley_table(elements, quaternion_product)
+
+
+def z2_z4_table() -> list[list[int]]:
+    """Z_2 x Z_4: element 4a + b is (a, b)."""
+    elements = [(a, b) for a in range(2) for b in range(4)]
+    return cayley_table(elements, lambda p, q: ((p[0] + q[0]) % 2, (p[1] + q[1]) % 4))
+
+
+# Normal subgroups of the tables above, by element index.
+NON_CYCLIC_QUOTIENTS = {
+    "D_4/Z(D_4)": (dihedral_4_table, (0, 2)),
+    "Q_8/{1,-1}": (quaternion_8_table, (0, 4)),
+    "Z_2xZ_4/<(0,2)>": (z2_z4_table, (0, 2)),
+    "D_4/<r>": (dihedral_4_table, (0, 1, 2, 3)),
+    "Q_8/<i>": (quaternion_8_table, (0, 1, 4, 5)),
+}
+
+
+def non_cyclic_instance(name: str) -> HSFInstance:
+    table, subgroup = NON_CYCLIC_QUOTIENTS[name]
+    return HSFInstance.create(FiniteGroup.from_table(table()), subgroup)
 
 
 def test_cyclic_group_and_subgroups():
@@ -307,6 +374,7 @@ LABELLED_INSTANCES = {
     "Z_6/<3>": z6_instance,  # 2-bit blocks encoding 4 > (G:K) = 3 are invalid
     "Z_8/<4>": lambda: HSFInstance.create(FiniteGroup.cyclic(8), cyclic_subgroup(8, 4)),
     "S_3/A_3": s3_a3_instance,
+    **{name: partial(non_cyclic_instance, name) for name in NON_CYCLIC_QUOTIENTS},
 }
 
 
@@ -354,3 +422,151 @@ def test_batch_labels_count_the_known_instances():
     empty = np.zeros((0, instance.arity), dtype=np.uint8)
     assert hsf_eval_batch(instance, empty).shape == (0,)
     assert satisfies_promise_batch(instance, empty).shape == (0,)
+
+
+def expected_counts(table, subgroup) -> tuple[int, int, int]:
+    """(ones, zeros, filtered) of an exhaustive sweep, from the definitions:
+    the ones are the (G:K)! coset-constant bijections onto the values, and an
+    input is filtered when a block does not decode or fewer than (G:K)
+    distinct values occur."""
+    order = len(table)
+    index = order // len(subgroup)
+    w = (index - 1).bit_length()
+    n = order * w
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    blocks = bits.reshape(-1, order, w) @ (1 << np.arange(w - 1, -1, -1))
+    distinct = np.array([len(np.unique(row)) for row in blocks])
+    kept = (blocks < index).all(axis=1) & (distinct == index)
+    ones = math.factorial(index)
+    filtered = int((~kept).sum())
+    return ones, 2**n - ones - filtered, filtered
+
+
+@pytest.mark.parametrize("name", sorted(NON_CYCLIC_QUOTIENTS))
+def test_non_cyclic_quotients_label_and_certify_through_cayley_files(capsys, tmp_path, name):
+    table, subgroup = NON_CYCLIC_QUOTIENTS[name]
+    instance, bits, oracle, promise = scalar_labels(name)
+    np.testing.assert_array_equal(hsf_eval_batch(instance, bits), oracle)
+    np.testing.assert_array_equal(satisfies_promise_batch(instance, bits), promise)
+    ones, zeros, filtered = expected_counts(table(), subgroup)
+    assert (int(oracle.sum()), int((~promise).sum())) == (ones, filtered)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"table": table(), "subgroup": list(subgroup)}))
+    assert cli.main(["hsf", "--cayley-file", str(path), "--sweep"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    counts = report["counts"]
+    assert (counts["ones"], counts["zeros"], counts["filtered"]) == (ones, zeros, filtered)
+    assert report["pass"] is True
+    assert report["min_accept_on_ones"] == pytest.approx(1.0, abs=1e-9)
+    assert report["max_accept_on_zeros"] < report["bound"]
+    assert report["metrics"]["width"] == (512 if instance.index == 4 else 256)
+
+
+def test_a_reflection_subgroup_of_d4_exits_2_through_a_cayley_file(capsys, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"table": dihedral_4_table(), "subgroup": [0, 4]}))
+    assert cli.main(["hsf", "--cayley-file", str(path), "--sweep"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "aK != Ka" in captured.err
+
+
+def reference_cosets(table, elements) -> tuple[tuple[int, ...], ...]:
+    """The set-based normality check and coset listing, on a plain table:
+    identity, inverses and products within the subset, aK == Ka as sets for
+    every a, then the cosets by their minimal element."""
+    order = len(table)
+    identity = next(e for e in range(order) if list(table[e]) == list(range(order)))
+    subgroup = tuple(sorted(set(elements)))
+    if identity not in subgroup:
+        raise NotNormalError("subgroup does not contain the identity")
+    member = set(subgroup)
+    for a in subgroup:
+        inverse = next(b for b in range(order) if table[a][b] == identity)
+        if inverse not in member:
+            raise NotNormalError(f"subgroup is not closed under inverse at {a}")
+        for b in subgroup:
+            if table[a][b] not in member:
+                raise NotNormalError(f"subgroup is not closed under product at ({a}, {b})")
+    for a in range(order):
+        if {table[a][s] for s in subgroup} != {table[s][a] for s in subgroup}:
+            raise NotNormalError(f"aK != Ka at a = {a}")
+    seen: set[int] = set()
+    cosets = []
+    for a in range(order):
+        if a not in seen:
+            coset = tuple(sorted(table[a][s] for s in subgroup))
+            cosets.append(coset)
+            seen.update(coset)
+    return tuple(sorted(cosets, key=lambda c: c[0]))
+
+
+def relabelled(table, labels) -> list[list[int]]:
+    """The same group with element a renamed labels[a]."""
+    order = len(table)
+    result = [[0] * order for _ in range(order)]
+    for a in range(order):
+        for b in range(order):
+            result[labels[a]][labels[b]] = labels[table[a][b]]
+    return result
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [list(row) for row in symmetric_group_3().cayley.tolist()],
+        dihedral_4_table(),
+        quaternion_8_table(),
+        z2_z4_table(),
+        relabelled(dihedral_4_table(), [5, 2, 7, 0, 3, 6, 1, 4]),
+    ],
+    ids=["S_3", "D_4", "Q_8", "Z_2xZ_4", "D_4-relabelled"],
+)
+def test_table_checks_agree_with_the_set_based_checks_on_every_subset(table):
+    group = FiniteGroup.from_table(table)
+    others = [e for e in range(group.order) if e != group.identity]
+    verdicts = set()
+    for mask in range(2 ** len(others)):
+        subset = [group.identity] + [e for u, e in enumerate(others) if mask >> u & 1]
+        subset.reverse()
+        try:
+            expected = reference_cosets(table, subset)
+        except NotNormalError as error:
+            # The same first a when K is a subgroup but not normal.
+            message = re.escape(str(error)) if "aK" in str(error) else "closed"
+            with pytest.raises(NotNormalError, match=message):
+                coset_decomposition(group, subset)
+            verdicts.add(False)
+            continue
+        assert coset_decomposition(group, subset) == expected
+        assert check_normal_subgroup(group, subset) == tuple(sorted(subset))
+        if len(expected) > 1:
+            assert HSFInstance.create(group, subset).subgroup == tuple(sorted(subset))
+        verdicts.add(True)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1.0], [1.0, 0]],
+        [[0, 1.5], [1.5, 0]],
+        [[False, True], [True, False]],
+        [[0, 1], [1]],
+        [[0, 2], [2, 0]],
+        [[0, -1], [-1, 0]],
+    ],
+    ids=["float-1.0", "float-1.5", "bool", "ragged", "out-of-range", "negative"],
+)
+def test_from_table_refuses_tables_that_are_not_integer_latin_squares(table):
+    with pytest.raises(ValueError):
+        FiniteGroup.from_table(table)
+
+
+def test_the_cayley_table_is_one_read_only_int64_array():
+    for group in (FiniteGroup.cyclic(6), symmetric_group_3()):
+        assert group.cayley.dtype == np.int64
+        assert group.cayley.shape == (group.order, group.order)
+        assert not group.cayley.flags.writeable
+    with pytest.raises(ValueError, match="row"):
+        FiniteGroup.from_table([[0, 1], [1]])
