@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 
 from . import compiler, goodsets, hsf, polynomials, programs, verification
-from .errors import _json_int, _json_list, _malformed
+from .errors import _json_int, _json_list, _load_json, _malformed
 
 
 def _emit(payload) -> None:
@@ -74,8 +74,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    with open(args.program, "r", encoding="utf-8") as handle:
-        bundle = json.load(handle)
+    bundle = _load_json(args.program)
     if not isinstance(bundle, dict):
         raise ValueError("a program file must hold a JSON object")
     if bundle.get("fingerprint") is None:
@@ -123,8 +122,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _load_hsf_instance(args: argparse.Namespace) -> hsf.HSFInstance:
     if args.cayley_file is not None:
-        with open(args.cayley_file, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        data = _load_json(args.cayley_file)
         with _malformed(f"Cayley file {args.cayley_file}"):
             rows = _json_list(data["table"])
             table = [[_json_int(g) for g in _json_list(row)] for row in rows]

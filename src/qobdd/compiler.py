@@ -301,12 +301,9 @@ def closed_form_general_batch(
         _, first, rows = np.unique(
             rows * residues.size + index, return_index=True, return_inverse=True
         )
-    # One table decision for the whole batch: every polynomial's distinct
-    # residues times t.
-    pairs = good_set.size * sum(residues.size for residues, _ in tables)
     product = np.ones((first.size, good_set.size), dtype=np.float64)
     for residues, index in tables:
-        cosines = _cosines(residues, good_set, math.pi, pairs) ** 2
+        cosines = _cosines(residues, good_set, math.pi) ** 2
         product *= cosines[index[first]]
     return np.mean(product, axis=1)[rows]
 

@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import json
 from contextlib import contextmanager
 
 
@@ -43,6 +44,17 @@ def _malformed(what: str):
         yield
     except (KeyError, TypeError, IndexError) as error:
         raise ValueError(f"malformed {what}: {type(error).__name__} {error}") from error
+
+
+def _load_json(path: str):
+    """The JSON value in the file at path.  A file nested too deeply for the
+    decoder raises the ValueError every loader raises on bad input, not the
+    decoder's RecursionError."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except RecursionError as error:
+            raise ValueError(f"malformed JSON in {path}: nested too deeply to decode") from error
 
 
 def _json_list(value) -> list:

@@ -4,10 +4,10 @@ A parameter set K = {k_1, ..., k_t} over Z_m is good for a residue b != 0 when
 the squared normalized cosine sum (1/t^2) (sum_i cos(2 pi k_i b / m))^2 stays
 below the error rate; at b = g(sigma) it is the single-polynomial program's
 acceptance.  One cosine helper over residue arrays serves the goodness check
-and both closed forms: the products k_i b mod m take only m values, so a
-check of at least m residue-parameter pairs over m <= DEFAULT_VERIFY_LIMIT
-gathers cos(scale j / m) from a cached table built by the same expression,
-the same floats for m cosines instead of one per pair.
+and both closed forms: the products k_i b mod m take only m values, so over
+m <= DEFAULT_VERIFY_LIMIT it gathers cos(scale j / m) from a cached table
+built by the same expression, the same floats for m cosines instead of one
+per pair.
 Sets are drawn uniformly at random; an Azuma-type bound makes a random set
 good for every b with positive probability once t >= ceil((2/eps) ln 2m).
 t is then padded to the next power of two, because the branch register
@@ -37,7 +37,7 @@ DEFAULT_VERIFY_LIMIT = 2**20
 # int64 batch paths are exact as long as intermediate products stay below 2^63.
 _INT64_SAFE = 2**62
 
-# Residue-parameter pairs per cosine-kernel call in a goodness check.
+# Products k_i b per cosine-kernel call in a goodness check.
 _CHUNK_ENTRIES = 1 << 17
 
 # The most parameters sample draws, one Python call each, and so the largest
@@ -127,30 +127,27 @@ def _cosine_table(modulus: int, scale: float) -> np.ndarray:
     return table
 
 
-def _cosines(values, good_set: GoodSet, scale: float, pairs: int | None = None) -> np.ndarray:
+def _cosines(values, good_set: GoodSet, scale: float) -> np.ndarray:
     """cos(scale * (k_i v mod m) / m) for every residue v in values and
     parameter k_i, shape (rows, t).
 
-    pairs is the residue-parameter pair count of the whole check this call
-    belongs to (by default this call's own).  When it is at least m and m <=
-    DEFAULT_VERIFY_LIMIT, the cosines are gathered from _cosine_table at the
-    int64 products; otherwise each pair takes np.cos, which also keeps object
-    dtype past _INT64_SAFE.  Both paths round the same integer k_i v mod m
-    the same way and apply the same cosine to it, so they give the same floats.
+    For m <= DEFAULT_VERIFY_LIMIT the cosines are gathered from _cosine_table
+    at the int64 products; past it each pair takes np.cos, which also keeps
+    object dtype past _INT64_SAFE.  Both paths round the same integer
+    k_i v mod m the same way and apply the same cosine to it, so they give
+    the same floats.
     """
     m = good_set.modulus
     products = _reduced_products(values, good_set)
-    if pairs is None:
-        pairs = products.size
-    if m <= DEFAULT_VERIFY_LIMIT and pairs >= m:
+    if m <= DEFAULT_VERIFY_LIMIT:
         return _cosine_table(m, scale)[products]
     return np.cos(scale * np.asarray(products / m, dtype=np.float64))
 
 
-def _cosine_kernel(values, good_set: GoodSet, pairs: int | None = None) -> np.ndarray:
+def _cosine_kernel(values, good_set: GoodSet) -> np.ndarray:
     """(mean_i cos(2 pi (k_i v mod m) / m))^2 for every residue v in values,
-    the cosines from _cosines (pairs as there)."""
-    return np.mean(_cosines(values, good_set, 2.0 * math.pi, pairs), axis=1) ** 2
+    the cosines from _cosines."""
+    return np.mean(_cosines(values, good_set, 2.0 * math.pi), axis=1) ** 2
 
 
 def _nonzero_residues(good_set: GoodSet, b) -> np.ndarray:
@@ -178,25 +175,20 @@ def cosine_sum(good_set: GoodSet, b: int) -> float:
     return float(_cosine_kernel(_nonzero_residues(good_set, b), good_set)[0])
 
 
-def is_good_for(good_set: GoodSet, b, *, pairs: int | None = None) -> bool:
+def is_good_for(good_set: GoodSet, b) -> bool:
     """Whether the set is good for residue b, or for every residue in an
-    array b: one kernel call either way.  pairs, the residue-parameter pair
-    count of a larger check this call is a slice of, only picks how the
-    cosines are computed (see _cosines), never their values."""
-    cosines = _cosine_kernel(_nonzero_residues(good_set, b), good_set, pairs)
+    array b: one kernel call either way."""
+    cosines = _cosine_kernel(_nonzero_residues(good_set, b), good_set)
     return bool(np.all(cosines < good_set.error_rate))
 
 
 def is_good_for_all(good_set: GoodSet, residues: Sequence[int]) -> bool:
     """True when the set is good for every residue in the sequence (a list,
     a range or an array), checked by is_good_for in slices of at most
-    _CHUNK_ENTRIES residue-parameter pairs up to the first failing slice.
-    Whether the slices gather from the cosine table is decided once, from
-    all len(residues) * t pairs."""
+    _CHUNK_ENTRIES products k_i b up to the first failing slice."""
     chunk = max(1, _CHUNK_ENTRIES // good_set.size)
-    pairs = len(residues) * good_set.size
     return all(
-        is_good_for(good_set, residues[start : start + chunk], pairs=pairs)
+        is_good_for(good_set, residues[start : start + chunk])
         for start in range(0, len(residues), chunk)
     )
 

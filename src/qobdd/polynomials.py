@@ -12,7 +12,6 @@ zero set into the acceptance set of a quantum OBDD.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +20,7 @@ from .errors import (
     TooLargeError,
     _json_int,
     _json_list,
+    _load_json,
     _malformed,
 )
 
@@ -94,8 +94,9 @@ class LinearPolynomial:
 class MultilinearPolynomial:
     """Sum of coefficient * product-of-variables monomials over Z_m.
 
-    Monomials are (coefficient, sorted variable-index tuple) pairs; no two
-    monomials share a variable set, and the empty tuple is the constant term.
+    Each monomial is a coefficient and its sorted variable-index tuple; no
+    two monomials share a variable set, and the empty tuple is the constant
+    term.
     """
 
     modulus: int
@@ -338,16 +339,14 @@ def perm_polynomial(n: int) -> LinearPolynomial:
 
 def load_characteristic(path: str) -> Characteristic:
     """Read a characteristic from JSON: a list of linear polynomial objects."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _load_json(path)
     with _malformed(f"characteristic file {path}"):
         return Characteristic.from_json_list(data)
 
 
 def load_sop(path: str) -> SOPFormula:
     """Read an SOP formula from JSON: {"n": arity, "products": [[lit, ...], ...]}."""
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _load_json(path)
     with _malformed(f"SOP file {path}"):
         products = tuple(
             tuple(_json_int(lit) for lit in _json_list(p))

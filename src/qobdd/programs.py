@@ -479,12 +479,12 @@ def _array_from_json(data: list) -> np.ndarray:
     """The array _array_to_json wrote; TypeError unless every innermost entry
     is a [re, im] pair of numbers (a nonzero im is refused by _frozen)."""
     try:
-        pairs = np.array(data)
+        parts = np.array(data)
     except ValueError as error:  # ragged nesting
         raise TypeError(str(error)) from error
-    if pairs.dtype.kind not in "biuf" or pairs.ndim < 2 or pairs.shape[-1] != 2:
-        raise TypeError("expected nested lists of [re, im] number pairs")
-    return pairs[..., 0] + 1j * pairs[..., 1]
+    if parts.dtype.kind not in "biuf" or parts.ndim < 2 or parts.shape[-1] != 2:
+        raise TypeError("expected nested lists of [re, im] numbers")
+    return parts[..., 0] + 1j * parts[..., 1]
 
 
 # Kept because perfbench/tracing.py patches it by name; the CLI uses recipes.

@@ -167,10 +167,10 @@ def _input_walk(
     arity: int, mode: str, samples=DEFAULT_SAMPLES, seed=0, chunk_size=DEFAULT_CHUNK
 ) -> tuple[dict, Iterator[np.ndarray]]:
     """The report's mode entry and the mode's inputs, chunk by chunk; the one
-    place the exhaustive guard, the chunk size and the sampled pool's bytes
-    (against compiler.BUDGET_BYTES) are checked, before anything is
-    allocated.  The sampled pool is drawn when the first chunk is taken, so
-    a walk that is never read draws nothing."""
+    place the exhaustive guard, the chunk size, the sampled seed and the
+    sampled pool's bytes (against compiler.BUDGET_BYTES) are checked, before
+    anything is allocated.  The sampled pool is drawn when the first chunk
+    is taken, so a walk that is never read draws nothing."""
     if chunk_size < 1:
         raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
     if mode == "exhaustive":
@@ -183,6 +183,8 @@ def _input_walk(
     elif mode == "sampled":
         if samples < 1:
             raise ValueError(f"sampled mode needs at least 1 sample, got {samples}")
+        if seed < 0:
+            raise ValueError(f"sampled mode needs a non-negative seed, got seed {seed}")
         if samples * arity > compiler.BUDGET_BYTES:
             raise TooLargeError(
                 f"{samples} samples of {arity} bits need {samples * arity} bytes, "

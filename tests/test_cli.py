@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from qobdd import cli, compiler, programs, verification
+from qobdd import cli, compiler, goodsets, programs, verification
 from qobdd.goodsets import sample
 from qobdd.polynomials import mod_polynomial
 
@@ -471,6 +471,44 @@ def test_malformed_input_files_are_usage_errors(capsys, tmp_path, command, data)
     assert captured.out == ""
     assert captured.err.startswith("error: malformed ")
     assert str(path) in captured.err
+
+
+@pytest.mark.parametrize("command", ["eval", "sop-file", "char-file", "cayley-file"])
+def test_input_files_nested_too_deeply_are_usage_errors(capsys, tmp_path, command):
+    # Deeper than the JSON decoder recurses: malformed input, not a failed
+    # verification.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    if command == "eval":
+        argv = ["eval", "--program", str(path), "--input", "1"]
+    elif command == "cayley-file":
+        argv = ["hsf", "--cayley-file", str(path)]
+    else:
+        argv = ["build", "--function", command, "--file", str(path), "--epsilon", "0.5",
+                "--out", str(tmp_path / "program.json")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed JSON")
+    assert "nested too deeply" in captured.err
+
+
+def test_a_negative_sampled_seed_is_refused_before_goodness_work(capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a good set before refusing the seed")
+
+    monkeypatch.setattr(goodsets, "sample", no_sampling)
+    argv = ["verify", "--function", "perm", "--n", "4", "--epsilon", "0.2",
+            "--mode", "sampled", "--samples", "16", "--seed", "-1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed -1" in captured.err
+    # Exhaustive mode draws no pool, so a negative seed is still a seed there.
+    monkeypatch.undo()
+    code, payload = run_cli(capsys, ["verify", "--function", "mod", "--n", "4", "--m", "3",
+                                     "--epsilon", "0.2", "--seed", "-1"])
+    assert code == 0 and payload["pass"] is True
 
 
 def _recipe_file(tmp_path, edit) -> str:

@@ -445,11 +445,11 @@ def test_compiling_and_sweeping_stay_within_the_counted_budget(monkeypatch, sour
     assert peak < 64 * 1024
 
 
-def test_closed_forms_take_the_cosine_table_by_their_distinct_residues():
-    # A scalar form holds t = 64 pairs against m = 3^9 and computes each
-    # cosine; a batch of all 4,096 inputs holds distinct residues x 64 pairs,
-    # past m, and gathers (the generalized form at scale pi).  Both give the
-    # same values, so every row equals its scalar form.
+def test_one_row_closed_forms_take_the_cosine_table_by_the_modulus():
+    # Over m = 3^9 a one-row single form builds the 2 pi table and a one-row
+    # generalized form the pi table, once each; the batches of all 4,096
+    # inputs gather from the same two.  Both paths give the same values, so
+    # every row equals its scalar form.
     modulus = 3**9
     coefficients = tuple(7**j % modulus for j in range(13))
     polynomial = LinearPolynomial(modulus=modulus, arity=12, coefficients=coefficients)
@@ -460,12 +460,17 @@ def test_closed_forms_take_the_cosine_table_by_their_distinct_residues():
     good_set = GoodSet(modulus=modulus, error_rate=0.3, parameters=tuple(parameters))
     bits = all_inputs(12)
     _cosine_table.cache_clear()
+    closed_form_single(polynomial, good_set, bits[0].tolist())
+    assert _cosine_table.cache_info()[:2] == (0, 1)  # (hits, misses)
+    # Its two polynomials share the pi table: one miss, one hit.
+    closed_form_general(characteristic, good_set, bits[0].tolist())
+    assert _cosine_table.cache_info()[:2] == (1, 2)
     scalar = [
         (closed_form_single(polynomial, good_set, row), closed_form_general(characteristic, good_set, row))
         for row in bits[::61].tolist()
     ]
-    assert _cosine_table.cache_info().misses == 0
     single = closed_form_single_batch(polynomial, good_set, bits)
     general = closed_form_general_batch(characteristic, good_set, bits)
     assert _cosine_table.cache_info().misses == 2
     assert scalar == list(zip(single[::61], general[::61]))
+

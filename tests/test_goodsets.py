@@ -374,9 +374,8 @@ def test_exhaustive_check_exits_on_the_first_failing_chunk():
         assert kernel.call_count == 2 * math.ceil(63 / (64 // good.size))
 
 
-# The cosine table: checks of at least m residue-parameter pairs over m <=
-# DEFAULT_VERIFY_LIMIT gather cos(scale j / m) from a cached table instead of
-# calling np.cos per pair.  The gathered cosines must be the direct ones bit
+# The cosine table: every cosine over m <= DEFAULT_VERIFY_LIMIT is gathered
+# from a cached table of cos(scale j / m) instead of calling np.cos per pair.  The gathered cosines must be the direct ones bit
 # for bit, so every value, verdict and sampled set stays where it was.
 
 SCALES = (2.0 * math.pi, math.pi)
@@ -408,12 +407,10 @@ def test_gathered_cosines_equal_the_direct_cosines(data):
     for scale in SCALES:
         expected = direct_cosines(values, good, scale)
         _cosine_table.cache_clear()
-        cold = _cosines(values, good, scale, pairs=m)
-        warm = _cosines(values, good, scale, pairs=m)
+        cold = _cosines(values, good, scale)
+        warm = _cosines(values, good, scale)
         assert _cosine_table.cache_info()[:2] == (1, 1)  # (hits, misses)
-        below = _cosines(values, good, scale, pairs=m - 1)
-        assert _cosine_table.cache_info()[:2] == (1, 1)
-        for gathered in (cold, warm, below):
+        for gathered in (cold, warm):
             assert gathered.shape == expected.shape
             assert np.array_equal(gathered, expected)
 
@@ -428,32 +425,33 @@ def test_tables_are_read_only_and_at_most_two_are_held():
     assert _cosine_table.cache_info().currsize == 2
 
 
-def test_the_pair_rule_decides_once_per_check():
-    # PERM_4's modulus: each 2^17-pair slice of 512 residues holds fewer
-    # pairs than m, but the check's 2,048 residues x 256 parameters do not.
+def test_the_modulus_alone_decides_the_table():
+    # PERM_4's modulus: a 1-residue check builds its table, and every later
+    # check at that (m, scale), whatever its size, gathers from it.
     good = sample(0.2, 390_625, seed=7)
     _cosine_table.cache_clear()
+    assert is_good_for(good, 5) == (direct_cosine_sum(good, 5) < 0.2)
+    assert _cosine_table.cache_info()[:2] == (0, 1)  # (hits, misses)
+    assert cosine_sum(good, 5) == direct_cosine_sum(good, 5)
     assert is_good_for_all(good, range(1, 2049)) == all(
         direct_cosine_sum(good, b) < 0.2 for b in range(1, 2049)
     )
     assert _cosine_table.cache_info().misses == 1
-    # A check of fewer pairs than m, or over m > DEFAULT_VERIFY_LIMIT, never
-    # builds a table.
+    # Past DEFAULT_VERIFY_LIMIT, and on the object path past _INT64_SAFE,
+    # no check builds a table, however many residues it holds.
     _cosine_table.cache_clear()
-    assert is_good_for_all(good, range(1, 1000)) == all(
-        direct_cosine_sum(good, b) < 0.2 for b in range(1, 1000)
-    )
-    cosine_sum(good, 5)
     past = sample(0.5, DEFAULT_VERIFY_LIMIT + 1, seed=1)
+    assert is_good_for(past, 5) == (direct_cosine_sum(past, 5) < 0.5)
     residues = np.arange(1, DEFAULT_VERIFY_LIMIT // past.size + 2)
     assert is_good_for_all(past, residues) == bool(np.all(direct_kernel(residues, past) < 0.5))
-    assert len(residues) * past.size > past.modulus
+    big = GoodSet(modulus=_INT64_SAFE + 5, error_rate=0.9, parameters=(3, 2**61, 7, 2**62))
+    assert cosine_sum(big, 5) == direct_cosine_sum(big, 5)
     assert _cosine_table.cache_info().misses == 0
 
 
 def test_exhaustive_verdicts_equal_the_direct_values_for_every_small_modulus():
-    # Four seeded parameters, so every check from m = 2 on gathers (its
-    # (m - 1) * 4 pairs reach m), and error rates at which both verdicts occur.
+    # Four seeded parameters, every check gathering from its modulus's table,
+    # and error rates at which both verdicts occur.
     epsilons = (0.5, 0.8, 0.95)
     verdicts = {epsilon: set() for epsilon in epsilons}
     for m in range(2, 2**12 + 1):
