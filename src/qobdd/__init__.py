@@ -1,8 +1,7 @@
 """Quantum OBDD compiler and exact simulator for characteristic polynomials."""
 
 from .compiler import (
-    GeneralCompilation,
-    SingleCompilation,
+    Compilation,
     closed_form_general,
     closed_form_single,
     compile_general,

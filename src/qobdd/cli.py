@@ -85,14 +85,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     # A file with a recipe is rebuilt from it, whatever else it holds.
     compilation = compiler.recipe_from_json_dict(bundle["fingerprint"])
     probability = programs.accept_probability(compilation.program, bits)
-    if isinstance(compilation, compiler.SingleCompilation):
-        closed_form = compiler.closed_form_single(
-            compilation.polynomial, compilation.good_set, bits
-        )
-    else:
-        closed_form = compiler.closed_form_general(
-            compilation.characteristic, compilation.good_set, bits
-        )
+    single = isinstance(compilation.source, polynomials.LinearPolynomial)
+    closed_form = (compiler.closed_form_single if single else compiler.closed_form_general)(
+        compilation.source, compilation.good_set, bits
+    )
     _emit({"accept_probability": probability, "closed_form": closed_form})
     return 0
 
@@ -125,6 +121,11 @@ def _load_hsf_instance(args: argparse.Namespace) -> hsf.HSFInstance:
         data = _load_json(args.cayley_file)
         with _malformed(f"Cayley file {args.cayley_file}"):
             rows = _json_list(data["table"])
+            if _json_int(data.get("order", len(rows))) != len(rows):
+                raise ValueError(
+                    f"malformed Cayley file {args.cayley_file}: order {data['order']} "
+                    f"but {len(rows)} table rows"
+                )
             table = [[_json_int(g) for g in _json_list(row)] for row in rows]
             group = hsf.FiniteGroup.from_table(table)
             subgroup = tuple(_json_int(s) for s in _json_list(data["subgroup"]))
@@ -153,7 +154,7 @@ def _cmd_hsf(args: argparse.Namespace) -> int:
             "index": instance.index,
             "bits_per_value": instance.bits_per_value,
             "arity": instance.arity,
-            "characteristic": compilation.characteristic.to_json_list(),
+            "characteristic": compilation.source.to_json_list(),
             "metrics": asdict(programs.metrics(compilation.program)),
         }
     )
@@ -225,7 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_hsf = sub.add_parser("hsf", help="hidden-subgroup instances and sweeps")
     p_hsf.add_argument("--cyclic", type=int, help="order of a cyclic group")
     p_hsf.add_argument("--subgroup-generator", type=int)
-    p_hsf.add_argument("--cayley-file", help="JSON with order, table, subgroup")
+    p_hsf.add_argument(
+        "--cayley-file",
+        help="JSON with table and subgroup, and optionally order (checked against the table)",
+    )
     p_hsf.add_argument("--epsilon", type=float, default=0.25)
     p_hsf.add_argument("--seed", type=int, default=0)
     p_hsf.add_argument("--sweep", action="store_true")

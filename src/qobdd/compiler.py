@@ -67,15 +67,11 @@ BUDGET_BYTES = 2**29
 
 
 @dataclass(frozen=True)
-class SingleCompilation:
-    polynomial: LinearPolynomial
-    good_set: GoodSet
-    program: QuantumBranchingProgram
+class Compilation:
+    """A compiled program with the polynomial or characteristic it was
+    compiled from and its parameter set."""
 
-
-@dataclass(frozen=True)
-class GeneralCompilation:
-    characteristic: Characteristic
+    source: LinearPolynomial | Characteristic
     good_set: GoodSet
     program: QuantumBranchingProgram
 
@@ -160,9 +156,7 @@ def _fingerprint_program(
     )
 
 
-def compile_single(
-    polynomial: LinearPolynomial, good_set: GoodSet
-) -> SingleCompilation:
+def compile_single(polynomial: LinearPolynomial, good_set: GoodSet) -> Compilation:
     """Interference circuit for one linear polynomial; width 2t."""
     if polynomial.modulus != good_set.modulus:
         raise ModulusMismatchError(
@@ -172,12 +166,10 @@ def compile_single(
         modulus=polynomial.modulus, arity=polynomial.arity, polynomials=(polynomial,)
     )
     program = _fingerprint_program(characteristic, good_set, single=True)
-    return SingleCompilation(polynomial=polynomial, good_set=good_set, program=program)
+    return Compilation(polynomial, good_set, program)
 
 
-def compile_general(
-    characteristic: Characteristic, good_set: GoodSet
-) -> GeneralCompilation:
+def compile_general(characteristic: Characteristic, good_set: GoodSet) -> Compilation:
     """Generalized circuit: one target qubit per polynomial, width t * 2^l."""
     if characteristic.modulus != good_set.modulus:
         raise ModulusMismatchError(
@@ -185,9 +177,7 @@ def compile_general(
             f"good set modulus {good_set.modulus}"
         )
     program = _fingerprint_program(characteristic, good_set, single=False)
-    return GeneralCompilation(
-        characteristic=characteristic, good_set=good_set, program=program
-    )
+    return Compilation(characteristic, good_set, program)
 
 
 def recipe_to_json_dict(
@@ -208,7 +198,7 @@ def recipe_to_json_dict(
     }
 
 
-def recipe_from_json_dict(recipe: dict) -> SingleCompilation | GeneralCompilation:
+def recipe_from_json_dict(recipe: dict) -> Compilation:
     """Compile the program a recipe describes.
 
     Raises ValueError on a missing key, a wrong type, a missing entry, an

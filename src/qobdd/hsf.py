@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .compiler import GeneralCompilation, compile_general
+from .compiler import Compilation, compile_general
 from .errors import (
     LengthMismatchError,
     NotNormalError,
@@ -324,7 +324,7 @@ def hsf_characteristic(instance: HSFInstance) -> Characteristic:
     return Characteristic(modulus=modulus, arity=n, polynomials=(g1, g2))
 
 
-def compile_hsf(instance: HSFInstance, epsilon: float, seed: int) -> GeneralCompilation:
+def compile_hsf(instance: HSFInstance, epsilon: float, seed: int) -> Compilation:
     """Sample a parameter set over Z_(2^n) and compile the two-polynomial circuit."""
     characteristic = hsf_characteristic(instance)
     good_set = sample(epsilon, instance.modulus, seed)

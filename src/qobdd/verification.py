@@ -18,8 +18,7 @@ import numpy as np
 
 from . import compiler
 from .compiler import (
-    GeneralCompilation,
-    SingleCompilation,
+    Compilation,
     check_budget,
     closed_form_general_batch,
     closed_form_single_batch,
@@ -92,10 +91,7 @@ class ClassStats:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    function: str
     arity: int
-    epsilon: float
-    t: int
     mode: dict
     ones: ClassStats
     zeros: ClassStats
@@ -105,9 +101,13 @@ class VerificationReport:
     metrics: ProgramMetrics
     max_norm_drift: float
     max_closed_form_gap: float | None
-    goodness: str
-    # The seed sample_good certified the set at and its attempt count, when
-    # the report comes from a certification (see _certify).
+    # What a certification knows and a sweep does not (see _certify): the
+    # function's name, the error rate, the set size, the goodness policy,
+    # and the seed sample_good certified the set at with its attempt count.
+    function: str = ""
+    epsilon: float = 0.0
+    t: int = 0
+    goodness: str = "unverified"
     goodset: dict | None = None
 
     def to_json_dict(self) -> dict:
@@ -210,14 +210,10 @@ def verify(
     bound: float,
     mode: str = "exhaustive",
     *,
-    function: str = "",
-    epsilon: float = 0.0,
-    t: int = 0,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     promise: Callable[[np.ndarray], np.ndarray] | None = None,
     closed_form: Callable[[np.ndarray], np.ndarray] | None = None,
-    goodness: str = "unverified",
     chunk_size: int = DEFAULT_CHUNK,
 ) -> VerificationReport:
     """Sweep the program, classify by the oracle, and check the error contract.
@@ -259,10 +255,7 @@ def verify(
     ones_ok = ones.count == 0 or ones.min_accept >= 1.0 - ONES_TOL
     zeros_ok = zeros.count == 0 or zeros.max_accept < bound
     return VerificationReport(
-        function=function,
         arity=n,
-        epsilon=epsilon,
-        t=t,
         mode=mode_dict,
         ones=ones,
         zeros=zeros,
@@ -272,7 +265,6 @@ def verify(
         metrics=metrics(program),
         max_norm_drift=max_drift,
         max_closed_form_gap=max_gap,
-        goodness=goodness,
     )
 
 
@@ -370,10 +362,11 @@ def _labeller(oracle: Callable) -> Callable[[np.ndarray], np.ndarray]:
 def _certify(
     source: LinearPolynomial | Characteristic, oracle, epsilon: float, seed: int, *,
     function: str, goodness: str, mode: str, samples: int, promise=None,
-) -> tuple[VerificationReport, SingleCompilation | GeneralCompilation]:
+) -> tuple[VerificationReport, Compilation]:
     """Pick a good set, compile the source, and verify the contract; the
     source type picks the compiler, the bound and the closed form.  The
-    report's goodset entry names the seed sample_good certified the set at
+    report's function, epsilon, t, goodness and goodset entries are set
+    here; goodset names the seed sample_good certified the set at
     (goodsets.sample at that seed rebuilds it) and its attempt count."""
     check_budget(source, required_size(epsilon, source.modulus))
     _, chunks = _input_walk(source.arity, mode, samples, seed)
@@ -392,13 +385,12 @@ def _certify(
         bound = error_bound_general(epsilon)
         closed_form_batch = closed_form_general_batch
     report = verify(
-        oracle, compilation.program, bound=bound, mode=mode, function=function,
-        epsilon=epsilon, t=good_set.size, samples=samples, seed=seed, promise=promise,
-        closed_form=lambda rows: closed_form_batch(source, good_set, rows),
-        goodness=goodness,
+        oracle, compilation.program, bound=bound, mode=mode, samples=samples, seed=seed,
+        promise=promise, closed_form=lambda rows: closed_form_batch(source, good_set, rows),
     )
     chosen = {"seed": used_seed, "attempts": used_seed - seed + 1}
-    return replace(report, goodset=chosen), compilation
+    return replace(report, function=function, epsilon=epsilon, t=good_set.size,
+                   goodness=goodness, goodset=chosen), compilation
 
 
 def certify_single(
@@ -411,7 +403,7 @@ def certify_single(
     goodness: str = "realized",
     mode: str = "exhaustive",
     samples: int = DEFAULT_SAMPLES,
-) -> tuple[VerificationReport, SingleCompilation]:
+) -> tuple[VerificationReport, Compilation]:
     """Certify a polynomial's program against the false-accept bound eps.
 
     A NamedOracle (what named_function returns) labels each chunk with its
@@ -434,7 +426,7 @@ def certify_general(
     promise: Callable[[Sequence[int]], bool] | None = None,
     mode: str = "exhaustive",
     samples: int = DEFAULT_SAMPLES,
-) -> tuple[VerificationReport, GeneralCompilation]:
+) -> tuple[VerificationReport, Compilation]:
     """Certify a characteristic's program against 1/2 + sqrt(eps)/2.
 
     The oracle and the optional promise, which restricts the checked inputs,
@@ -456,7 +448,7 @@ def certify_hsf(
     *,
     function: str = "",
     apply_promise: bool = True,
-) -> tuple[VerificationReport, GeneralCompilation]:
+) -> tuple[VerificationReport, Compilation]:
     """Exhaustive sweep of a hidden-subgroup instance against its oracle:
     hsf_eval_batch labels each chunk and satisfies_promise_batch filters it."""
     return _certify(

@@ -157,6 +157,11 @@ def test_build_char_file(capsys, tmp_path):
     code, payload = run_cli(capsys, ["eval", "--program", str(out), "--input", "1110"])
     assert payload["accept_probability"] == pytest.approx(1.0, abs=1e-9)
     assert payload["closed_form"] == pytest.approx(1.0, abs=1e-12)
+    # A zero (popcount 1, both residues 1) takes the generalized closed form.
+    code, payload = run_cli(capsys, ["eval", "--program", str(out), "--input", "1000"])
+    assert code == 0
+    assert payload["accept_probability"] < 1.0
+    assert payload["accept_probability"] == pytest.approx(payload["closed_form"], abs=1e-12)
 
 
 def test_verify_command_passes(capsys):
@@ -433,6 +438,9 @@ def test_expansion_and_sampling_budgets_are_usage_errors(capsys, tmp_path, comma
     assert not (tmp_path / "program.json").exists()
 
 
+_Z4_TABLE = [[(a + b) % 4 for b in range(4)] for a in range(4)]
+
+
 @pytest.mark.parametrize(
     "command, data",
     [
@@ -446,6 +454,9 @@ def test_expansion_and_sampling_budgets_are_usage_errors(capsys, tmp_path, comma
         ("sop-file", {"n": 2, "products": ["12"]}),
         ("char-file", [{"m": "3", "n": 2, "coeffs": "011"}]),
         ("cayley-file", {"table": [[0, 1], [1, 0]], "subgroup": "0"}),
+        # An order key, when present, is an integer equal to the row count.
+        ("cayley-file", {"order": 5, "table": _Z4_TABLE, "subgroup": [0, 2]}),
+        ("cayley-file", {"order": "four", "table": _Z4_TABLE, "subgroup": [0, 2]}),
     ],
     ids=[
         "sop-missing-n",
@@ -456,6 +467,8 @@ def test_expansion_and_sampling_budgets_are_usage_errors(capsys, tmp_path, comma
         "sop-string-product",
         "char-string-coeffs",
         "cayley-string-subgroup",
+        "cayley-wrong-order",
+        "cayley-string-order",
     ],
 )
 def test_malformed_input_files_are_usage_errors(capsys, tmp_path, command, data):

@@ -38,3 +38,48 @@ def test_tracer_installs_and_restores_every_patched_name():
         assert getattr(module, attr) is original
     for module, attributes in zip(modules, before):
         assert all(getattr(module, name) is value for name, value in attributes.items())
+
+
+def test_traced_calls_reach_every_patched_name_on_their_path(capsys, tmp_path):
+    # A refactor that moves a call off a patched name leaves the name in
+    # place, so installing still works; only the recorded spans show it.
+    from qobdd import cli, hsf
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        polynomial, oracle, name = verification.named_function("mod", 8, 3)
+        verification.certify_single(polynomial, oracle, 0.2, 0, function=name)
+        instance = hsf.HSFInstance.create(hsf.FiniteGroup.cyclic(4), hsf.cyclic_subgroup(4, 2))
+        verification.certify_hsf(instance, 0.25, 0)
+        program = str(tmp_path / "mod3.prog")
+        build = ["build", "--function", "mod", "--n", "6", "--m", "3", "--epsilon", "0.2"]
+        assert cli.main(build + ["--out", program]) == 0
+        assert cli.main(["eval", "--program", program, "--input", "111000"]) == 0
+    finally:
+        tracer.restore()
+    capsys.readouterr()
+    names = {span["name"] for span in tracer.spans}
+    certify = {
+        f"verification.{attr}"
+        for attr in (
+            "sample_good",
+            "realized_residues",
+            "compile_single",
+            "compile_general",
+            "hsf_characteristic",
+            "verify",
+            "sweep_accept_probabilities",
+            "closed_form_single_batch",
+            "closed_form_general_batch",
+        )
+    }
+    command = {
+        "goodsets.sample",
+        "compiler.compile_single",
+        "compiler.closed_form_single",
+        "programs.accept_probability",
+    }
+    assert certify | command <= names
+    # goodsets.is_good_for is counted, not spanned.
+    assert tracer.counts["goodsets.residues_checked"] > 0
