@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .errors import (
     _malformed,
 )
 from .goodsets import (
+    _CHUNK_ENTRIES,
     _INT64_SAFE,
     GoodSet,
     _cosine_kernel,
@@ -96,19 +98,40 @@ def check_budget(source: LinearPolynomial | Characteristic, t: int) -> int:
     return needed
 
 
-def _branch_blocks(
-    good_set: GoodSet, coefficients: tuple[int, ...], angle_numerator: float
-) -> np.ndarray:
-    """The (t, b, b) real stack of per-branch blocks: branch i's block is the
-    tensor product over s of R_y(numer * (k_i c_s mod m) / m)."""
+def _branch_stacks(
+    characteristic: Characteristic, good_set: GoodSet, angle_numerator: float
+) -> Iterator[np.ndarray]:
+    """Yield the (t, b, b) real stack of per-branch blocks for the constant
+    coefficient and then for every read: branch i's block is the tensor
+    product over s of R_y(numer * (k_i c_sj mod m) / m).
+
+    The stacks of a chunk of reads come from one _residue_products call, one
+    cos and one sin, and one einsum per further target; a chunk holds at most
+    _CHUNK_ENTRIES block entries, so the temporaries stay bounded.  Each
+    stack yielded is an owned read-only copy, which Instruction stores as is.
+    """
     t = good_set.size
-    half_angles = angle_numerator * _residue_products(coefficients, good_set) / 2.0
-    blocks = np.ones((t, 1, 1))
-    for c, s in zip(np.cos(half_angles), np.sin(half_angles)):
-        rotations = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
-        size = 2 * blocks.shape[1]
-        blocks = np.einsum("tij,tkl->tikjl", blocks, rotations).reshape(t, size, size)
-    return blocks
+    targets = len(characteristic)
+    size = 1 << targets
+    columns = list(zip(*(poly.coefficients for poly in characteristic.polynomials)))
+    chunk = max(1, _CHUNK_ENTRIES // (t * size * size))
+    for start in range(0, len(columns), chunk):
+        rows = columns[start : start + chunk]
+        reads = len(rows)
+        products = _residue_products([c for row in rows for c in row], good_set)
+        half_angles = (angle_numerator * products / 2.0).reshape(reads, targets, t)
+        cosines, sines = np.cos(half_angles), np.sin(half_angles)
+        blocks = np.ones((reads, t, 1, 1))
+        for c, s in zip(cosines.transpose(1, 0, 2), sines.transpose(1, 0, 2)):
+            rotations = np.array([[c, -s], [s, c]]).transpose(2, 3, 0, 1)
+            width = 2 * blocks.shape[-1]
+            blocks = np.einsum("rtij,rtkl->rtikjl", blocks, rotations).reshape(
+                reads, t, width, width
+            )
+        for stack in blocks:
+            stack = stack.copy()
+            stack.flags.writeable = False
+            yield stack
 
 
 def _fingerprint_program(
@@ -130,21 +153,10 @@ def _fingerprint_program(
     t = good_set.size
     block_dim = 2 ** len(characteristic)
     numerator = (4.0 if single else 2.0) * math.pi
-    constant_blocks = _branch_blocks(
-        good_set,
-        tuple(poly.coefficients[0] for poly in characteristic.polynomials),
-        numerator,
-    )
+    stacks = _branch_stacks(characteristic, good_set, numerator)
+    constant_blocks = next(stacks)
     instructions = tuple(
-        Instruction(
-            variable_index=j,
-            on_one=_branch_blocks(
-                good_set,
-                tuple(poly.coefficients[j] for poly in characteristic.polynomials),
-                numerator,
-            ),
-        )
-        for j in range(1, characteristic.arity + 1)
+        Instruction(variable_index=j, on_one=stack) for j, stack in enumerate(stacks, start=1)
     )
     return QuantumBranchingProgram(
         dimension=t * block_dim,

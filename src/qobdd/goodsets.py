@@ -103,11 +103,16 @@ class GoodSet:
 def _reduced_products(values, good_set: GoodSet) -> np.ndarray:
     """k_i * v mod m for every residue v and parameter k_i, shape (rows, t),
     exact: int64 while the products cannot overflow, Python integers in an
-    object array past that."""
+    object array past that.  A power-of-two m reduces by the mask m - 1,
+    which gives the integers % does (negative ones included) at a fraction
+    of its cost on big Python integers."""
     m = good_set.modulus
     dtype = np.int64 if (m - 1) * (m - 1) < _INT64_SAFE else object
     params = np.array(good_set.parameters, dtype=dtype)
-    return (np.asarray(values, dtype=dtype)[:, None] * params[None, :]) % m
+    products = np.asarray(values, dtype=dtype)[:, None] * params[None, :]
+    if m & (m - 1) == 0:
+        return products & (m - 1)
+    return products % m
 
 
 def _residue_products(values, good_set: GoodSet) -> np.ndarray:

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import qobdd
 from qobdd import cli, compiler, goodsets, programs, verification
 from qobdd.goodsets import sample
 from qobdd.polynomials import mod_polynomial
@@ -609,3 +615,45 @@ def test_cayley_tables_are_checked_or_refused_at_every_size(capsys, tmp_path, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_the_reused_parser_gives_every_call_its_own_defaults(capsys, tmp_path):
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build_parser:
+        hsf = ["hsf", "--cyclic", "4", "--subgroup-generator", "2"]
+        code, report = run_cli(capsys, hsf + ["--sweep"])
+        assert code == 0 and report["pass"] is True
+        # Without --sweep the same command prints the instance summary.
+        code, summary = run_cli(capsys, hsf)
+        assert code == 0 and summary["group_order"] == 4 and "pass" not in summary
+        build = ["build", "--function", "mod", "--n", "4", "--epsilon", "0.2"]
+        code, _ = run_cli(capsys, build + ["--m", "5", "--out", str(tmp_path / "mod5.json")])
+        assert code == 0
+        recipe = json.loads((tmp_path / "mod5.json").read_text())["fingerprint"]
+        assert recipe["goodset"]["m"] == "5"
+        # Without --m, mod has no modulus: the earlier --m 5 must not carry over.
+        assert cli.main(build + ["--out", str(tmp_path / "mod.json")]) == 2
+        assert "mod requires a modulus" in capsys.readouterr().err
+        assert not (tmp_path / "mod.json").exists()
+    assert build_parser.call_count == 1
+    # build_parser itself still returns a fresh parser on every call.
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import qobdd.cli\n"
+        "assert built == [], built\n"
+        "assert qobdd.cli._parser.cache_info().currsize == 0\n"
+    )
+    source = str(Path(qobdd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

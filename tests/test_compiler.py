@@ -13,7 +13,7 @@ import pytest
 
 from qobdd import compiler
 from qobdd.compiler import (
-    _branch_blocks,
+    _branch_stacks,
     check_budget,
     closed_form_general,
     closed_form_general_batch,
@@ -29,6 +29,7 @@ from qobdd.errors import InvalidErrorRateError, ModulusMismatchError, TooLargeEr
 from qobdd.goodsets import (
     GoodSet,
     _cosine_table,
+    _residue_products,
     required_size,
     sample,
     sample_good,
@@ -44,6 +45,7 @@ from qobdd.polynomials import (
     perm_polynomial,
 )
 from qobdd.programs import (
+    Instruction,
     accept_probability,
     is_read_once,
     metrics,
@@ -256,6 +258,86 @@ def test_error_bound_general_raises_the_package_error_type():
         error_bound_general(1.0)
 
 
+def _hsf_source(order: int, generator: int) -> Characteristic:
+    group = FiniteGroup.cyclic(order)
+    return hsf_characteristic(HSFInstance.create(group, cyclic_subgroup(order, generator)))
+
+
+def _per_read_blocks(
+    good_set: GoodSet, coefficients: tuple[int, ...], angle_numerator: float
+) -> np.ndarray:
+    """The reference construction of one read's (t, b, b) stack, one
+    residue-product call and one einsum per target: branch i's block is the
+    tensor product over s of R_y(numer * (k_i c_s mod m) / m)."""
+    t = good_set.size
+    half_angles = angle_numerator * _residue_products(coefficients, good_set) / 2.0
+    blocks = np.ones((t, 1, 1))
+    for c, s in zip(np.cos(half_angles), np.sin(half_angles)):
+        rotations = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+        size = 2 * blocks.shape[1]
+        blocks = np.einsum("tij,tkl->tikjl", blocks, rotations).reshape(t, size, size)
+    return blocks
+
+
+def _three_polynomial_source() -> Characteristic:
+    return Characteristic(
+        modulus=7,
+        arity=5,
+        polynomials=(
+            LinearPolynomial(7, 5, (1, 2, 3, 4, 5, 6)),
+            LinearPolynomial(7, 5, (0, 1, 0, 6, 0, 1)),
+            LinearPolynomial(7, 5, (3, 3, 3, 3, 3, 3)),
+        ),
+    )
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 3, None], ids=["one-read", "small", "default"])
+@pytest.mark.parametrize(
+    "source, epsilon",
+    [
+        pytest.param(mod_polynomial(8, 3), 0.2, id="mod3-n8"),
+        pytest.param(eq_polynomial(40), 0.2, id="eq40-object"),
+        pytest.param(_hsf_source(4, 2), 0.25, id="hsf-z4-2"),
+        pytest.param(_three_polynomial_source(), 0.3, id="three-polynomials"),
+    ],
+)
+def test_batched_stacks_equal_the_per_read_construction(monkeypatch, source, epsilon, chunk_entries):
+    """The chunked stack build gives every read's stack and the initial
+    state bit for bit as one residue-product call per read does, also when
+    the reads cross chunk boundaries (chunk_entries counts reads' worth of
+    block entries; None keeps the default)."""
+    single = isinstance(source, LinearPolynomial)
+    characteristic = (
+        Characteristic(modulus=source.modulus, arity=source.arity, polynomials=(source,))
+        if single
+        else source
+    )
+    good_set = sample(epsilon, source.modulus, seed=11)
+    block = 1 << len(characteristic)
+    if chunk_entries is not None:
+        monkeypatch.setattr(compiler, "_CHUNK_ENTRIES", chunk_entries * good_set.size * block**2)
+    program = (compile_single if single else compile_general)(source, good_set).program
+    numerator = (4.0 if single else 2.0) * math.pi
+    reference = [
+        _per_read_blocks(good_set, tuple(p.coefficients[j] for p in characteristic.polynomials), numerator)
+        for j in range(source.arity + 1)
+    ]
+    t = good_set.size
+    assert np.array_equal(program.initial_state, (reference[0][:, :, 0] / math.sqrt(t)).ravel())
+    assert len(program.instructions) == source.arity
+    for j, instruction in enumerate(program.instructions, start=1):
+        assert instruction.variable_index == j
+        assert np.array_equal(instruction.on_one, reference[j])
+
+
+def test_each_stack_is_owned_read_only_and_stored_as_handed():
+    characteristic = _hsf_source(4, 2)
+    good_set = sample(0.25, characteristic.modulus, seed=3)
+    for stack in _branch_stacks(characteristic, good_set, 2.0 * math.pi):
+        assert stack.flags.owndata and stack.flags.c_contiguous and not stack.flags.writeable
+        assert Instruction(variable_index=1, on_one=stack).on_one is stack
+
+
 def paper_single_circuit_probabilities(program, bits: np.ndarray) -> np.ndarray:
     """The single construction's read-out as the paper draws it, built here
     densely: the Hadamard layer H^(x)l on the branch register, times I_2 on
@@ -284,7 +366,7 @@ def test_interfering_readout_is_the_dense_hadamard_layer(polynomial):
     good_set = sample(0.2, polynomial.modulus, seed=3)
     program = compile_single(polynomial, good_set).program
     t = good_set.size
-    constant_blocks = _branch_blocks(good_set, (polynomial.coefficients[0],), 4.0 * math.pi)
+    constant_blocks = _per_read_blocks(good_set, (polynomial.coefficients[0],), 4.0 * math.pi)
     np.testing.assert_allclose(
         program.initial_state, constant_blocks[:, :, 0].ravel() / math.sqrt(t), rtol=0, atol=1e-15
     )
@@ -379,11 +461,6 @@ def test_size_budget_is_checked_before_compiling(monkeypatch):
     monkeypatch.setattr(compiler, "BUDGET_BYTES", needed)
     compile_single(polynomial, good_set)
     compile_general(characteristic, good_set)
-
-
-def _hsf_source(order: int, generator: int) -> Characteristic:
-    group = FiniteGroup.cyclic(order)
-    return hsf_characteristic(HSFInstance.create(group, cyclic_subgroup(order, generator)))
 
 
 def test_size_budget_admits_the_widest_benchmark_programs():

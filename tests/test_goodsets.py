@@ -25,6 +25,7 @@ from qobdd.goodsets import (
     _cosine_table,
     _cosines,
     _nonzero_residues,
+    _reduced_products,
     _residue_products,
     azuma_failure_bound,
     cosine_sum,
@@ -413,6 +414,25 @@ def test_gathered_cosines_equal_the_direct_cosines(data):
         for gathered in (cold, warm):
             assert gathered.shape == expected.shape
             assert np.array_equal(gathered, expected)
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_power_of_two_moduli_reduce_to_the_integers_of_the_remainder(data):
+    # Int64 products up to m = 2^31, Python integers past (m - 1)^2 >= 2^62.
+    exponent = data.draw(st.sampled_from([1, 2, 7, 16, 30, 31, 32, 33, 40, 62, 63, 64, 100, 800]))
+    m = 1 << exponent
+    int64 = (m - 1) * (m - 1) < _INT64_SAFE
+    t = data.draw(st.sampled_from([1, 2, 4, 8]), label="t")
+    params = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=t, max_size=t)))
+    good = GoodSet(modulus=m, error_rate=0.5, parameters=params)
+    # Negative values and values past m; on the int64 path no product overflows.
+    bound = _INT64_SAFE // m if int64 else m**3
+    value = st.one_of(st.sampled_from([0, 1, -1, m - 1, -m, m, -bound, bound]), st.integers(-bound, bound))
+    values = data.draw(st.lists(value, min_size=1, max_size=24), label="values")
+    reduced = _reduced_products(values, good)
+    assert reduced.dtype == (np.int64 if int64 else object)
+    assert reduced.tolist() == [[v * k % m for k in params] for v in values]
 
 
 def test_tables_are_read_only_and_at_most_two_are_held():
