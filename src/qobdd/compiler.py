@@ -46,6 +46,7 @@ from .errors import (
     ModulusMismatchError,
     TooLargeError,
     _json_int,
+    _json_ints,
     _json_list,
     _malformed,
 )
@@ -56,6 +57,7 @@ from .goodsets import (
     _cosine_kernel,
     _cosines,
     _residue_products,
+    _slices,
     check_error_rate,
     required_size,
 )
@@ -237,7 +239,7 @@ def recipe_from_json_dict(recipe: dict) -> Compilation:
         good_set = GoodSet(
             modulus=_json_int(goodset["m"]),
             error_rate=float(goodset["epsilon"]),
-            parameters=tuple(_json_int(k) for k in params),
+            parameters=_json_ints(params),
         )
     required = required_size(good_set.error_rate, good_set.modulus)
     if good_set.size < required:
@@ -256,17 +258,22 @@ def error_bound_general(epsilon: float) -> float:
     return 0.5 + math.sqrt(epsilon) / 2.0
 
 
+def _residue_dtype(polynomial: LinearPolynomial):
+    """int64 while no sum c_0 + ... + c_n can overflow, that is while
+    (n + 1)(m - 1) < _INT64_SAFE; object (Python integers) past it."""
+    return np.int64 if (polynomial.arity + 1) * (polynomial.modulus - 1) < _INT64_SAFE else object
+
+
 def evaluate_linear_batch(
     polynomial: LinearPolynomial, bit_matrix: np.ndarray
 ) -> np.ndarray:
-    """Residues g(sigma) for every row of bit_matrix: int64 while the sums
-    cannot overflow, Python integers in an object array past that."""
+    """Residues g(sigma) for every row of bit_matrix, in _residue_dtype."""
     if bit_matrix.shape[1] != polynomial.arity:
         raise LengthMismatchError(
             f"expected {polynomial.arity} bits, got {bit_matrix.shape[1]}"
         )
     m = polynomial.modulus
-    dtype = np.int64 if (polynomial.arity + 1) * (m - 1) < _INT64_SAFE else object
+    dtype = _residue_dtype(polynomial)
     coeffs = np.array(polynomial.coefficients[1:], dtype=dtype)
     return (bit_matrix.astype(dtype) @ coeffs + polynomial.coefficients[0]) % m
 
@@ -282,11 +289,15 @@ def _residue_table(
 def closed_form_single_batch(
     polynomial: LinearPolynomial, good_set: GoodSet, bit_matrix: np.ndarray
 ) -> np.ndarray:
-    """(1/t^2) (sum_i cos(2 pi k_i g(sigma) / m))^2 for every row sigma."""
+    """(1/t^2) (sum_i cos(2 pi k_i g(sigma) / m))^2 for every row sigma,
+    the kernel taken one _slices slice of the distinct residues at a time."""
     if polynomial.modulus != good_set.modulus:
         raise ModulusMismatchError("polynomial and good set moduli differ")
     residues, rows = _residue_table(polynomial, bit_matrix)
-    return _cosine_kernel(residues, good_set)[rows]
+    values = np.empty(residues.size)
+    for part in _slices(residues.size, good_set):
+        values[part] = _cosine_kernel(residues[part], good_set)
+    return values[rows]
 
 
 def closed_form_general_batch(
@@ -297,17 +308,22 @@ def closed_form_general_batch(
         raise ModulusMismatchError("characteristic and good set moduli differ")
     tables = [_residue_table(p, bit_matrix) for p in characteristic.polynomials]
     # Rows with the same residue under every polynomial share one value: the
-    # product and the mean run once per distinct combination.
+    # product and the mean run once per distinct combination, one _slices
+    # slice of the combinations at a time, and the cosines once per residue
+    # the slice holds.
     rows = np.zeros(bit_matrix.shape[0], dtype=np.intp)
     for residues, index in tables:
         _, first, rows = np.unique(
             rows * residues.size + index, return_index=True, return_inverse=True
         )
-    product = np.ones((first.size, good_set.size), dtype=np.float64)
-    for residues, index in tables:
-        cosines = _cosines(residues, good_set, math.pi) ** 2
-        product *= cosines[index[first]]
-    return np.mean(product, axis=1)[rows]
+    values = np.empty(first.size)
+    for part in _slices(first.size, good_set):
+        product = np.ones((first[part].size, good_set.size), dtype=np.float64)
+        for residues, index in tables:
+            used, where = np.unique(index[first[part]], return_inverse=True)
+            product *= (_cosines(residues[used], good_set, math.pi) ** 2)[where]
+        values[part] = np.mean(product, axis=1)
+    return values[rows]
 
 
 def closed_form_single(polynomial: LinearPolynomial, good_set: GoodSet, bits) -> float:

@@ -2,6 +2,7 @@
 
 import json
 from contextlib import contextmanager
+from itertools import repeat
 
 
 class LengthMismatchError(ValueError):
@@ -74,3 +75,17 @@ def _json_int(value) -> int:
     if isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
         return int(value)
     raise TypeError(f"expected a JSON integer or a decimal string, got {value!r}")
+
+
+def _json_ints(value) -> tuple[int, ...]:
+    """_json_int of every entry of a JSON list: the same values accepted, and
+    otherwise the TypeError of the first entry _json_int refuses.  A list of
+    decimal strings, as build writes, is checked in one pass of whole-list
+    string tests, not one _json_int call per entry."""
+    values = _json_list(value)
+    if set(map(type, values)) == {str}:
+        digits = list(map(str.removeprefix, values, repeat("-")))
+        joined = "".join(digits)
+        if all(digits) and joined.isascii() and joined.isdigit():
+            return tuple(map(int, values))
+    return tuple(map(_json_int, values))

@@ -21,7 +21,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -92,7 +92,7 @@ class GoodSet:
         t = len(self.parameters)
         if t < 1 or t & (t - 1):
             raise NonPowerOfTwoError(f"parameter count must be a power of two, got {t}")
-        if any(not (0 <= k < self.modulus) for k in self.parameters):
+        if min(self.parameters) < 0 or max(self.parameters) >= self.modulus:
             raise ValueError("parameters must lie in [0, modulus)")
 
     @property
@@ -187,14 +187,20 @@ def is_good_for(good_set: GoodSet, b) -> bool:
     return bool(np.all(cosines < good_set.error_rate))
 
 
+def _slices(count: int, good_set: GoodSet) -> Iterator[slice]:
+    """Consecutive slices of [0, count), each of at most _CHUNK_ENTRIES
+    residue-parameter entries (and at least one residue): how the goodness
+    check and both closed forms bound their (residues, t) kernels."""
+    step = max(1, _CHUNK_ENTRIES // good_set.size)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
 def is_good_for_all(good_set: GoodSet, residues: Sequence[int]) -> bool:
     """True when the set is good for every residue in the sequence (a list,
-    a range or an array), checked by is_good_for in slices of at most
-    _CHUNK_ENTRIES products k_i b up to the first failing slice."""
-    chunk = max(1, _CHUNK_ENTRIES // good_set.size)
+    a range or an array), checked by is_good_for one _slices slice at a
+    time up to the first failing slice."""
     return all(
-        is_good_for(good_set, residues[start : start + chunk])
-        for start in range(0, len(residues), chunk)
+        is_good_for(good_set, residues[part]) for part in _slices(len(residues), good_set)
     )
 
 

@@ -19,6 +19,7 @@ from .errors import (
     LengthMismatchError,
     TooLargeError,
     _json_int,
+    _json_ints,
     _json_list,
     _load_json,
     _malformed,
@@ -86,7 +87,7 @@ class LinearPolynomial:
         return cls(
             modulus=_json_int(data["m"]),
             arity=_json_int(data["n"]),
-            coefficients=tuple(_json_int(c) for c in _json_list(data["coeffs"])),
+            coefficients=_json_ints(data["coeffs"]),
         )
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from . import compiler
 from .compiler import (
     Compilation,
+    _residue_dtype,
     check_budget,
     closed_form_general_batch,
     closed_form_single_batch,
@@ -204,6 +205,35 @@ def _walk_residues(polynomials, chunks: Iterable[np.ndarray]) -> np.ndarray:
     return np.unique(np.concatenate([realized_residues(polynomials, bits) for bits in chunks]))
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: one sort and an adjacent-difference mask."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def residue_image(polynomial: LinearPolynomial) -> np.ndarray:
+    """Every residue the polynomial takes over all 2^n inputs, ascending, in
+    evaluate_linear_batch's dtype: c_0 plus the subset sums of c_1..c_n, mod
+    m.  Reach starts at {c_0} and read j makes it reach | (reach + c_j), so
+    no step holds more than twice min(m, 2^n) values and no input is
+    enumerated."""
+    m = polynomial.modulus
+    reach = np.array([polynomial.coefficients[0]], dtype=_residue_dtype(polynomial))
+    for c in polynomial.coefficients[1:]:
+        reach = _distinct(np.concatenate([reach, (reach + c) % m]))
+    return reach
+
+
+def _image_residues(polynomials) -> np.ndarray:
+    """_walk_residues over every input, from the images alone: the distinct
+    nonzero residues any of the polynomials takes, ascending, in the same
+    dtype."""
+    residues = _distinct(np.concatenate([residue_image(p) for p in polynomials]))
+    return residues[residues != 0]
+
+
 def verify(
     oracle: Callable[[np.ndarray], np.ndarray],
     program: QuantumBranchingProgram,
@@ -374,7 +404,14 @@ def _certify(
         raise ValueError(f"unknown goodness policy {goodness!r}")
     single = isinstance(source, LinearPolynomial)
     polynomials = [source] if single else source.polynomials
-    residues = _walk_residues(polynomials, chunks) if goodness == "realized" else None
+    # Realized goodness over every input needs only the images; a sample
+    # realizes a subset of them, so sampled mode walks its own inputs.
+    if goodness == "exhaustive":
+        residues = None
+    elif mode == "exhaustive":
+        residues = _image_residues(polynomials)
+    else:
+        residues = _walk_residues(polynomials, chunks)
     good_set, used_seed = sample_good(epsilon, source.modulus, seed, residues=residues)
     if single:
         compilation = compile_single(source, good_set)

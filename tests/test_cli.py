@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -11,9 +12,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qobdd
 from qobdd import cli, compiler, goodsets, programs, verification
+from qobdd.errors import _json_int, _json_ints
 from qobdd.goodsets import sample
 from qobdd.polynomials import mod_polynomial
 
@@ -563,6 +567,50 @@ def test_eval_refuses_recipe_integer_fields_that_are_not_integers(capsys, tmp_pa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "malformed program recipe" in captured.err and "JSON integer" in captured.err
+
+
+@pytest.mark.parametrize("entry", ["1_0", " 5", "+5", "\u0663", 5.0, True, "", "-", "--5"])
+def test_eval_refuses_a_parameter_a_json_integer_would_refuse(capsys, tmp_path, entry):
+    def edit(recipe):
+        recipe["goodset"]["params"][3] = entry
+
+    assert cli.main(["eval", "--program", _recipe_file(tmp_path, edit), "--input", "1110"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed program recipe" in captured.err and "JSON integer" in captured.err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda recipe: recipe["goodset"]["params"].__setitem__(0, "-0"),
+        lambda recipe: recipe["goodset"].__setitem__("params", [int(k) for k in recipe["goodset"]["params"]]),
+        lambda recipe: recipe["goodset"]["params"].__setitem__(0, int(recipe["goodset"]["params"][0])),
+    ],
+    ids=["minus-zero", "ints", "int-among-strings"],
+)
+def test_eval_loads_parameters_as_json_integers(capsys, tmp_path, edit):
+    assert cli.main(["eval", "--program", _recipe_file(tmp_path, edit), "--input", "1110"]) == 0
+    assert json.loads(capsys.readouterr().out)["accept_probability"] == pytest.approx(1.0)
+
+
+@given(st.lists(st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**70), 2**70).map(str),
+    st.text(alphabet="-+_ 0123456789\u0663.e", max_size=4),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.none(),
+), max_size=6))
+def test_json_ints_accepts_and_refuses_what_json_int_does(values):
+    try:
+        expected = tuple(map(_json_int, values))
+    except TypeError as error:
+        with pytest.raises(TypeError, match=re.escape(str(error))):
+            _json_ints(values)
+    else:
+        assert _json_ints(values) == expected
+        assert all(type(v) is int for v in _json_ints(values))
 
 
 @pytest.mark.parametrize(

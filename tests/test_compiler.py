@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qobdd import compiler
+from qobdd import compiler, goodsets
 from qobdd.compiler import (
     _branch_stacks,
     check_budget,
@@ -551,3 +551,44 @@ def test_one_row_closed_forms_take_the_cosine_table_by_the_modulus():
     assert _cosine_table.cache_info().misses == 2
     assert scalar == list(zip(single[::61], general[::61]))
 
+
+
+@pytest.mark.parametrize("modulus", [3**9, 3**40], ids=["int64", "object"])
+def test_sliced_closed_forms_equal_the_unsliced_ones(monkeypatch, modulus):
+    # Both closed forms run their kernels over slices of at most
+    # goodsets._CHUNK_ENTRIES residue-parameter entries; with three residues'
+    # worth per slice they must give the values of one whole-batch kernel.
+    rng = random.Random(17)
+    polynomials = tuple(
+        LinearPolynomial(
+            modulus=modulus, arity=10, coefficients=tuple(rng.randrange(modulus) for _ in range(11))
+        )
+        for _ in range(3)
+    )
+    characteristic = Characteristic(modulus=modulus, arity=10, polynomials=polynomials)
+    good_set = GoodSet(
+        modulus=modulus, error_rate=0.3, parameters=tuple(rng.randrange(modulus) for _ in range(16))
+    )
+    bits = all_inputs(10)
+    assert 1024 * good_set.size <= goodsets._CHUNK_ENTRIES  # one slice: the unsliced kernel
+    single = closed_form_single_batch(polynomials[0], good_set, bits)
+    general = closed_form_general_batch(characteristic, good_set, bits)
+
+    calls = {}
+
+    def count_calls(name):
+        kernel, calls[name] = getattr(compiler, name), []
+
+        def counted(values, *args):
+            calls[name].append(len(values))
+            return kernel(values, *args)
+
+        monkeypatch.setattr(compiler, name, counted)
+
+    count_calls("_cosine_kernel")  # the single form's kernel
+    count_calls("_cosines")  # the generalized form's
+    monkeypatch.setattr(goodsets, "_CHUNK_ENTRIES", 3 * good_set.size)
+    assert np.array_equal(closed_form_single_batch(polynomials[0], good_set, bits), single)
+    assert np.array_equal(closed_form_general_batch(characteristic, good_set, bits), general)
+    for sizes in calls.values():
+        assert len(sizes) > 1 and max(sizes) <= 3

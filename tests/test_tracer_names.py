@@ -50,6 +50,8 @@ def test_traced_calls_reach_every_patched_name_on_their_path(capsys, tmp_path):
     try:
         polynomial, oracle, name = verification.named_function("mod", 8, 3)
         verification.certify_single(polynomial, oracle, 0.2, 0, function=name)
+        # Only a sampled certification walks its inputs for realized residues.
+        verification.certify_single(polynomial, oracle, 0.2, 0, mode="sampled", samples=64)
         instance = hsf.HSFInstance.create(hsf.FiniteGroup.cyclic(4), hsf.cyclic_subgroup(4, 2))
         verification.certify_hsf(instance, 0.25, 0)
         program = str(tmp_path / "mod3.prog")

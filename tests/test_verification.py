@@ -13,17 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qobdd import compiler, verification
-from qobdd.compiler import compile_single
+from qobdd.compiler import compile_single, evaluate_linear_batch
 from qobdd.errors import TooLargeError
 from qobdd.goodsets import is_good_for, sample
 from qobdd.polynomials import (
     LinearPolynomial,
+    eq_polynomial,
     mod_polynomial,
     palindrome_polynomial,
     perm_polynomial,
 )
 from qobdd.verification import (
     ClassStats,
+    _image_residues,
     _input_walk,
     _walk_residues,
     DETERMINISTIC_WIDTH_BOUNDS,
@@ -34,6 +36,7 @@ from qobdd.verification import (
     input_block,
     named_function,
     realized_residues,
+    residue_image,
     sampled_inputs,
     verify,
     width_table,
@@ -338,12 +341,12 @@ def test_residue_pass_walks_its_inputs_in_chunks():
     assert peak < 16 * 2**20
 
 
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_chunked_residues_equal_residues_of_all_inputs(data):
+def _draw_polynomials(data) -> list[LinearPolynomial]:
+    """One or two polynomials over 1..12 bits.  3^40 takes the object path,
+    and so does 2^61 + 1: its sums of n + 1 coefficients could pass 2^62."""
     arity = data.draw(st.integers(min_value=1, max_value=12))
-    modulus = data.draw(st.sampled_from([2, 3, 7, 2**12, 3**40]))
-    polynomials = [
+    modulus = data.draw(st.sampled_from([2, 3, 7, 2**12, 2**61 + 1, 3**40]))
+    return [
         LinearPolynomial(
             modulus=modulus,
             arity=arity,
@@ -353,6 +356,13 @@ def test_chunked_residues_equal_residues_of_all_inputs(data):
         )
         for _ in range(data.draw(st.integers(1, 2)))
     ]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_chunked_residues_equal_residues_of_all_inputs(data):
+    polynomials = _draw_polynomials(data)
+    arity = polynomials[0].arity
     chunk_size = data.draw(st.integers(min_value=1, max_value=700))
     chunks = _input_walk(arity, "exhaustive", chunk_size=chunk_size)[1]
     assert _walk_residues(polynomials, chunks).tolist() == realized_residues(
@@ -372,6 +382,84 @@ def test_chunked_residues_of_named_functions(polynomial):
     assert _walk_residues([polynomial], chunks).tolist() == realized_residues(
         [polynomial], all_inputs(polynomial.arity)
     ).tolist()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_residue_images_equal_the_walk_over_every_input(data):
+    polynomials = _draw_polynomials(data)
+    arity = polynomials[0].arity
+    walked = _walk_residues(polynomials, _input_walk(arity, "exhaustive")[1])
+    imaged = _image_residues(polynomials)
+    assert imaged.dtype == walked.dtype and imaged.tolist() == walked.tolist()
+    for polynomial in polynomials:
+        image = residue_image(polynomial)
+        values = np.unique(evaluate_linear_batch(polynomial, all_inputs(arity)))
+        assert image.dtype == values.dtype and image.tolist() == values.tolist()
+
+
+_HSF_Z8 = hsf_characteristic(
+    HSFInstance.create(FiniteGroup.cyclic(8), cyclic_subgroup(8, 4))
+).polynomials
+
+
+@pytest.mark.parametrize(
+    "polynomials",
+    [
+        [perm_polynomial(4)],
+        [eq_polynomial(8)],
+        [palindrome_polynomial(18)],
+        [mod_polynomial(16, 3)],
+        [_HSF_Z8[0]],
+        [_HSF_Z8[1]],
+        list(_HSF_Z8),
+    ],
+    ids=["perm4", "eq8", "pal18", "mod3-16", "hsf-z8-first", "hsf-z8-second", "hsf-z8"],
+)
+def test_residue_images_of_named_functions_equal_the_walk(polynomials):
+    walked = _walk_residues(polynomials, _input_walk(polynomials[0].arity, "exhaustive")[1])
+    imaged = _image_residues(polynomials)
+    assert imaged.dtype == walked.dtype and imaged.tolist() == walked.tolist()
+
+
+def test_only_sampled_realized_goodness_walks_the_inputs(monkeypatch):
+    original = realized_residues
+
+    def no_walk(polynomials, bits):
+        raise AssertionError("walked the inputs of an exhaustive certification")
+
+    monkeypatch.setattr(verification, "realized_residues", no_walk)
+    poly, oracle, name = named_function("mod", 8, 3)
+    report, _ = certify_single(poly, oracle, 0.2, seed=0, function=name)
+    assert report.passed and report.goodness == "realized"
+    instance = HSFInstance.create(FiniteGroup.cyclic(4), cyclic_subgroup(4, 2))
+    report, _ = certify_hsf(instance, 0.25, 0)
+    assert report.passed and report.goodness == "realized"
+
+    walked = []
+
+    def counted(polynomials, bits):
+        walked.append(bits.shape[0])
+        return original(polynomials, bits)
+
+    monkeypatch.setattr(verification, "realized_residues", counted)
+    report, _ = certify_single(poly, oracle, 0.2, seed=0, mode="sampled", samples=64)
+    assert report.passed and walked == [64]
+
+
+def test_sliced_closed_form_bounds_a_sampled_certification():
+    # A (distinct residues, t) product array and its cosines for 20,000 PERM_5
+    # samples take about 48 MB; the closed form holds one slice of at most
+    # goodsets._CHUNK_ENTRIES entries of each at a time.
+    poly, oracle, name = named_function("perm", 5)
+    tracemalloc.start()
+    try:
+        report, _ = certify_single(poly, oracle, 0.2, 7, function=name, mode="sampled", samples=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.ones.count + report.zeros.count == 20_000
+    assert peak < 10 * 2**20
 
 
 def test_exhaustive_goodness_skips_the_residue_pass(monkeypatch):
