@@ -10,8 +10,6 @@ from .compiler import (
 )
 from .goodsets import (
     GoodSet,
-    azuma_failure_bound,
-    cosine_sum,
     is_good_for,
     required_size,
     required_size_raw,
@@ -39,19 +37,14 @@ from .polynomials import (
     mod_polynomial,
     palindrome_polynomial,
     perm_polynomial,
-    reduce_mod,
     sop_to_polynomial,
-    truth_table_to_sop,
 )
 from .programs import (
     Instruction,
     ProgramMetrics,
     QuantumBranchingProgram,
     accept_probability,
-    is_read_once,
     metrics,
-    run,
-    validate,
 )
 from .verification import (
     NamedOracle,

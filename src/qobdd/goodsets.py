@@ -65,13 +65,6 @@ def required_size(epsilon: float, modulus: int) -> int:
     return 1 << (raw - 1).bit_length()
 
 
-def azuma_failure_bound(epsilon: float, t: int) -> float:
-    """2 exp(-eps t / 2): probability a random size-t set fails for one residue."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    return 2.0 * math.exp(-epsilon * t / 2.0)
-
-
 @dataclass(frozen=True)
 class GoodSet:
     """Parameters k_1..k_t in [0, m) with their target error rate.
@@ -173,11 +166,6 @@ def _nonzero_residues(good_set: GoodSet, b) -> np.ndarray:
     if (residues == 0).any():
         raise ZeroResidueError("goodness is undefined for b == 0 (mod m)")
     return residues
-
-
-def cosine_sum(good_set: GoodSet, b: int) -> float:
-    """(1/t^2) (sum_i cos(2 pi (k_i b mod m) / m))^2 for b != 0 mod m."""
-    return float(_cosine_kernel(_nonzero_residues(good_set, b), good_set)[0])
 
 
 def is_good_for(good_set: GoodSet, b) -> bool:

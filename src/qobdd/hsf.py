@@ -58,12 +58,6 @@ class FiniteGroup:
     def __post_init__(self) -> None:
         self.cayley.flags.writeable = False
 
-    def multiply(self, a: int, b: int) -> int:
-        return int(self.cayley[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(np.flatnonzero(self.cayley[a] == self.identity)[0])
-
     @classmethod
     def from_table(cls, table: Sequence[Sequence[int]]) -> "FiniteGroup":
         """The group of a Cayley table: a Latin square of integers over

@@ -12,6 +12,7 @@ zero set into the acceptance set of a quantum OBDD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,17 +25,11 @@ from .errors import (
     _load_json,
     _malformed,
 )
+from .goodsets import _SAMPLE_LIMIT
 
 # The most signed monomials sop_to_polynomial expands, about 20 us each: a
 # product with k negated literals gives 2^k, a minterm SOP over 10 variables <= 3^10.
 _SOP_EXPANSION_LIMIT = 1 << 16
-
-
-def reduce_mod(x: int, modulus: int) -> int:
-    """Canonical representative of x in [0, modulus)."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    return x % modulus
 
 
 def _check_bits(bits: Sequence[int], arity: int) -> None:
@@ -182,12 +177,23 @@ class SOPFormula:
     Literal +j is the variable x_j, literal -j its negation.  Products must be
     nonempty, may not repeat a variable, and may not repeat each other (as
     literal sets, so [1, -2] and [-2, 1] are the same product).
+
+    The arity is refused with TooLargeError, before sop_to_polynomial forms
+    the modulus 2^n, once good sets over Z_(2^n) need more parameters than
+    goodsets.sample draws: t > (2/eps) ln 2^(n+1) > 2 (n + 1) ln 2 at every
+    eps < 1, so no formula that could be compiled is refused.
     """
 
     arity: int
     products: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.arity + 1 >= _SAMPLE_LIMIT / (2 * math.log(2)):
+            raise TooLargeError(
+                f"an SOP over {self.arity} variables compiles over Z_(2^{self.arity}): its "
+                f"good sets need more than 2 (n + 1) ln 2 parameters, over the sampling "
+                f"budget of {_SAMPLE_LIMIT}"
+            )
         seen: set[frozenset[int]] = set()
         for product in self.products:
             if not product:
@@ -252,27 +258,6 @@ def sop_to_polynomial(sop: SOPFormula) -> MultilinearPolynomial:
         if coeff != 0
     )
     return MultilinearPolynomial(modulus=modulus, arity=sop.arity, monomials=monomials)
-
-
-def truth_table_to_sop(table: Sequence[int]) -> SOPFormula:
-    """Minterm SOP for the function given by a truth table of NOT f.
-
-    Row v of the table is the assignment whose bits are the n-bit binary
-    representation of v, most significant bit = x_1.  One full minterm is
-    emitted per row where the table holds 1.
-    """
-    size = len(table)
-    if size < 2 or size & (size - 1):
-        raise ValueError(f"table length must be a power of two >= 2, got {size}")
-    arity = size.bit_length() - 1
-    products = []
-    for row, value in enumerate(table):
-        if value:
-            bits = [(row >> (arity - 1 - j)) & 1 for j in range(arity)]
-            products.append(
-                tuple((j + 1) if bits[j] else -(j + 1) for j in range(arity))
-            )
-    return SOPFormula(arity=arity, products=tuple(products))
 
 
 def mod_polynomial(n: int, m: int) -> LinearPolynomial:

@@ -20,8 +20,8 @@ the rest.  A batch holding every pattern of the remaining reads (an
 exhaustive chunk, in any read order) doubles the column at each read.  Any
 other batch is swept in tiles with one column per distinct read prefix.
 Both stay: one kernel alone measured 1.2-4.9x slower on exhaustive chunks.
-run() expands every stack to its dense matrix; it is the independent
-per-input reference.
+The tests hold both against a dense per-input simulation that expands every
+stack to its d x d matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import LengthMismatchError, _json_int, _malformed
 
-UNITARY_TOL = 1e-9
 NORM_TOL = 1e-9
 _TILE_ENTRIES = 1 << 17
 _KEY_READS = 64
@@ -66,26 +65,6 @@ def _blocks(stack: np.ndarray) -> np.ndarray:
     the one-block stack."""
     size = stack.shape[-1]
     return stack.reshape(-1, size, size)
-
-
-def _block_diagonal(stack: np.ndarray) -> np.ndarray:
-    """The dense d x d matrix with the stack's blocks on its diagonal."""
-    blocks = _blocks(stack)
-    count, size, _ = blocks.shape
-    matrix = np.zeros((count * size, count * size), dtype=blocks.dtype)
-    branches = np.arange(count)
-    matrix.reshape(count, size, count, size)[branches, :, branches, :] = blocks
-    return matrix
-
-
-def is_unitary(matrix: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """Whether a square matrix, or every block of a (n, b, b) stack, is unitary."""
-    size = matrix.shape[-1]
-    if matrix.ndim not in (2, 3) or matrix.shape[-2] != size:
-        return False
-    blocks = _blocks(matrix)
-    gram = blocks.transpose(0, 2, 1) @ blocks
-    return bool(np.max(np.abs(gram - np.eye(size)), initial=0.0) <= tol)
 
 
 @dataclass(frozen=True)
@@ -128,74 +107,6 @@ class QuantumBranchingProgram:
         object.__setattr__(self, "initial_state", _frozen(self.initial_state))
         object.__setattr__(self, "instructions", tuple(self.instructions))
         object.__setattr__(self, "accepting", tuple(sorted(self.accepting)))
-
-
-def validate(program: QuantumBranchingProgram) -> list[str]:
-    """Collect invariant violations; an empty list means the program is valid."""
-    violations: list[str] = []
-    d = program.dimension
-    if program.initial_state.shape != (d,):
-        violations.append(
-            f"initial state has shape {program.initial_state.shape}, expected ({d},)"
-        )
-    elif abs(np.linalg.norm(program.initial_state) - 1.0) > NORM_TOL:
-        violations.append("initial state is not normalized")
-    if not program.accepting:
-        violations.append("accepting set is empty")
-    if any(not (0 <= idx < d) for idx in program.accepting):
-        violations.append("accepting index out of range")
-    if len(set(program.accepting)) != len(program.accepting):
-        violations.append("accepting index repeated")
-    for step, instruction in enumerate(program.instructions, start=1):
-        if not (1 <= instruction.variable_index <= program.arity):
-            violations.append(
-                f"instruction {step}: variable index {instruction.variable_index} "
-                f"out of range [1, {program.arity}]"
-            )
-        matrix = instruction.on_one
-        if (
-            matrix.ndim not in (2, 3)
-            or matrix.shape[-2] != matrix.shape[-1]
-            or math.prod(matrix.shape[:-1]) != d
-        ):
-            violations.append(
-                f"instruction {step}: U(1) has shape {matrix.shape}, expected "
-                f"({d}, {d}) or (n, b, b) with n * b = {d}"
-            )
-        elif not is_unitary(matrix):
-            violations.append(f"instruction {step}: U(1) is non-unitary")
-    return violations
-
-
-def is_read_once(program: QuantumBranchingProgram) -> bool:
-    indices = [instruction.variable_index for instruction in program.instructions]
-    return len(indices) == len(set(indices))
-
-
-def run(
-    program: QuantumBranchingProgram,
-    bits: Sequence[int],
-    check_norm: bool = True,
-) -> np.ndarray:
-    """Final state after reading the input bits in instruction order, before
-    the measurement.
-
-    The dense per-input reference: every stack is expanded to its d x d
-    matrix.  Sweeps and accept_probability do not use it.
-    """
-    if len(bits) != program.arity:
-        raise LengthMismatchError(
-            f"expected {program.arity} bits, got {len(bits)}"
-        )
-    state = program.initial_state.copy()
-    for instruction in program.instructions:
-        if bits[instruction.variable_index - 1]:
-            state = _block_diagonal(instruction.on_one) @ state
-        if check_norm:
-            drift = abs(np.linalg.norm(state) - 1.0)
-            if drift > NORM_TOL:
-                raise ArithmeticError(f"state norm drifted by {drift:.3e}")
-    return state
 
 
 def accept_probability(program: QuantumBranchingProgram, bits: Sequence[int]) -> float:
@@ -383,7 +294,7 @@ def sweep_accept_probabilities(
     """Acceptance probabilities for a whole batch of inputs at once.
 
     bit_matrix has one input per row.  Column v of the internal state matrix
-    goes through the same steps run() applies to input v, each read as d/b
+    goes through the reads in instruction order, each read as d/b
     independent b x b products of the on_one blocks when the bit is 1, and
     nothing when it is 0.  Every batch takes one path.  Its rows' read values
     (their bits in instruction order, so any read order or repeated read
@@ -396,9 +307,10 @@ def sweep_accept_probabilities(
     doubles at each of them (_completions), in groups of at most log2(tile)
     reads, the last group the largest.  Any other batch is swept in tiles of
     sorted rows, each starting from the column and keeping one state column
-    per distinct read prefix (_sweep_sorted_tile).  The results match run()
-    up to floating-point rounding.  Returns the probabilities and the largest norm
-    drift of the initial state or any state a read produces.
+    per distinct read prefix (_sweep_sorted_tile).  The results match a dense
+    per-input simulation up to floating-point rounding.  Returns the
+    probabilities and the largest norm drift of the initial state or any
+    state a read produces.
     """
     count, width = bit_matrix.shape
     if width != program.arity:
@@ -509,7 +421,7 @@ def program_from_json_dict(data: dict) -> QuantumBranchingProgram:
     (interfere must be a JSON bool), a missing entry, an entry that is not a
     [re, im] pair, a nonzero imaginary part, or a layout programs no longer
     have: a non-null U(0) or pre- or post-transform.  The result is not
-    validated: see validate()."""
+    checked for unitary reads or a normalized state."""
 
     def read(entry) -> Instruction:
         variable = _json_int(entry["variable"])

@@ -144,11 +144,6 @@ def input_block(arity: int, start: int, stop: int) -> np.ndarray:
     return np.ascontiguousarray(bits[:, 8 * width - arity :])
 
 
-def all_inputs(arity: int) -> np.ndarray:
-    _, (bits,) = _input_walk(arity, "exhaustive", chunk_size=1 << arity)
-    return bits
-
-
 def sampled_inputs(arity: int, samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=(samples, arity), dtype=np.uint8)
@@ -160,8 +155,7 @@ def realized_residues(
     """Distinct nonzero residues any of the polynomials takes on the inputs,
     ascending, in evaluate_linear_batch's dtype: int64, or an object array
     of Python integers past it."""
-    residues = np.unique(np.concatenate([evaluate_linear_batch(p, bit_matrix) for p in polynomials]))
-    return residues[residues != 0]
+    return _nonzero_union([evaluate_linear_batch(p, bit_matrix) for p in polynomials])
 
 
 def _input_walk(
@@ -202,7 +196,7 @@ def _input_walk(
 
 def _walk_residues(polynomials, chunks: Iterable[np.ndarray]) -> np.ndarray:
     """realized_residues over every chunk, without holding all inputs at once."""
-    return np.unique(np.concatenate([realized_residues(polynomials, bits) for bits in chunks]))
+    return _nonzero_union([realized_residues(polynomials, bits) for bits in chunks])
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -211,6 +205,14 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     keep = np.ones(values.size, dtype=bool)
     keep[1:] = values[1:] != values[:-1]
     return values[keep]
+
+
+def _nonzero_union(parts: list[np.ndarray]) -> np.ndarray:
+    """The distinct nonzero values of the arrays, ascending, in their dtype:
+    the one dedupe behind realized_residues, _walk_residues and
+    _image_residues."""
+    residues = _distinct(np.concatenate(parts))
+    return residues[residues != 0]
 
 
 def residue_image(polynomial: LinearPolynomial) -> np.ndarray:
@@ -230,8 +232,7 @@ def _image_residues(polynomials) -> np.ndarray:
     """_walk_residues over every input, from the images alone: the distinct
     nonzero residues any of the polynomials takes, ascending, in the same
     dtype."""
-    residues = _distinct(np.concatenate([residue_image(p) for p in polynomials]))
-    return residues[residues != 0]
+    return _nonzero_union([residue_image(p) for p in polynomials])
 
 
 def verify(

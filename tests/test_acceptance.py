@@ -15,7 +15,6 @@ import pytest
 
 from qobdd.compiler import compile_single
 from qobdd.goodsets import (
-    azuma_failure_bound,
     required_size,
     required_size_raw,
     sample,
@@ -23,8 +22,8 @@ from qobdd.goodsets import (
     verify_exhaustive,
 )
 from qobdd.hsf import FiniteGroup, HSFInstance, compile_hsf, cyclic_subgroup
-from qobdd.polynomials import mod_polynomial, sop_to_polynomial, truth_table_to_sop
-from qobdd.programs import is_read_once, metrics, validate
+from qobdd.polynomials import mod_polynomial, sop_to_polynomial
+from qobdd.programs import metrics
 from qobdd.verification import (
     ClassStats,
     DETERMINISTIC_WIDTH_BOUNDS,
@@ -33,6 +32,7 @@ from qobdd.verification import (
     named_function,
     width_table,
 )
+from reference import azuma_failure_bound, is_read_once, truth_table_to_sop, validate
 
 ONES_TOL = 1e-9
 CLOSED_FORM_TOL = 1e-6

@@ -22,7 +22,7 @@ from qobdd.compiler import (
     compile_single,
     evaluate_linear_batch,
 )
-from qobdd.goodsets import GoodSet, cosine_sum, is_good_for, sample
+from qobdd.goodsets import GoodSet, is_good_for, sample
 from qobdd.polynomials import (
     Characteristic,
     LinearPolynomial,
@@ -31,6 +31,7 @@ from qobdd.polynomials import (
 )
 from qobdd.programs import accept_probability, sweep_accept_probabilities
 from qobdd.verification import sampled_inputs
+from reference import cosine_sum
 
 MODULI = [2**31 - 1, 2**33, 3**40, 2**62 + 5, 2**127 - 1]
 ARITY = 12

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qobdd
-from qobdd import cli, compiler, goodsets, programs, verification
+from qobdd import cli, compiler, goodsets, polynomials, programs, verification
 from qobdd.errors import _json_int, _json_ints
 from qobdd.goodsets import sample
 from qobdd.polynomials import mod_polynomial
@@ -446,6 +446,27 @@ def test_expansion_and_sampling_budgets_are_usage_errors(capsys, tmp_path, comma
     assert captured.out == ""
     assert "budget" in captured.err
     assert not (tmp_path / "program.json").exists()
+
+
+def test_huge_sop_arity_is_refused_before_the_modulus_is_formed(capsys, tmp_path, monkeypatch):
+    # sop_to_polynomial forms 2^n: at n = 4e9 that alone runs out of memory.
+    def entered(sop):
+        raise AssertionError("sop_to_polynomial was called")
+
+    monkeypatch.setattr(polynomials, "sop_to_polynomial", entered)
+    path = tmp_path / "sop.json"
+    path.write_text(json.dumps({"n": 4_000_000_000, "products": [[1]]}))
+    out = tmp_path / "program.json"
+    argv = ["build", "--function", "sop-file", "--file", str(path), "--epsilon", "0.2",
+            "--out", str(out)]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sampling budget" in captured.err
+    assert not out.exists()
 
 
 _Z4_TABLE = [[(a + b) % 4 for b in range(4)] for a in range(4)]

@@ -47,14 +47,12 @@ from qobdd.polynomials import (
 from qobdd.programs import (
     Instruction,
     accept_probability,
-    is_read_once,
     metrics,
-    run,
     sweep_accept_probabilities,
     sweep_buffer_bytes,
-    validate,
 )
-from qobdd.verification import all_inputs, input_block, sampled_inputs
+from qobdd.verification import input_block, sampled_inputs
+from reference import all_inputs, cosine_sum, is_read_once, run, validate
 
 
 def test_zero_polynomial_accepts_everything():
@@ -149,8 +147,6 @@ def test_angles_survive_astronomical_moduli():
         error_rate=0.5,
         parameters=tuple(rng.randrange(m) for _ in range(2)),
     )
-    from qobdd.goodsets import cosine_sum
-
     assert 0.0 <= cosine_sum(good_set, m - 1) <= 1.0
     program = compile_single(poly, good_set).program
     for v in range(8):

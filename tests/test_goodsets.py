@@ -27,8 +27,6 @@ from qobdd.goodsets import (
     _nonzero_residues,
     _reduced_products,
     _residue_products,
-    azuma_failure_bound,
-    cosine_sum,
     is_good_for,
     is_good_for_all,
     required_size,
@@ -37,6 +35,7 @@ from qobdd.goodsets import (
     sample_good,
     verify_exhaustive,
 )
+from reference import azuma_failure_bound, cosine_sum
 
 
 def test_required_size_examples():

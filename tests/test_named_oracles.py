@@ -15,12 +15,12 @@ from qobdd import compiler, polynomials, verification
 from qobdd.polynomials import Characteristic
 from qobdd.verification import (
     NamedOracle,
-    all_inputs,
     certify_general,
     certify_single,
     input_block,
     named_function,
 )
+from reference import all_inputs
 
 
 def shifted_block(arity, start, stop):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qobdd.errors import LengthMismatchError, TooLargeError, _json_int
-from qobdd import polynomials
+from qobdd import goodsets, polynomials
 from qobdd.polynomials import (
     Characteristic,
     LinearPolynomial,
@@ -21,22 +21,13 @@ from qobdd.polynomials import (
     mod_polynomial,
     palindrome_polynomial,
     perm_polynomial,
-    reduce_mod,
     sop_to_polynomial,
-    truth_table_to_sop,
 )
+from reference import truth_table_to_sop
 
 
 def bits_of(value: int, width: int) -> list[int]:
     return [(value >> (width - 1 - j)) & 1 for j in range(width)]
-
-
-def test_reduce_canonical():
-    assert reduce_mod(-1, 4) == 3
-    assert reduce_mod(0, 7) == 0
-    assert reduce_mod(40, 81) == 40
-    with pytest.raises(ValueError):
-        reduce_mod(1, 1)
 
 
 def test_evaluate_linear_examples():
@@ -258,6 +249,16 @@ def test_sop_rejects_repeated_products():
     with pytest.raises(ValueError, match="repeats"):
         SOPFormula(arity=2, products=((1, -2), (-2, 1)))
     SOPFormula(arity=2, products=((1, -2), (1, 2), (-2,)))
+
+
+def test_sop_arity_is_refused_only_past_every_sampleable_modulus():
+    # At n = 47273 an error rate just under 1 still samples 2^16 parameters
+    # over Z_(2^n); one variable more needs 2^17 at every error rate.
+    assert goodsets.required_size(0.999999, 2**47273) == goodsets._SAMPLE_LIMIT
+    assert goodsets.required_size(0.999999, 2**47274) > goodsets._SAMPLE_LIMIT
+    SOPFormula(arity=47273, products=((1,),))
+    with pytest.raises(TooLargeError, match="sampling budget"):
+        SOPFormula(arity=47274, products=((1,),))
 
 
 def test_sop_expansion_is_refused_over_its_budget_before_expanding():

@@ -15,15 +15,12 @@ from qobdd.programs import (
     Instruction,
     QuantumBranchingProgram,
     accept_probability,
-    is_read_once,
     metrics,
     program_from_json_dict,
     program_to_json_dict,
-    run,
     sweep_accept_probabilities,
-    validate,
 )
-from qobdd.verification import all_inputs
+from reference import all_inputs, is_read_once, run, validate
 
 I2 = np.eye(2)
 

@@ -38,7 +38,6 @@ from qobdd.goodsets import (
     GoodSet,
     _cosine_kernel,
     _residue_products,
-    cosine_sum,
     sample,
     sample_good,
 )
@@ -51,14 +50,13 @@ from qobdd.polynomials import (
 from qobdd.programs import (
     Instruction,
     QuantumBranchingProgram,
-    _block_diagonal,
     accept_probability,
     program_from_json_dict,
     program_to_json_dict,
-    run,
     sweep_accept_probabilities,
 )
-from qobdd.verification import all_inputs, input_block
+from qobdd.verification import input_block
+from reference import _block_diagonal, all_inputs, cosine_sum, run
 
 DENSE_TOL = 1e-12
 CLOSED_FORM_TOL = 1e-9

@@ -29,7 +29,6 @@ from qobdd.verification import (
     _input_walk,
     _walk_residues,
     DETERMINISTIC_WIDTH_BOUNDS,
-    all_inputs,
     certify_general,
     certify_hsf,
     certify_single,
@@ -50,6 +49,7 @@ from qobdd.hsf import (
     satisfies_promise,
     satisfies_promise_batch,
 )
+from reference import all_inputs
 
 
 def test_all_inputs_enumerates_each_once():
