@@ -88,6 +88,8 @@ def check_budget(source: LinearPolynomial | Characteristic, t: int) -> int:
     A program stores one float64 (t, 2^l, 2^l) stack per read and a d-vector
     initial state.  Cheap in t, so callers check before they allocate.
     """
+    if t < 1:
+        raise ValueError(f"a program needs at least one parameter, got {t}")
     targets = 1 if isinstance(source, LinearPolynomial) else len(source)
     dimension = t << targets
     stacks = source.arity * dimension * (1 << targets) * 8

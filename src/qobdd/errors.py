@@ -39,11 +39,12 @@ class InvalidErrorRateError(ValueError):
 
 @contextmanager
 def _malformed(what: str):
-    """Re-raise a missing key, a wrong type or a missing entry met while
-    parsing `what` as the ValueError every loader raises on bad input."""
+    """Re-raise a missing key, a wrong type, a missing entry or an integer
+    too large for a float met while parsing `what` as the ValueError every
+    loader raises on bad input."""
     try:
         yield
-    except (KeyError, TypeError, IndexError) as error:
+    except (KeyError, TypeError, IndexError, OverflowError) as error:
         raise ValueError(f"malformed {what}: {type(error).__name__} {error}") from error
 
 

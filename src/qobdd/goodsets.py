@@ -40,6 +40,9 @@ _INT64_SAFE = 2**62
 # Products k_i b per cosine-kernel call in a goodness check.
 _CHUNK_ENTRIES = 1 << 17
 
+# The seeds sample_good tries before it gives up.
+SAMPLE_ATTEMPTS = 64
+
 # The most parameters sample draws, one Python call each, and so the largest
 # t of a program built from a sampled set; compiler.check_budget then bounds
 # the bytes such a program stores.
@@ -228,23 +231,22 @@ def sample_good(
     modulus: int,
     seed: int,
     residues: Sequence[int] | None = None,
-    max_attempts: int = 64,
 ) -> tuple[GoodSet, int]:
     """Sample sets at seed, seed+1, ... until one passes the goodness check.
 
     With residues given (a list, a range or an array), goodness is checked
     on exactly those values; otherwise on [1, m-1], which requires m <=
     DEFAULT_VERIFY_LIMIT.  Returns the set and the seed that produced it.
-    Raises RuntimeError if max_attempts seeds all fail, which the Azuma
+    Raises RuntimeError if SAMPLE_ATTEMPTS seeds all fail, which the Azuma
     bound makes overwhelmingly unlikely at the sampled size.
     """
     if residues is None:
         residues = _exhaustive_residues(modulus, DEFAULT_VERIFY_LIMIT)
-    for attempt in range(max_attempts):
+    for attempt in range(SAMPLE_ATTEMPTS):
         candidate = sample(epsilon, modulus, seed + attempt)
         if is_good_for_all(candidate, residues):
             return candidate, seed + attempt
     raise RuntimeError(
-        f"no good set found in {max_attempts} attempts from seed {seed} "
+        f"no good set found in {SAMPLE_ATTEMPTS} attempts from seed {seed} "
         f"(epsilon={epsilon}, a {modulus.bit_length()}-bit modulus)"
     )

@@ -193,22 +193,16 @@ class HSFInstance:
 
 
 def decode_input(instance: HSFInstance, bits: Sequence[int]) -> tuple[int, ...]:
-    """Per-element values in [1, (G:K)]; PromiseViolation if a block is too large."""
-    if len(bits) != instance.arity:
-        raise LengthMismatchError(f"expected {instance.arity} bits, got {len(bits)}")
-    w = instance.bits_per_value
-    values = []
-    for element in range(instance.group.order):
-        block = 0
-        for u in range(w):
-            block = (block << 1) | bits[element * w + u]
-        value = block + 1
-        if value > instance.index:
-            raise PromiseViolation(
-                f"block for element {element} encodes {value} > {instance.index}"
-            )
-        values.append(value)
-    return tuple(values)
+    """Per-element values in [1, (G:K)], from a 1-row _blocks;
+    PromiseViolation if a block is too large."""
+    blocks = _blocks(instance, np.asarray([bits]))[0]
+    too_large = np.flatnonzero(blocks >= instance.index)
+    if too_large.size:
+        element = int(too_large[0])
+        raise PromiseViolation(
+            f"block for element {element} encodes {blocks[element] + 1} > {instance.index}"
+        )
+    return tuple((blocks + 1).tolist())
 
 
 def encode_values(instance: HSFInstance, values: Sequence[int]) -> tuple[int, ...]:
@@ -217,31 +211,19 @@ def encode_values(instance: HSFInstance, values: Sequence[int]) -> tuple[int, ..
         raise LengthMismatchError(
             f"expected {instance.group.order} values, got {len(values)}"
         )
-    w = instance.bits_per_value
-    bits = []
     for value in values:
         if not (1 <= value <= instance.index):
             raise PromiseViolation(f"value {value} outside [1, {instance.index}]")
-        block = value - 1
-        bits.extend((block >> (w - 1 - u)) & 1 for u in range(w))
-    return tuple(bits)
+    w = instance.bits_per_value
+    blocks = np.asarray(values, dtype=np.int64) - 1
+    bits = (blocks[:, None] >> np.arange(w - 1, -1, -1, dtype=np.int64)) & 1
+    return tuple(bits.ravel().tolist())
 
 
 def hsf_eval(instance: HSFInstance, bits: Sequence[int]) -> int:
-    """1 iff the encoded map is constant on cosets and injective across them."""
-    try:
-        values = decode_input(instance, bits)
-    except PromiseViolation:
-        return 0
-    coset_values = []
-    for coset in instance.cosets:
-        first = values[coset[0]]
-        if any(values[e] != first for e in coset[1:]):
-            return 0
-        coset_values.append(first)
-    if len(set(coset_values)) != instance.index:
-        return 0
-    return 1
+    """1 iff the encoded map is constant on cosets and injective across
+    them: a 1-row hsf_eval_batch."""
+    return int(hsf_eval_batch(instance, np.asarray([bits]))[0])
 
 
 def _blocks(instance: HSFInstance, bit_matrix: np.ndarray) -> np.ndarray:
@@ -261,8 +243,8 @@ def _distinct_counts(values: np.ndarray) -> np.ndarray:
 
 
 def hsf_eval_batch(instance: HSFInstance, bit_matrix: np.ndarray) -> np.ndarray:
-    """hsf_eval on every row: every block decodes, each coset's blocks are
-    equal, and the cosets' values are distinct."""
+    """The predicate on every row: every block decodes, each coset's blocks
+    are equal, and the cosets' values are distinct."""
     blocks = _blocks(instance, bit_matrix)
     keep = (blocks < instance.index).all(axis=1)
     for coset in instance.cosets:
@@ -272,7 +254,7 @@ def hsf_eval_batch(instance: HSFInstance, bit_matrix: np.ndarray) -> np.ndarray:
 
 
 def satisfies_promise_batch(instance: HSFInstance, bit_matrix: np.ndarray) -> np.ndarray:
-    """satisfies_promise on every row: every block decodes and exactly (G:K)
+    """The promise on every row: every block decodes and exactly (G:K)
     distinct values occur."""
     blocks = _blocks(instance, bit_matrix)
     valid = (blocks < instance.index).all(axis=1)
@@ -326,9 +308,6 @@ def compile_hsf(instance: HSFInstance, epsilon: float, seed: int) -> Compilation
 
 
 def satisfies_promise(instance: HSFInstance, bits: Sequence[int]) -> bool:
-    """Valid decode with exactly (G:K) distinct values (the standing assumptions)."""
-    try:
-        values = decode_input(instance, bits)
-    except PromiseViolation:
-        return False
-    return len(set(values)) == instance.index
+    """Valid decode with exactly (G:K) distinct values (the standing
+    assumptions): a 1-row satisfies_promise_batch."""
+    return bool(satisfies_promise_batch(instance, np.asarray([bits]))[0])

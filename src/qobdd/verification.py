@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .compiler import (
     evaluate_linear_batch,
 )
 from .errors import TooLargeError
-from .goodsets import GoodSet, required_size, sample_good
+from .goodsets import required_size, sample_good
 from .hsf import (
     HSFInstance,
     hsf_characteristic,
@@ -70,13 +70,8 @@ class ClassStats:
     def observe(self, probabilities: np.ndarray) -> "ClassStats":
         if probabilities.size == 0:
             return self
-        low = float(np.min(probabilities))
-        high = float(np.max(probabilities))
-        return ClassStats(
-            count=self.count + int(probabilities.size),
-            min_accept=low if self.min_accept is None else min(self.min_accept, low),
-            max_accept=high if self.max_accept is None else max(self.max_accept, high),
-        )
+        low, high = float(np.min(probabilities)), float(np.max(probabilities))
+        return self.merge(ClassStats(int(probabilities.size), low, high))
 
     def merge(self, other: "ClassStats") -> "ClassStats":
         if other.count == 0:
@@ -194,11 +189,6 @@ def _input_walk(
     return mode_dict, (block(a, min(a + chunk_size, total)) for a in starts)
 
 
-def _walk_residues(polynomials, chunks: Iterable[np.ndarray]) -> np.ndarray:
-    """realized_residues over every chunk, without holding all inputs at once."""
-    return _nonzero_union([realized_residues(polynomials, bits) for bits in chunks])
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values, ascending: one sort and an adjacent-difference mask."""
     values = np.sort(values)
@@ -209,8 +199,8 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 def _nonzero_union(parts: list[np.ndarray]) -> np.ndarray:
     """The distinct nonzero values of the arrays, ascending, in their dtype:
-    the one dedupe behind realized_residues, _walk_residues and
-    _image_residues."""
+    the one dedupe behind realized_residues and _certify's goodness
+    residues."""
     residues = _distinct(np.concatenate(parts))
     return residues[residues != 0]
 
@@ -226,13 +216,6 @@ def residue_image(polynomial: LinearPolynomial) -> np.ndarray:
     for c in polynomial.coefficients[1:]:
         reach = _distinct(np.concatenate([reach, (reach + c) % m]))
     return reach
-
-
-def _image_residues(polynomials) -> np.ndarray:
-    """_walk_residues over every input, from the images alone: the distinct
-    nonzero residues any of the polynomials takes, ascending, in the same
-    dtype."""
-    return _nonzero_union([residue_image(p) for p in polynomials])
 
 
 def verify(
@@ -299,44 +282,17 @@ def verify(
     )
 
 
-# Reference oracles (brute force, independent of the polynomial route).
-
-
-def popcount_mod_oracle(m: int) -> Callable[[Sequence[int]], int]:
-    return lambda bits: int(sum(map(int, bits)) % m == 0)
-
-
-def equality_oracle(n: int) -> Callable[[Sequence[int]], int]:
-    return lambda bits: int(list(bits[:n]) == list(bits[n:]))
-
-
-def palindrome_oracle(bits: Sequence[int]) -> int:
-    values = [int(b) for b in bits]
-    return int(values == values[::-1])
-
-
-def permutation_matrix_oracle(n: int) -> Callable[[Sequence[int]], int]:
-    def oracle(bits: Sequence[int]) -> int:
-        rows = [list(bits[i * n : (i + 1) * n]) for i in range(n)]
-        if any(sum(row) != 1 for row in rows):
-            return 0
-        return int(all(sum(row[j] for row in rows) == 1 for j in range(n)))
-
-    return oracle
-
-
 @dataclass(frozen=True)
 class NamedOracle:
-    """A named function's brute-force oracle in two forms.  Calling it calls
-    `row`, the per-input reference (a sequence of bits to 0 or 1); `batch`
-    labels a (rows, n) uint8 bit matrix, one boolean per row, in numpy over
-    the bits alone.  Neither goes through the function's polynomial."""
+    """A named function's brute-force oracle: `batch` labels a (rows, n)
+    uint8 bit matrix, one boolean per row, in numpy over the bits alone,
+    never through the function's polynomial.  Calling it labels one input
+    (a sequence of bits) as a 1-row batch, to 0 or 1."""
 
-    row: Callable[[Sequence[int]], int]
     batch: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, bits: Sequence[int]) -> int:
-        return self.row(bits)
+        return int(self.batch(np.asarray([bits], dtype=np.uint8))[0])
 
 
 def _popcount_mod_batch(n: int, m: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -360,24 +316,20 @@ def named_function(
     """Builder polynomial, brute-force oracle, and display name for a CLI name.
 
     The oracle is a NamedOracle: certify_single and certify_general label
-    each chunk with its batch form, and calling it runs the per-input
-    reference oracle (popcount_mod_oracle, equality_oracle,
-    palindrome_oracle, permutation_matrix_oracle).
+    each chunk with its batch form.
     """
     if function == "mod":
         if m is None:
             raise ValueError("mod requires a modulus")
-        oracle = NamedOracle(popcount_mod_oracle(m), _popcount_mod_batch(n, m))
-        return mod_polynomial(n, m), oracle, f"MOD_{m}"
+        return mod_polynomial(n, m), NamedOracle(_popcount_mod_batch(n, m)), f"MOD_{m}"
     if function == "eq":
         equal_halves = lambda bits: (bits[:, :n] == bits[:, n:]).all(axis=1)
-        return eq_polynomial(n), NamedOracle(equality_oracle(n), equal_halves), f"EQ_{n}"
+        return eq_polynomial(n), NamedOracle(equal_halves), f"EQ_{n}"
     if function == "palindrome":
         reversible = lambda bits: (bits == bits[:, ::-1]).all(axis=1)
-        return palindrome_polynomial(n), NamedOracle(palindrome_oracle, reversible), f"Palindrome_{n}"
+        return palindrome_polynomial(n), NamedOracle(reversible), f"Palindrome_{n}"
     if function == "perm":
-        oracle = NamedOracle(permutation_matrix_oracle(n), _permutation_matrix_batch(n))
-        return perm_polynomial(n), oracle, f"PERM_{n}"
+        return perm_polynomial(n), NamedOracle(_permutation_matrix_batch(n)), f"PERM_{n}"
     raise ValueError(f"unknown function {function!r}")
 
 
@@ -406,13 +358,14 @@ def _certify(
     single = isinstance(source, LinearPolynomial)
     polynomials = [source] if single else source.polynomials
     # Realized goodness over every input needs only the images; a sample
-    # realizes a subset of them, so sampled mode walks its own inputs.
+    # realizes a subset of them, so sampled mode walks its own inputs, one
+    # chunk at a time.
     if goodness == "exhaustive":
         residues = None
     elif mode == "exhaustive":
-        residues = _image_residues(polynomials)
+        residues = _nonzero_union([residue_image(p) for p in polynomials])
     else:
-        residues = _walk_residues(polynomials, chunks)
+        residues = _nonzero_union([realized_residues(polynomials, bits) for bits in chunks])
     good_set, used_seed = sample_good(epsilon, source.modulus, seed, residues=residues)
     if single:
         compilation = compile_single(source, good_set)
@@ -480,12 +433,7 @@ def certify_general(
 
 
 def certify_hsf(
-    instance: HSFInstance,
-    epsilon: float,
-    seed: int,
-    *,
-    function: str = "",
-    apply_promise: bool = True,
+    instance: HSFInstance, epsilon: float, seed: int
 ) -> tuple[VerificationReport, Compilation]:
     """Exhaustive sweep of a hidden-subgroup instance against its oracle:
     hsf_eval_batch labels each chunk and satisfies_promise_batch filters it."""
@@ -494,11 +442,11 @@ def certify_hsf(
         lambda bits: hsf_eval_batch(instance, bits),
         epsilon,
         seed,
-        function=function or f"HSF({instance.group.order}:{len(instance.subgroup)})",
+        function=f"HSF({instance.group.order}:{len(instance.subgroup)})",
         goodness="realized",
         mode="exhaustive",
         samples=DEFAULT_SAMPLES,
-        promise=(lambda bits: satisfies_promise_batch(instance, bits)) if apply_promise else None,
+        promise=lambda bits: satisfies_promise_batch(instance, bits),
     )
 
 

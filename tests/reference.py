@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the library against.
 
-Nothing in the package calls these: the commands and certifications run
-the batched paths they check.  pytest does not collect this module; tests
+Nothing in the package calls these, and none of them calls the package
+code it is used to check: the commands and certifications run the batched
+paths they check.  pytest does not collect this module; tests
 import it as ``reference``.
 
 - run: the dense per-input simulation, every stack expanded to its d x d
@@ -10,24 +11,38 @@ import it as ``reference``.
   compiled and hand-built programs.
 - truth_table_to_sop: minterm SOP formulas for exhaustive SOP tests.
 - azuma_failure_bound and cosine_sum: the sampling bound and the
-  one-residue goodness value.
-- all_inputs: every input of an arity as one bit matrix.
+  one-residue goodness value, from the formula in Python integers and
+  math.cos.
+- all_inputs: every input of an arity as one bit matrix, from
+  itertools.product.
+- popcount_mod_oracle, equality_oracle, palindrome_oracle and
+  permutation_matrix_oracle: the named functions' per-input oracles.
+- decode_input, hsf_eval and satisfies_promise: the hidden-subgroup
+  decoder, predicate and promise on one input, bit by bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from qobdd.errors import LengthMismatchError
-from qobdd.goodsets import GoodSet, _cosine_kernel, _nonzero_residues
+from qobdd.errors import LengthMismatchError, PromiseViolation, ZeroResidueError
+from qobdd.goodsets import GoodSet
+from qobdd.hsf import HSFInstance
 from qobdd.polynomials import SOPFormula
-from qobdd.programs import NORM_TOL, QuantumBranchingProgram, _blocks
-from qobdd.verification import _input_walk
+from qobdd.programs import NORM_TOL, QuantumBranchingProgram
 
 UNITARY_TOL = 1e-9
+
+
+def _blocks(stack: np.ndarray) -> np.ndarray:
+    """A stack of b x b diagonal blocks as (d/b, b, b); a (d, d) matrix is
+    the one-block stack."""
+    size = stack.shape[-1]
+    return stack.reshape(-1, size, size)
 
 
 def _block_diagonal(stack: np.ndarray) -> np.ndarray:
@@ -148,9 +163,82 @@ def azuma_failure_bound(epsilon: float, t: int) -> float:
 
 def cosine_sum(good_set: GoodSet, b: int) -> float:
     """(1/t^2) (sum_i cos(2 pi (k_i b mod m) / m))^2 for b != 0 mod m."""
-    return float(_cosine_kernel(_nonzero_residues(good_set, b), good_set)[0])
+    m, b = good_set.modulus, int(b)
+    if b % m == 0:
+        raise ZeroResidueError("goodness is undefined for b == 0 (mod m)")
+    total = sum(math.cos(2.0 * math.pi * ((k * b) % m / m)) for k in good_set.parameters)
+    return (total / good_set.size) ** 2
 
 
 def all_inputs(arity: int) -> np.ndarray:
-    _, (bits,) = _input_walk(arity, "exhaustive", chunk_size=1 << arity)
-    return bits
+    """All 2^arity inputs, one row each, in counting order (x_1 = MSB)."""
+    bits = itertools.chain.from_iterable(itertools.product((0, 1), repeat=arity))
+    return np.fromiter(bits, dtype=np.uint8, count=arity << arity).reshape(-1, arity)
+
+
+def popcount_mod_oracle(m: int) -> Callable[[Sequence[int]], int]:
+    return lambda bits: int(sum(map(int, bits)) % m == 0)
+
+
+def equality_oracle(n: int) -> Callable[[Sequence[int]], int]:
+    return lambda bits: int(list(bits[:n]) == list(bits[n:]))
+
+
+def palindrome_oracle(bits: Sequence[int]) -> int:
+    values = [int(b) for b in bits]
+    return int(values == values[::-1])
+
+
+def permutation_matrix_oracle(n: int) -> Callable[[Sequence[int]], int]:
+    def oracle(bits: Sequence[int]) -> int:
+        rows = [list(bits[i * n : (i + 1) * n]) for i in range(n)]
+        if any(sum(row) != 1 for row in rows):
+            return 0
+        return int(all(sum(row[j] for row in rows) == 1 for j in range(n)))
+
+    return oracle
+
+
+def decode_input(instance: HSFInstance, bits: Sequence[int]) -> tuple[int, ...]:
+    """Per-element values in [1, (G:K)]; PromiseViolation if a block is too large."""
+    if len(bits) != instance.arity:
+        raise LengthMismatchError(f"expected {instance.arity} bits, got {len(bits)}")
+    w = instance.bits_per_value
+    values = []
+    for element in range(instance.group.order):
+        block = 0
+        for u in range(w):
+            block = (block << 1) | bits[element * w + u]
+        value = block + 1
+        if value > instance.index:
+            raise PromiseViolation(
+                f"block for element {element} encodes {value} > {instance.index}"
+            )
+        values.append(value)
+    return tuple(values)
+
+
+def hsf_eval(instance: HSFInstance, bits: Sequence[int]) -> int:
+    """1 iff the encoded map is constant on cosets and injective across them."""
+    try:
+        values = decode_input(instance, bits)
+    except PromiseViolation:
+        return 0
+    coset_values = []
+    for coset in instance.cosets:
+        first = values[coset[0]]
+        if any(values[e] != first for e in coset[1:]):
+            return 0
+        coset_values.append(first)
+    if len(set(coset_values)) != instance.index:
+        return 0
+    return 1
+
+
+def satisfies_promise(instance: HSFInstance, bits: Sequence[int]) -> bool:
+    """Valid decode with exactly (G:K) distinct values (the standing assumptions)."""
+    try:
+        values = decode_input(instance, bits)
+    except PromiseViolation:
+        return False
+    return len(set(values)) == instance.index

@@ -21,12 +21,21 @@ from qobdd.goodsets import (
     sample_good,
     verify_exhaustive,
 )
-from qobdd.hsf import FiniteGroup, HSFInstance, compile_hsf, cyclic_subgroup
+from qobdd.hsf import (
+    FiniteGroup,
+    HSFInstance,
+    compile_hsf,
+    cyclic_subgroup,
+    hsf_characteristic,
+    hsf_eval_batch,
+)
 from qobdd.polynomials import mod_polynomial, sop_to_polynomial
 from qobdd.programs import metrics
 from qobdd.verification import (
     ClassStats,
     DETERMINISTIC_WIDTH_BOUNDS,
+    NamedOracle,
+    certify_general,
     certify_hsf,
     certify_single,
     named_function,
@@ -60,13 +69,19 @@ def _single_campaign(function, n, m, epsilon, seed, goodness) -> Campaign:
 
 
 def _hsf_campaign(order, generator, epsilon, seed, apply_promise) -> Campaign:
+    """certify_hsf, or without the promise its characteristic through
+    certify_general over every input."""
     instance = HSFInstance.create(
         FiniteGroup.cyclic(order), cyclic_subgroup(order, generator)
     )
     start = time.perf_counter()
-    report, compilation = certify_hsf(
-        instance, epsilon, seed, apply_promise=apply_promise
-    )
+    if apply_promise:
+        report, compilation = certify_hsf(instance, epsilon, seed)
+    else:
+        oracle = NamedOracle(lambda bits: hsf_eval_batch(instance, bits))
+        report, compilation = certify_general(
+            hsf_characteristic(instance), oracle, epsilon, seed
+        )
     return Campaign(report, compilation, time.perf_counter() - start)
 
 

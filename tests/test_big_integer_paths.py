@@ -22,7 +22,7 @@ from qobdd.compiler import (
     compile_single,
     evaluate_linear_batch,
 )
-from qobdd.goodsets import GoodSet, is_good_for, sample
+from qobdd.goodsets import GoodSet, _cosine_kernel, _nonzero_residues, is_good_for, sample
 from qobdd.polynomials import (
     Characteristic,
     LinearPolynomial,
@@ -109,7 +109,8 @@ def test_closed_forms_equal_the_exact_per_row_formulas(modulus):
     by_residue.pop(0, None)
     for b, value in itertools.islice(by_residue.items(), 20):
         assert cosine_sum(good_set, b) == pytest.approx(value, abs=FORMULA_TOL)
-        assert cosine_sum(good_set, b + 5 * modulus) == cosine_sum(good_set, b)
+        kernel = _cosine_kernel(_nonzero_residues(good_set, [b, b + 5 * modulus]), good_set)
+        assert kernel[0] == kernel[1] == pytest.approx(value, abs=FORMULA_TOL)
     residues = list(by_residue)
     assert is_good_for(good_set, residues) == all(is_good_for(good_set, b) for b in residues)
 

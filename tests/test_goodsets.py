@@ -37,6 +37,10 @@ from qobdd.goodsets import (
 )
 from reference import azuma_failure_bound, cosine_sum
 
+# The formula in Python floats against the numpy kernel: the same cosines,
+# summed in another order.
+FORMULA_TOL = 1e-12
+
 
 def test_required_size_examples():
     assert required_size_raw(0.5, 1024) == 31
@@ -178,11 +182,12 @@ def test_sample_good_exhaustive_and_realized():
     assert all(is_good_for(spot, b) for b in (1, 5, 9))
 
 
-def test_sample_good_raises_when_attempts_exhausted():
-    with pytest.raises(RuntimeError):
-        sample_good(0.25, 64, seed=0, residues=[1], max_attempts=0)
+def test_sample_good_raises_when_attempts_exhausted(monkeypatch):
+    monkeypatch.setattr(goodsets, "SAMPLE_ATTEMPTS", 0)
+    with pytest.raises(RuntimeError, match="in 0 attempts"):
+        sample_good(0.25, 64, seed=0, residues=[1])
     with pytest.raises(RuntimeError, match="5000-bit modulus"):
-        sample_good(0.9, 2**4999, seed=0, residues=[1], max_attempts=0)
+        sample_good(0.9, 2**4999, seed=0, residues=[1])
 
 
 @pytest.mark.parametrize("modulus", [97, _INT64_SAFE + 5], ids=["int64", "object"])
@@ -263,7 +268,10 @@ def test_chunk_kernel_equals_per_residue_values(modulus):
     good = sample(0.25, modulus, seed=modulus)
     residues = np.arange(1, modulus)
     chunked = _cosine_kernel(residues, good)
-    assert np.array_equal(chunked, [cosine_sum(good, int(b)) for b in residues])
+    assert np.array_equal(chunked, [_cosine_kernel([b], good)[0] for b in residues])
+    np.testing.assert_allclose(
+        chunked, [cosine_sum(good, int(b)) for b in residues], rtol=0, atol=FORMULA_TOL
+    )
     assert is_good_for(good, residues) == all(is_good_for(good, int(b)) for b in residues)
 
 
@@ -274,7 +282,11 @@ def test_chunk_kernel_equals_per_residue_values_on_the_object_path():
         (7**j) % modulus for j in range(40, 240)
     ]
     chunked = _cosine_kernel(np.array(residues, dtype=object), good)
-    assert np.array_equal(chunked, [cosine_sum(good, b) for b in residues])
+    one_by_one = [_cosine_kernel(np.array([b], dtype=object), good)[0] for b in residues]
+    assert np.array_equal(chunked, one_by_one)
+    np.testing.assert_allclose(
+        chunked, [cosine_sum(good, b) for b in residues], rtol=0, atol=FORMULA_TOL
+    )
     assert is_good_for(good, residues) == all(is_good_for(good, b) for b in residues)
     # Residues are reduced mod m first, as cosine_sum reduces them.
     shifted = [b + 3 * modulus for b in residues]
@@ -297,7 +309,9 @@ def test_narrow_and_unsigned_residue_dtypes_match_python_integers(modulus, value
     as_ints = [int(v) for v in values.tolist()]
     assert is_good_for(good, values) == is_good_for(good, as_ints)
     for value, as_int in zip(values, as_ints):
-        assert cosine_sum(good, value) == cosine_sum(good, as_int)
+        kernel = _cosine_kernel(_nonzero_residues(good, value), good)[0]
+        assert kernel == _cosine_kernel(_nonzero_residues(good, as_int), good)[0]
+        assert kernel == pytest.approx(cosine_sum(good, as_int), abs=FORMULA_TOL)
         assert is_good_for(good, value) == is_good_for(good, as_int)
 
 
@@ -451,7 +465,8 @@ def test_the_modulus_alone_decides_the_table():
     _cosine_table.cache_clear()
     assert is_good_for(good, 5) == (direct_cosine_sum(good, 5) < 0.2)
     assert _cosine_table.cache_info()[:2] == (0, 1)  # (hits, misses)
-    assert cosine_sum(good, 5) == direct_cosine_sum(good, 5)
+    assert _cosine_kernel([5], good)[0] == direct_cosine_sum(good, 5)
+    assert cosine_sum(good, 5) == pytest.approx(direct_cosine_sum(good, 5), abs=FORMULA_TOL)
     assert is_good_for_all(good, range(1, 2049)) == all(
         direct_cosine_sum(good, b) < 0.2 for b in range(1, 2049)
     )
@@ -464,7 +479,8 @@ def test_the_modulus_alone_decides_the_table():
     residues = np.arange(1, DEFAULT_VERIFY_LIMIT // past.size + 2)
     assert is_good_for_all(past, residues) == bool(np.all(direct_kernel(residues, past) < 0.5))
     big = GoodSet(modulus=_INT64_SAFE + 5, error_rate=0.9, parameters=(3, 2**61, 7, 2**62))
-    assert cosine_sum(big, 5) == direct_cosine_sum(big, 5)
+    assert _cosine_kernel([5], big)[0] == direct_cosine_sum(big, 5)
+    assert cosine_sum(big, 5) == pytest.approx(direct_cosine_sum(big, 5), abs=FORMULA_TOL)
     assert _cosine_table.cache_info().misses == 0
 
 

@@ -36,6 +36,7 @@ from qobdd.hsf import (
 )
 from qobdd.polynomials import Characteristic, LinearPolynomial
 from qobdd.programs import accept_probability, metrics
+import reference
 from reference import all_inputs, is_read_once
 
 
@@ -256,6 +257,18 @@ def test_decode_and_encode():
     for value_map in product(range(1, 4), repeat=6):
         sigma = encode_values(z6, value_map)
         assert decode_input(z6, sigma) == value_map
+    # Every input decodes to the per-input reference's values, or raises
+    # its error with its message.
+    def decoded(decode, bits):
+        try:
+            return decode(z6, bits)
+        except (PromiseViolation, LengthMismatchError) as error:
+            return type(error), str(error)
+
+    rows = all_inputs(z6.arity).tolist() + [(0, 1), (0,) * 13]
+    assert [decoded(decode_input, row) for row in rows] == [
+        decoded(reference.decode_input, row) for row in rows
+    ]
 
 
 def test_hsf_eval_examples():
@@ -341,13 +354,11 @@ def test_constant_map_slips_past_the_polynomials_without_the_promise():
 def test_characteristic_matches_oracle_under_promise():
     for inst in (z4_instance(), z6_instance()):
         chi = hsf_characteristic(inst)
-        n = inst.arity
-        for v in range(1 << n):
-            sigma = tuple((v >> (n - 1 - j)) & 1 for j in range(n))
-            if not satisfies_promise(inst, sigma):
-                continue
+        bits = all_inputs(inst.arity)
+        kept = satisfies_promise_batch(inst, bits)
+        for sigma, label in zip(bits[kept].tolist(), hsf_eval_batch(inst, bits[kept])):
             vanishes = all(value == 0 for value in chi.evaluate(sigma))
-            assert vanishes == (hsf_eval(inst, sigma) == 1), sigma
+            assert vanishes == label, sigma
 
 
 def test_compile_hsf_shape_and_acceptance():
@@ -380,12 +391,13 @@ LABELLED_INSTANCES = {
 
 @lru_cache(maxsize=None)
 def scalar_labels(name: str) -> tuple[HSFInstance, np.ndarray, np.ndarray, np.ndarray]:
-    """Every input of the instance with its scalar hsf_eval and satisfies_promise."""
+    """Every input of the instance with the per-input reference predicate
+    and promise (reference.hsf_eval and reference.satisfies_promise)."""
     instance = LABELLED_INSTANCES[name]()
     bits = all_inputs(instance.arity)
     rows = bits.tolist()
-    oracle = np.array([hsf_eval(instance, row) for row in rows], dtype=bool)
-    promise = np.array([satisfies_promise(instance, row) for row in rows], dtype=bool)
+    oracle = np.array([reference.hsf_eval(instance, row) for row in rows], dtype=bool)
+    promise = np.array([reference.satisfies_promise(instance, row) for row in rows], dtype=bool)
     return instance, bits, oracle, promise
 
 

@@ -1,5 +1,6 @@
-"""The named functions' batch oracles, the exhaustive input blocks, and the
-per-input contract every other oracle keeps."""
+"""The named functions' batch oracles against the per-input references, the
+exhaustive input blocks, and the per-input contract every other oracle
+keeps."""
 
 from __future__ import annotations
 
@@ -20,7 +21,13 @@ from qobdd.verification import (
     input_block,
     named_function,
 )
-from reference import all_inputs
+from reference import (
+    all_inputs,
+    equality_oracle,
+    palindrome_oracle,
+    permutation_matrix_oracle,
+    popcount_mod_oracle,
+)
 
 
 def shifted_block(arity, start, stop):
@@ -43,10 +50,10 @@ def test_input_block_equals_the_shift_formula(arity):
         np.testing.assert_array_equal(block, expected)
 
 
-def assert_batch_equals_row(oracle, bits):
+def assert_batch_equals_row(oracle, row_oracle, bits):
     labels = oracle.batch(bits)
     assert labels.dtype == bool and labels.shape == (bits.shape[0],)
-    assert labels.tolist() == [bool(oracle.row(row)) for row in bits.tolist()]
+    assert labels.tolist() == [bool(row_oracle(row)) for row in bits.tolist()]
 
 
 @given(st.integers(1, 10), st.sampled_from(["2", "3", "n", "n+1", "2^70", "10^23"]))
@@ -58,28 +65,28 @@ def test_popcount_mod_batch_equals_its_row_oracle(n, modulus):
     if m < 2:
         return
     _, oracle, _ = named_function("mod", n, m)
-    assert_batch_equals_row(oracle, all_inputs(n))
+    assert_batch_equals_row(oracle, popcount_mod_oracle(m), all_inputs(n))
 
 
 @given(st.integers(1, 5))
 @settings(max_examples=10, deadline=None)
 def test_equality_batch_equals_its_row_oracle(n):
     _, oracle, _ = named_function("eq", n)
-    assert_batch_equals_row(oracle, all_inputs(2 * n))
+    assert_batch_equals_row(oracle, equality_oracle(n), all_inputs(2 * n))
 
 
 @given(st.integers(2, 11))
 @settings(max_examples=20, deadline=None)
 def test_palindrome_batch_equals_its_row_oracle(n):
     _, oracle, _ = named_function("palindrome", n)
-    assert_batch_equals_row(oracle, all_inputs(n))
+    assert_batch_equals_row(oracle, palindrome_oracle, all_inputs(n))
 
 
 @given(st.integers(1, 3))
 @settings(max_examples=5, deadline=None)
 def test_permutation_batch_equals_its_row_oracle(n):
     _, oracle, _ = named_function("perm", n)
-    assert_batch_equals_row(oracle, all_inputs(n * n))
+    assert_batch_equals_row(oracle, permutation_matrix_oracle(n), all_inputs(n * n))
 
 
 def test_batches_equal_row_oracles_on_wide_random_rows():
@@ -91,7 +98,7 @@ def test_batches_equal_row_oracles_on_wide_random_rows():
     one_off[np.arange(300), rng.integers(0, 80, size=300)] ^= 1
     uniform = rng.integers(0, 2, size=(300, 80), dtype=np.uint8)
     rows = np.concatenate([uniform, equal, one_off])
-    assert_batch_equals_row(equality, rows)
+    assert_batch_equals_row(equality, equality_oracle(40), rows)
     assert equality.batch(rows).sum() == 300
 
     _, permutation, _ = named_function("perm", 5)
@@ -100,7 +107,7 @@ def test_batches_equal_row_oracles_on_wide_random_rows():
     flipped[np.arange(300), rng.integers(0, 25, size=300)] ^= 1
     uniform = rng.integers(0, 2, size=(300, 25), dtype=np.uint8)
     rows = np.concatenate([uniform, matrices.reshape(300, 25), flipped])
-    assert_batch_equals_row(permutation, rows)
+    assert_batch_equals_row(permutation, permutation_matrix_oracle(5), rows)
     assert permutation.batch(rows).sum() == 300
 
 
@@ -118,8 +125,16 @@ def test_batches_never_evaluate_a_polynomial(monkeypatch):
         assert oracle.batch(all_inputs(arity)).shape == (1 << arity,)
 
 
-def failing_row(bits):
+def failing_row(*args):
     raise AssertionError("a NamedOracle was called per input")
+
+
+ROW_ORACLES = {
+    "mod": lambda n, m: popcount_mod_oracle(m),
+    "eq": lambda n, m: equality_oracle(n),
+    "palindrome": lambda n, m: palindrome_oracle,
+    "perm": lambda n, m: permutation_matrix_oracle(n),
+}
 
 
 @pytest.mark.parametrize(
@@ -133,27 +148,36 @@ def failing_row(bits):
         ("perm", 4, None, {"mode": "sampled", "samples": 512, "goodness": "realized"}),
     ],
 )
-def test_named_oracle_reports_equal_the_row_oracle_reports(function, n, m, options):
+def test_named_oracle_reports_equal_the_row_oracle_reports(function, n, m, options, monkeypatch):
     polynomial, oracle, name = named_function(function, n, m)
     epsilon = 0.5 if m == 10**23 else 0.2
-    batched, _ = certify_single(
-        polynomial, NamedOracle(failing_row, oracle.batch), epsilon, 7, function=name, **options
-    )
-    per_row, _ = certify_single(polynomial, oracle.row, epsilon, 7, function=name, **options)
+    row_oracle = ROW_ORACLES[function](n, m)
+    per_row, _ = certify_single(polynomial, row_oracle, epsilon, 7, function=name, **options)
+    monkeypatch.setattr(NamedOracle, "__call__", failing_row)
+    batched, _ = certify_single(polynomial, oracle, epsilon, 7, function=name, **options)
     assert json.dumps(batched.to_json_dict()) == json.dumps(per_row.to_json_dict())
     assert batched.passed
 
 
-def test_certify_general_labels_with_the_batch_forms():
+def test_named_oracles_label_one_input_as_a_one_row_batch():
+    for function, n, m, arity in (("mod", 6, 3, 6), ("eq", 3, None, 6),
+                                  ("palindrome", 7, None, 7), ("perm", 3, None, 9)):
+        _, oracle, _ = named_function(function, n, m)
+        row_oracle = ROW_ORACLES[function](n, m)
+        for row in all_inputs(arity).tolist():
+            label = oracle(row)
+            assert type(label) is int and label == row_oracle(row)
+
+
+def test_certify_general_labels_with_the_batch_forms(monkeypatch):
     polynomial, oracle, name = named_function("mod", 6, 3)
     source = Characteristic(polynomial.modulus, polynomial.arity, (polynomial,))
-    odd = lambda bits: bits[:, 0] == 1
-    batched, _ = certify_general(
-        source, NamedOracle(failing_row, oracle.batch), 0.2, 0, function=name,
-        promise=NamedOracle(failing_row, odd),
-    )
     per_row, _ = certify_general(
-        source, oracle.row, 0.2, 0, function=name, promise=lambda bits: bits[0] == 1
+        source, popcount_mod_oracle(3), 0.2, 0, function=name, promise=lambda bits: bits[0] == 1
+    )
+    monkeypatch.setattr(NamedOracle, "__call__", failing_row)
+    batched, _ = certify_general(
+        source, oracle, 0.2, 0, function=name, promise=NamedOracle(lambda bits: bits[:, 0] == 1)
     )
     assert batched == per_row
     assert batched.filtered == 32 and batched.passed
@@ -198,7 +222,8 @@ def test_wrapped_named_oracles_are_called_once_per_input(kind):
 @pytest.mark.parametrize("kind", WRAPS)
 def test_a_wrapper_that_flips_a_label_fails_the_report(kind):
     polynomial, oracle, name = named_function("mod", 8, 3)
-    flip_zero = NamedOracle(lambda bits: 1 - oracle(bits) if not any(bits) else oracle(bits), oracle.batch)
+    # Called per input through the wrapper, it flips the all-zero input's label.
+    flip_zero = NamedOracle(lambda bits: oracle.batch(bits) ^ ~bits.any(axis=1))
     wrapped = wrap_as(kind, flip_zero, [])
     honest, _ = certify_single(polynomial, oracle, 0.2, 0, function=name)
     report, _ = certify_single(polynomial, wrapped, 0.2, 0, function=name)

@@ -37,6 +37,7 @@ from qobdd.errors import LengthMismatchError, ModulusMismatchError
 from qobdd.goodsets import (
     GoodSet,
     _cosine_kernel,
+    _nonzero_residues,
     _residue_products,
     sample,
     sample_good,
@@ -487,7 +488,9 @@ def test_scalar_closed_form_is_the_goodness_measure_exactly(data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=arity, max_size=arity))
     residue = polynomial.evaluate(bits)
     if residue != 0:
-        assert closed_form_single(polynomial, good_set, bits) == cosine_sum(good_set, residue)
+        value = closed_form_single(polynomial, good_set, bits)
+        assert value == _cosine_kernel(_nonzero_residues(good_set, residue), good_set)[0]
+        assert value == pytest.approx(cosine_sum(good_set, residue), abs=1e-12)
 
 
 @given(st.data())

@@ -25,9 +25,9 @@ from qobdd.polynomials import (
 )
 from qobdd.verification import (
     ClassStats,
-    _image_residues,
+    NamedOracle,
     _input_walk,
-    _walk_residues,
+    _nonzero_union,
     DETERMINISTIC_WIDTH_BOUNDS,
     certify_general,
     certify_hsf,
@@ -45,10 +45,10 @@ from qobdd.hsf import (
     HSFInstance,
     cyclic_subgroup,
     hsf_characteristic,
-    hsf_eval,
-    satisfies_promise,
+    hsf_eval_batch,
     satisfies_promise_batch,
 )
+import reference
 from reference import all_inputs
 
 
@@ -62,8 +62,9 @@ def test_all_inputs_enumerates_each_once():
 
 
 def test_all_inputs_guard():
-    with pytest.raises(TooLargeError):
-        all_inputs(25)
+    # The exhaustive walk refuses past EXHAUSTIVE_GUARD before it enumerates.
+    with pytest.raises(TooLargeError, match="n <= 24, got 25"):
+        _input_walk(25, "exhaustive")
 
 
 def test_input_block_slices_the_enumeration():
@@ -226,8 +227,11 @@ def test_report_names_the_good_set_it_certified(goodness):
 
 
 def test_certify_hsf_exhaustive_z4():
+    # The Z_4/<2> characteristic over every input, without the promise.
     instance = HSFInstance.create(FiniteGroup.cyclic(4), cyclic_subgroup(4, 2))
-    report, compilation = certify_hsf(instance, 0.25, seed=0, apply_promise=False)
+    report, compilation = certify_general(
+        hsf_characteristic(instance), NamedOracle(lambda b: hsf_eval_batch(instance, b)), 0.25, seed=0
+    )
     assert report.passed
     assert report.ones.count == 2
     assert report.zeros.count == 14
@@ -236,16 +240,16 @@ def test_certify_hsf_exhaustive_z4():
 
 
 def test_certify_general_with_per_row_labels_equals_certify_hsf():
-    # The same characteristic, labelled row by row through the scalar
-    # hsf_eval and satisfies_promise instead of their batch forms.
+    # The same characteristic, labelled row by row through the per-input
+    # reference predicate and promise instead of the batch forms.
     instance = HSFInstance.create(FiniteGroup.cyclic(4), cyclic_subgroup(4, 2))
     general, _ = certify_general(
         hsf_characteristic(instance),
-        functools.partial(hsf_eval, instance),
+        functools.partial(reference.hsf_eval, instance),
         0.25,
         seed=0,
         function="Z_4/<2>",
-        promise=functools.partial(satisfies_promise, instance),
+        promise=functools.partial(reference.satisfies_promise, instance),
     )
     hsf, _ = certify_hsf(instance, 0.25, seed=0)
     assert (general.ones.count, general.zeros.count, general.filtered) == (2, 12, 2)
@@ -327,13 +331,24 @@ def test_width_table_rows():
     assert width_table([]) == []
 
 
+def walked_residues(polynomials, chunks) -> np.ndarray:
+    """The residues a sampled certification checks: realized_residues of
+    each chunk, merged as _certify merges them."""
+    return _nonzero_union([realized_residues(polynomials, bits) for bits in chunks])
+
+
+def imaged_residues(polynomials) -> np.ndarray:
+    """The residues an exhaustive certification checks: the merged images."""
+    return _nonzero_union([residue_image(p) for p in polynomials])
+
+
 def test_residue_pass_walks_its_inputs_in_chunks():
     # All 2^20 inputs at once and their int64 copy took 188 MB; one chunk at a
     # time the pass holds a few MB.
     polynomial = mod_polynomial(20, 3)
     tracemalloc.start()
     try:
-        residues = _walk_residues([polynomial], _input_walk(20, "exhaustive")[1])
+        residues = walked_residues([polynomial], _input_walk(20, "exhaustive")[1])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -365,11 +380,11 @@ def test_chunked_residues_equal_residues_of_all_inputs(data):
     arity = polynomials[0].arity
     chunk_size = data.draw(st.integers(min_value=1, max_value=700))
     chunks = _input_walk(arity, "exhaustive", chunk_size=chunk_size)[1]
-    assert _walk_residues(polynomials, chunks).tolist() == realized_residues(
+    assert walked_residues(polynomials, chunks).tolist() == realized_residues(
         polynomials, all_inputs(arity)
     ).tolist()
     chunks = _input_walk(arity, "sampled", 300, 5, chunk_size)[1]
-    assert _walk_residues(polynomials, chunks).tolist() == realized_residues(
+    assert walked_residues(polynomials, chunks).tolist() == realized_residues(
         polynomials, sampled_inputs(arity, 300, 5)
     ).tolist()
 
@@ -379,7 +394,7 @@ def test_chunked_residues_equal_residues_of_all_inputs(data):
 )
 def test_chunked_residues_of_named_functions(polynomial):
     chunks = _input_walk(polynomial.arity, "exhaustive", chunk_size=100)[1]
-    assert _walk_residues([polynomial], chunks).tolist() == realized_residues(
+    assert walked_residues([polynomial], chunks).tolist() == realized_residues(
         [polynomial], all_inputs(polynomial.arity)
     ).tolist()
 
@@ -389,8 +404,8 @@ def test_chunked_residues_of_named_functions(polynomial):
 def test_residue_images_equal_the_walk_over_every_input(data):
     polynomials = _draw_polynomials(data)
     arity = polynomials[0].arity
-    walked = _walk_residues(polynomials, _input_walk(arity, "exhaustive")[1])
-    imaged = _image_residues(polynomials)
+    walked = walked_residues(polynomials, _input_walk(arity, "exhaustive")[1])
+    imaged = imaged_residues(polynomials)
     assert imaged.dtype == walked.dtype and imaged.tolist() == walked.tolist()
     for polynomial in polynomials:
         image = residue_image(polynomial)
@@ -417,9 +432,29 @@ _HSF_Z8 = hsf_characteristic(
     ids=["perm4", "eq8", "pal18", "mod3-16", "hsf-z8-first", "hsf-z8-second", "hsf-z8"],
 )
 def test_residue_images_of_named_functions_equal_the_walk(polynomials):
-    walked = _walk_residues(polynomials, _input_walk(polynomials[0].arity, "exhaustive")[1])
-    imaged = _image_residues(polynomials)
+    walked = walked_residues(polynomials, _input_walk(polynomials[0].arity, "exhaustive")[1])
+    imaged = imaged_residues(polynomials)
     assert imaged.dtype == walked.dtype and imaged.tolist() == walked.tolist()
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_certify_checks_goodness_on_exactly_the_realized_residues(monkeypatch, mode):
+    original, checked = verification.sample_good, []
+
+    def recorded(epsilon, modulus, seed, residues=None):
+        checked.append(residues)
+        return original(epsilon, modulus, seed, residues=residues)
+
+    monkeypatch.setattr(verification, "sample_good", recorded)
+    instance = HSFInstance.create(FiniteGroup.cyclic(4), cyclic_subgroup(4, 2))
+    characteristic = hsf_characteristic(instance)
+    oracle = NamedOracle(lambda bits: hsf_eval_batch(instance, bits))
+    certify_general(characteristic, oracle, 0.25, 3, mode=mode, samples=6)
+    bits = all_inputs(4) if mode == "exhaustive" else sampled_inputs(4, 6, 3)
+    rows = bits.tolist()
+    expected = {p.evaluate(row) for p in characteristic.polynomials for row in rows} - {0}
+    (residues,) = checked
+    assert residues.tolist() == sorted(expected)
 
 
 def test_only_sampled_realized_goodness_walks_the_inputs(monkeypatch):
