@@ -111,8 +111,8 @@ def _branch_stacks(
 
     The stacks of a chunk of reads come from one _residue_products call, one
     cos and one sin, and one einsum per further target; a chunk holds at most
-    _CHUNK_ENTRIES block entries, so the temporaries stay bounded.  Each
-    stack yielded is an owned read-only copy, which Instruction stores as is.
+    _CHUNK_ENTRIES block entries, so the temporaries stay bounded.  The
+    stacks are views of the chunk's array; Instruction copies each once.
     """
     t = good_set.size
     targets = len(characteristic)
@@ -132,10 +132,7 @@ def _branch_stacks(
             blocks = np.einsum("rtij,rtkl->rtikjl", blocks, rotations).reshape(
                 reads, t, width, width
             )
-        for stack in blocks:
-            stack = stack.copy()
-            stack.flags.writeable = False
-            yield stack
+        yield from blocks
 
 
 def _fingerprint_program(
@@ -151,8 +148,13 @@ def _fingerprint_program(
     reads zero.  The single-polynomial circuit (one polynomial, single=True)
     uses twice the generalized angle and interferes: its final Hadamard
     layer and all-zero measurement are the measurement against the uniform
-    superposition of those states.
+    superposition of those states.  ModulusMismatchError, before anything
+    is allocated, when the characteristic and the set differ in modulus.
     """
+    if characteristic.modulus != good_set.modulus:
+        raise ModulusMismatchError(
+            f"polynomial modulus {characteristic.modulus} != good set modulus {good_set.modulus}"
+        )
     check_budget(characteristic, good_set.size)
     t = good_set.size
     block_dim = 2 ** len(characteristic)
@@ -174,10 +176,6 @@ def _fingerprint_program(
 
 def compile_single(polynomial: LinearPolynomial, good_set: GoodSet) -> Compilation:
     """Interference circuit for one linear polynomial; width 2t."""
-    if polynomial.modulus != good_set.modulus:
-        raise ModulusMismatchError(
-            f"polynomial modulus {polynomial.modulus} != good set modulus {good_set.modulus}"
-        )
     characteristic = Characteristic(
         modulus=polynomial.modulus, arity=polynomial.arity, polynomials=(polynomial,)
     )
@@ -187,11 +185,6 @@ def compile_single(polynomial: LinearPolynomial, good_set: GoodSet) -> Compilati
 
 def compile_general(characteristic: Characteristic, good_set: GoodSet) -> Compilation:
     """Generalized circuit: one target qubit per polynomial, width t * 2^l."""
-    if characteristic.modulus != good_set.modulus:
-        raise ModulusMismatchError(
-            f"characteristic modulus {characteristic.modulus} != "
-            f"good set modulus {good_set.modulus}"
-        )
     program = _fingerprint_program(characteristic, good_set, single=False)
     return Compilation(characteristic, good_set, program)
 
@@ -281,10 +274,13 @@ def evaluate_linear_batch(
 
 
 def _residue_table(
-    polynomial: LinearPolynomial, bit_matrix: np.ndarray
+    polynomial: LinearPolynomial, good_set: GoodSet, bit_matrix: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The distinct residues g takes on the rows, and each row's index into
-    them: the cosines are taken once per residue, not once per row."""
+    them: the cosines are taken once per residue, not once per row.
+    ModulusMismatchError when g and the set differ in modulus."""
+    if polynomial.modulus != good_set.modulus:
+        raise ModulusMismatchError("polynomial and good set moduli differ")
     return np.unique(evaluate_linear_batch(polynomial, bit_matrix), return_inverse=True)
 
 
@@ -293,9 +289,7 @@ def closed_form_single_batch(
 ) -> np.ndarray:
     """(1/t^2) (sum_i cos(2 pi k_i g(sigma) / m))^2 for every row sigma,
     the kernel taken one _slices slice of the distinct residues at a time."""
-    if polynomial.modulus != good_set.modulus:
-        raise ModulusMismatchError("polynomial and good set moduli differ")
-    residues, rows = _residue_table(polynomial, bit_matrix)
+    residues, rows = _residue_table(polynomial, good_set, bit_matrix)
     values = np.empty(residues.size)
     for part in _slices(residues.size, good_set):
         values[part] = _cosine_kernel(residues[part], good_set)
@@ -306,9 +300,7 @@ def closed_form_general_batch(
     characteristic: Characteristic, good_set: GoodSet, bit_matrix: np.ndarray
 ) -> np.ndarray:
     """(1/t) sum_i prod_s cos^2(pi k_i g_s(sigma) / m) for every row sigma."""
-    if characteristic.modulus != good_set.modulus:
-        raise ModulusMismatchError("characteristic and good set moduli differ")
-    tables = [_residue_table(p, bit_matrix) for p in characteristic.polynomials]
+    tables = [_residue_table(p, good_set, bit_matrix) for p in characteristic.polynomials]
     # Rows with the same residue under every polynomial share one value: the
     # product and the mean run once per distinct combination, one _slices
     # slice of the combinations at a time, and the cosines once per residue

@@ -2,7 +2,6 @@
 
 import json
 from contextlib import contextmanager
-from itertools import repeat
 
 
 class LengthMismatchError(ValueError):
@@ -80,13 +79,5 @@ def _json_int(value) -> int:
 
 def _json_ints(value) -> tuple[int, ...]:
     """_json_int of every entry of a JSON list: the same values accepted, and
-    otherwise the TypeError of the first entry _json_int refuses.  A list of
-    decimal strings, as build writes, is checked in one pass of whole-list
-    string tests, not one _json_int call per entry."""
-    values = _json_list(value)
-    if set(map(type, values)) == {str}:
-        digits = list(map(str.removeprefix, values, repeat("-")))
-        joined = "".join(digits)
-        if all(digits) and joined.isascii() and joined.isdigit():
-            return tuple(map(int, values))
-    return tuple(map(_json_int, values))
+    otherwise the TypeError of the first entry _json_int refuses."""
+    return tuple(map(_json_int, _json_list(value)))

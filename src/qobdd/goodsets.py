@@ -55,11 +55,15 @@ def check_error_rate(epsilon: float) -> None:
 
 
 def required_size_raw(epsilon: float, modulus: int) -> int:
-    """ceil((2/eps) ln 2m), the random-set size the Azuma bound asks for."""
+    """ceil((2/eps) ln 2m), the random-set size the Azuma bound asks for;
+    TooLargeError when it is past every float, as for a subnormal eps."""
     check_error_rate(epsilon)
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    return math.ceil((2.0 / epsilon) * math.log(2 * modulus))
+    size = (2.0 / epsilon) * math.log(2 * modulus)
+    if not math.isfinite(size):
+        raise TooLargeError(f"epsilon {epsilon} needs more parameters than a float holds")
+    return math.ceil(size)
 
 
 def required_size(epsilon: float, modulus: int) -> int:
@@ -155,13 +159,9 @@ def _nonzero_residues(good_set: GoodSet, b) -> np.ndarray:
     """b mod m, a scalar b as a one-entry array, reduced in int64 (so a
     narrow integer dtype cannot overflow) or, once m reaches _INT64_SAFE or
     b does not fit int64, in Python integers (an object array);
-    ZeroResidueError when any of them is 0.  A range within int64 is
-    converted by np.arange, not one Python integer at a time."""
+    ZeroResidueError when any of them is 0."""
     m = good_set.modulus
-    if isinstance(b, range) and all(-(2**63) <= v < 2**63 for v in (b.start, b.stop)):
-        values = np.arange(b.start, b.stop, b.step, dtype=np.int64)
-    else:
-        values = np.asarray(b).reshape(-1)
+    values = np.asarray(b).reshape(-1)
     if values.dtype.kind not in "biu":  # Python integers no integer dtype holds
         values = np.asarray(b, dtype=object).reshape(-1)
     exact = m < _INT64_SAFE and np.can_cast(values.dtype, np.int64)
@@ -195,12 +195,12 @@ def is_good_for_all(good_set: GoodSet, residues: Sequence[int]) -> bool:
     )
 
 
-def _exhaustive_residues(modulus: int, limit: int) -> range:
-    """[1, m-1]: by the cosine's period m in b, every b != 0 mod m.  Guarded
-    by a caller-supplied tractability limit."""
+def _exhaustive_residues(modulus: int, limit: int) -> np.ndarray:
+    """[1, m-1] as int64: by the cosine's period m in b, every b != 0 mod m.
+    Guarded by a caller-supplied tractability limit."""
     if modulus > limit:
         raise TooLargeError(f"a {modulus.bit_length()}-bit modulus exceeds the exhaustive limit {limit}")
-    return range(1, modulus)
+    return np.arange(1, modulus, dtype=np.int64)
 
 
 def verify_exhaustive(good_set: GoodSet, limit: int = DEFAULT_VERIFY_LIMIT) -> bool:

@@ -54,12 +54,9 @@ class LinearPolynomial:
             raise ValueError(
                 f"need {self.arity + 1} coefficients, got {len(self.coefficients)}"
             )
-        if any(not (0 <= c < self.modulus) for c in self.coefficients):
-            object.__setattr__(
-                self,
-                "coefficients",
-                tuple(c % self.modulus for c in self.coefficients),
-            )
+        object.__setattr__(
+            self, "coefficients", tuple(c % self.modulus for c in self.coefficients)
+        )
 
     def evaluate(self, bits: Sequence[int]) -> int:
         """(c_0 + sum over set bits of c_j) mod m."""

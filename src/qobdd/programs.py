@@ -40,21 +40,13 @@ _KEY_READS = 64
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    """A read-only C-ordered float64 array: the argument itself when it
-    already is one and owns its data, so shared stacks are stored once.
-    TypeError when an entry has a nonzero imaginary part."""
+    """A read-only C-ordered float64 copy of the array.  TypeError when an
+    entry has a nonzero imaginary part."""
     array = np.asarray(array)
     if np.iscomplexobj(array):
         if np.any(array.imag):
             raise TypeError("program arrays are real: got a complex entry")
         array = array.real
-    if (
-        array.dtype == np.float64
-        and array.flags.c_contiguous
-        and array.flags.owndata
-        and not array.flags.writeable
-    ):
-        return array
     out = np.array(array, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out

@@ -428,6 +428,37 @@ def test_a_modulus_past_the_digit_limit_is_refused_by_the_sampling_budget(capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["goodset", "--modulus", "5"],
+        ["verify", "--function", "mod", "--m", "3", "--n", "8"],
+        ["build", "--function", "perm", "--n", "3", "--out", "program.json"],
+        ["hsf", "--cyclic", "4", "--subgroup-generator", "2"],
+        ["report"],
+    ],
+    ids=["goodset", "verify", "build", "hsf", "report"],
+)
+def test_a_subnormal_error_rate_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # (2/eps) ln 2m is infinite past eps of about 1e-308, so no set size fits.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--epsilon", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "float" in captured.err
+    assert not (tmp_path / "program.json").exists()
+
+
+def test_eval_refuses_a_recipe_with_a_subnormal_error_rate(capsys, tmp_path):
+    def edit(recipe):
+        recipe["goodset"]["epsilon"] = 5e-324
+
+    assert cli.main(["eval", "--program", _recipe_file(tmp_path, edit), "--input", "1110"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "float" in captured.err
+
+
 @pytest.mark.parametrize("command", ["sop-file", "goodset"])
 def test_expansion_and_sampling_budgets_are_usage_errors(capsys, tmp_path, command):
     # 2^30 signed monomials from one SOP product, and t = 2^32 parameters.

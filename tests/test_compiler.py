@@ -330,8 +330,10 @@ def test_each_stack_is_owned_read_only_and_stored_as_handed():
     characteristic = _hsf_source(4, 2)
     good_set = sample(0.25, characteristic.modulus, seed=3)
     for stack in _branch_stacks(characteristic, good_set, 2.0 * math.pi):
-        assert stack.flags.owndata and stack.flags.c_contiguous and not stack.flags.writeable
-        assert Instruction(variable_index=1, on_one=stack).on_one is stack
+        stored = Instruction(variable_index=1, on_one=stack).on_one
+        assert stored.flags.owndata and stored.flags.c_contiguous and not stored.flags.writeable
+        assert stored.dtype == np.float64 and np.array_equal(stored, stack)
+        assert not np.shares_memory(stored, stack)
 
 
 def paper_single_circuit_probabilities(program, bits: np.ndarray) -> np.ndarray:

@@ -329,12 +329,7 @@ def test_narrow_and_unsigned_residue_dtypes_match_python_integers(modulus, value
 def test_range_slices_convert_like_their_python_integers(modulus, residues):
     good = sample(0.5, modulus, seed=1)
     as_list = _nonzero_residues(good, list(residues))
-    if all(-(2**63) <= v < 2**63 for v in (residues.start, residues.stop)):
-        # Within int64 the range is converted in C, never element by element.
-        with mock.patch.object(np, "asarray", side_effect=AssertionError("per-element")):
-            converted = _nonzero_residues(good, residues)
-    else:
-        converted = _nonzero_residues(good, residues)
+    converted = _nonzero_residues(good, residues)
     assert converted.dtype == as_list.dtype
     assert converted.tolist() == as_list.tolist()
     assert is_good_for_all(good, residues) == all(is_good_for(good, b) for b in residues)

@@ -28,12 +28,13 @@ from qobdd.goodsets import required_size, sample
 from qobdd.polynomials import mod_polynomial
 
 # JSON values a loader may meet where it expects something else: a float
-# past any int, an int past any float, strings float() and int() read.
+# past any int, an int past any float, the smallest subnormal, strings
+# float() and int() read.
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 3),
-    st.sampled_from([10**400, -(2**70), 1.5, 1e308, float("nan"), float("inf")]),
+    st.sampled_from([10**400, -(2**70), 1.5, 1e308, 5e-324, float("nan"), float("inf")]),
     st.sampled_from(["", "x", "-", "7", "-1", "0.5", "nan", "inf", "1e400", "9" * 5000]),
     st.lists(st.integers(-2, 2), max_size=2),
     st.just({}),
@@ -139,7 +140,7 @@ def program_files(draw):
     modulus = draw(st.sampled_from(MODULI))
     kind = draw(st.sampled_from(["single", "general"]))
     count = 1 if kind == "single" else draw(st.integers(1, 2))
-    epsilon = draw(st.sampled_from([0.5, 0.9, 0.9, 0.05, 1.0, 0, "0.5"]))
+    epsilon = draw(st.sampled_from([0.5, 0.9, 0.9, 0.05, 1.0, 0, "0.5", 5e-324]))
     size = required_size(epsilon, modulus) if epsilon in (0.5, 0.9) else 8
     size = draw(st.sampled_from([size] * 6 + [size // 2, 0]))
     params = st.lists(

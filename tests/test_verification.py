@@ -6,6 +6,7 @@ import functools
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,14 +123,14 @@ def all_ones(bits):
     return np.ones(bits.shape[0], dtype=bool)
 
 
-def test_verify_chunk_size_does_not_change_outcome():
+def test_verify_chunk_size_does_not_change_outcome(monkeypatch):
     poly = mod_polynomial(8, 3)
     good_set = sample(0.2, 3, seed=2)
     program = compile_single(poly, good_set).program
-    reports = [
-        verify(popcount_mod_labels(3), program, bound=0.2, chunk_size=chunk)
-        for chunk in (16, 100, 1 << 13)
-    ]
+    reports = []
+    for chunk in (16, 100, 1 << 13):
+        monkeypatch.setattr(verification, "DEFAULT_CHUNK", chunk)
+        reports.append(verify(popcount_mod_labels(3), program, bound=0.2))
     assert all(r.ones.count == reports[0].ones.count for r in reports)
     assert all(r.zeros.count == reports[0].zeros.count for r in reports)
     for r in reports[1:]:
@@ -274,28 +275,13 @@ def test_certify_hsf_counts_do_not_depend_on_the_chunk_size(
     assert not satisfies_promise_batch(instance, emptied).any()
     reports = []
     for chunk in chunks:
-        monkeypatch.setattr(verification, "verify", functools.partial(verify, chunk_size=chunk))
+        monkeypatch.setattr(verification, "DEFAULT_CHUNK", chunk)
         reports.append(certify_hsf(instance, 0.25, seed=0)[0])
     for report in reports:
         assert (report.ones.count, report.zeros.count, report.filtered) == counts
         assert report.passed
         assert report.ones.min_accept == pytest.approx(reports[0].ones.min_accept, abs=1e-12)
         assert report.zeros.max_accept == pytest.approx(reports[0].zeros.max_accept, abs=1e-12)
-
-
-@pytest.mark.parametrize("chunk_size", [0, -4])
-def test_chunk_size_below_one_is_refused_before_sampling(monkeypatch, chunk_size):
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("drew the sample before checking the chunk size")
-
-    monkeypatch.setattr(verification, "sampled_inputs", no_sampling)
-    program = compile_single(mod_polynomial(4, 3), sample(0.2, 3, seed=0)).program
-    for mode in ("exhaustive", "sampled"):
-        with pytest.raises(ValueError, match="chunk size"):
-            verify(
-                popcount_mod_labels(3), program, bound=0.2, mode=mode, samples=10,
-                chunk_size=chunk_size,
-            )
 
 
 def test_sampled_pool_over_the_budget_is_refused_before_sampling(monkeypatch):
@@ -379,12 +365,13 @@ def test_chunked_residues_equal_residues_of_all_inputs(data):
     polynomials = _draw_polynomials(data)
     arity = polynomials[0].arity
     chunk_size = data.draw(st.integers(min_value=1, max_value=700))
-    chunks = _input_walk(arity, "exhaustive", chunk_size=chunk_size)[1]
-    assert walked_residues(polynomials, chunks).tolist() == realized_residues(
+    with mock.patch.object(verification, "DEFAULT_CHUNK", chunk_size):
+        exhaustive = _input_walk(arity, "exhaustive")[1]
+        sampled = _input_walk(arity, "sampled", 300, 5)[1]
+    assert walked_residues(polynomials, exhaustive).tolist() == realized_residues(
         polynomials, all_inputs(arity)
     ).tolist()
-    chunks = _input_walk(arity, "sampled", 300, 5, chunk_size)[1]
-    assert walked_residues(polynomials, chunks).tolist() == realized_residues(
+    assert walked_residues(polynomials, sampled).tolist() == realized_residues(
         polynomials, sampled_inputs(arity, 300, 5)
     ).tolist()
 
@@ -392,8 +379,9 @@ def test_chunked_residues_equal_residues_of_all_inputs(data):
 @pytest.mark.parametrize(
     "polynomial", [palindrome_polynomial(10), perm_polynomial(3)], ids=["pal10", "perm3"]
 )
-def test_chunked_residues_of_named_functions(polynomial):
-    chunks = _input_walk(polynomial.arity, "exhaustive", chunk_size=100)[1]
+def test_chunked_residues_of_named_functions(monkeypatch, polynomial):
+    monkeypatch.setattr(verification, "DEFAULT_CHUNK", 100)
+    chunks = _input_walk(polynomial.arity, "exhaustive")[1]
     assert walked_residues([polynomial], chunks).tolist() == realized_residues(
         [polynomial], all_inputs(polynomial.arity)
     ).tolist()
