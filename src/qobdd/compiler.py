@@ -18,6 +18,21 @@ input is accepted when all target qubits read zero, with probability
 (1/t) sum_i prod_s cos^2(pi k_i g_s(sigma) / m).  A good set bounds the
 false accepts by 1/2 + sqrt(eps)/2.
 
+Closed forms.  The single program accepts with S(g(sigma))^2, where
+S(b) = (1/t) sum_i cos(2 pi k_i b / m) is goodsets' cosine sum, taken by the
+cosine kernel once per distinct residue.  The generalized one is evaluated
+without the per-branch product: cos^2 x = (1 + cos 2x)/2 and the
+product-to-sum rule turn prod_s cos^2(pi k_i g_s / m) into
+2^-l sum_{v in {-1,0,1}^l} 2^-|v| cos(2 pi k_i (v . g) / m), |v| the number of
+nonzero entries, and the mean over i makes each term S(v . g mod m).  As S
+is even, v and -v pair up, so it takes (3^l - 1)/2 spectrum gathers per
+row, for example (1/4)[1 + S(g_1) + S(g_2) + S(g_1 + g_2)/2 + S(g_1 - g_2)/2]
+at l = 2.  The sweep already spends a t * 4^l block product per read on
+every row, and 3^l <= t * 4^l, so the closed form never costs more than
+one read of the simulation.  The simulator does not use this formula: it
+stays a step-by-step simulation, so the gap check compares two independent
+computations.
+
 Rotation angles use the exact residue (k_i c_j mod m).  The reduction shifts
 single-construction angles by multiples of 4 pi (the R_y period, so exactly
 nothing) and generalized angles by multiples of 2 pi (a per-branch sign that
@@ -35,6 +50,7 @@ instead of the matrices.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -55,7 +71,7 @@ from .goodsets import (
     _INT64_SAFE,
     GoodSet,
     _cosine_kernel,
-    _cosines,
+    _cosine_sums,
     _residue_products,
     _slices,
     check_error_rate,
@@ -296,28 +312,39 @@ def closed_form_single_batch(
     return values[rows]
 
 
+def _sign_vectors(count: int) -> list[tuple[int, ...]]:
+    """One of v and -v for every nonzero v in {-1, 0, 1}^count: those whose
+    first nonzero entry is 1, (3^count - 1)/2 of them."""
+    return [
+        v for v in itertools.product((-1, 0, 1), repeat=count) if any(v) and next(filter(None, v)) == 1
+    ]
+
+
 def closed_form_general_batch(
     characteristic: Characteristic, good_set: GoodSet, bit_matrix: np.ndarray
 ) -> np.ndarray:
-    """(1/t) sum_i prod_s cos^2(pi k_i g_s(sigma) / m) for every row sigma."""
-    tables = [_residue_table(p, good_set, bit_matrix) for p in characteristic.polynomials]
-    # Rows with the same residue under every polynomial share one value: the
-    # product and the mean run once per distinct combination, one _slices
-    # slice of the combinations at a time, and the cosines once per residue
-    # the slice holds.
-    rows = np.zeros(bit_matrix.shape[0], dtype=np.intp)
-    for residues, index in tables:
-        _, first, rows = np.unique(
-            rows * residues.size + index, return_index=True, return_inverse=True
-        )
-    values = np.empty(first.size)
-    for part in _slices(first.size, good_set):
-        product = np.ones((first[part].size, good_set.size), dtype=np.float64)
-        for residues, index in tables:
-            used, where = np.unique(index[first[part]], return_inverse=True)
-            product *= (_cosines(residues[used], good_set, math.pi) ** 2)[where]
-        values[part] = np.mean(product, axis=1)
-    return values[rows]
+    """(1/t) sum_i prod_s cos^2(pi k_i g_s(sigma) / m) for every row sigma, as
+    2^-l [1 + sum_v 2^(1 - |v|) S(v . g(sigma) mod m)] over _sign_vectors(l):
+    one goodsets._cosine_sums gather per term, _CHUNK_ENTRIES rows at a time.
+    ModulusMismatchError when the characteristic and the set differ in modulus."""
+    if characteristic.modulus != good_set.modulus:
+        raise ModulusMismatchError("polynomial and good set moduli differ")
+    m = good_set.modulus
+    count = len(characteristic)
+    terms = [(v, 2.0 ** (1 - sum(map(abs, v)))) for v in _sign_vectors(count)]
+    values = np.empty(bit_matrix.shape[0])
+    for start in range(0, bit_matrix.shape[0], _CHUNK_ENTRIES):
+        part = slice(start, start + _CHUNK_ENTRIES)
+        residues = [evaluate_linear_batch(p, bit_matrix[part]) for p in characteristic.polynomials]
+        total = np.ones(residues[0].shape[0])
+        for v, weight in terms:
+            argument = 0
+            for sign, g in zip(v, residues):
+                if sign:  # each partial sum lies in (-m, 2m) before it is reduced
+                    argument = (argument + sign * g) % m
+            total += weight * _cosine_sums(argument, good_set)
+        values[part] = total / 2.0**count
+    return values
 
 
 def closed_form_single(polynomial: LinearPolynomial, good_set: GoodSet, bits) -> float:

@@ -1,13 +1,28 @@
 """Rotation-parameter sets for fingerprinting and their goodness checks.
 
 A parameter set K = {k_1, ..., k_t} over Z_m is good for a residue b != 0 when
-the squared normalized cosine sum (1/t^2) (sum_i cos(2 pi k_i b / m))^2 stays
-below the error rate; at b = g(sigma) it is the single-polynomial program's
-acceptance.  One cosine helper over residue arrays serves the goodness check
-and both closed forms: the products k_i b mod m take only m values, so over
-m <= DEFAULT_VERIFY_LIMIT it gathers cos(scale j / m) from a cached table
-built by the same expression, the same floats for m cosines instead of one
-per pair.
+S(b)^2 stays below the error rate, where S(b) = (1/t) sum_i cos(2 pi k_i b / m)
+is the exponential sum Ambainis and Nahimovs bound; at b = g(sigma) S(b)^2 is
+the single-polynomial program's acceptance.  S has two computations:
+
+- The cosine kernel takes S at an array of residues, one cosine per
+  residue-parameter pair.  The products k_i b mod m take only m values, so
+  over m <= DEFAULT_VERIFY_LIMIT it gathers cos(2 pi j / m) from a cached
+  table built by the same expression: the same floats for m cosines instead
+  of one per pair.  Goodness on given residues and the single closed form
+  run it.
+- The spectrum takes S at every residue at once, for m <= DEFAULT_VERIFY_LIMIT:
+  S(b) is the real part of the DFT of the parameter histogram at b, divided
+  by t, so one rfft gives it for every b in [0, m/2], and S(m - b) = S(b).
+  Goodness on every residue and the generalized closed form read it.  The
+  FFT's error grows like log2(m) roundings of the largest histogram entry
+  over t: its values are within 1e-15 of the kernel's for eight or more
+  parameters over every m <= 2^12, and within 2.2e-15 for one.  So an
+  exhaustive check re-checks with the kernel every residue whose spectrum
+  value lies within _SCREEN_MARGIN = 1e-9 of the error rate, five orders of
+  magnitude past that error: its verdicts, and the sets sample_good
+  chooses, are the kernel's.
+
 Sets are drawn uniformly at random; an Azuma-type bound makes a random set
 good for every b with positive probability once t >= ceil((2/eps) ln 2m).
 t is then padded to the next power of two, because the branch register
@@ -39,6 +54,10 @@ _INT64_SAFE = 2**62
 
 # Products k_i b per cosine-kernel call in a goodness check.
 _CHUNK_ENTRIES = 1 << 17
+
+# An exhaustive check re-checks with the cosine kernel every residue whose
+# spectrum value lies within this of the error rate (see the module docstring).
+_SCREEN_MARGIN = 1e-9
 
 # The seeds sample_good tries before it gives up.
 SAMPLE_ATTEMPTS = 64
@@ -123,17 +142,17 @@ def _residue_products(values, good_set: GoodSet) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2)
-def _cosine_table(modulus: int, scale: float) -> np.ndarray:
-    """cos(scale * (j / m)) for every j in [0, m), read-only: the direct
-    path's expression on every product k_i v mod m can take.  At most two
-    are held, enough for one goodness scale and one closed-form scale."""
-    table = np.cos(scale * (np.arange(modulus) / modulus))
+def _cosine_table(modulus: int) -> np.ndarray:
+    """cos(2 pi (j / m)) for every j in [0, m), read-only: the direct path's
+    expression on every product k_i v mod m can take.  At most two moduli's
+    tables are held."""
+    table = np.cos(2.0 * math.pi * (np.arange(modulus) / modulus))
     table.flags.writeable = False
     return table
 
 
-def _cosines(values, good_set: GoodSet, scale: float) -> np.ndarray:
-    """cos(scale * (k_i v mod m) / m) for every residue v in values and
+def _cosines(values, good_set: GoodSet) -> np.ndarray:
+    """cos(2 pi (k_i v mod m) / m) for every residue v in values and
     parameter k_i, shape (rows, t).
 
     For m <= DEFAULT_VERIFY_LIMIT the cosines are gathered from _cosine_table
@@ -145,14 +164,55 @@ def _cosines(values, good_set: GoodSet, scale: float) -> np.ndarray:
     m = good_set.modulus
     products = _reduced_products(values, good_set)
     if m <= DEFAULT_VERIFY_LIMIT:
-        return _cosine_table(m, scale)[products]
-    return np.cos(scale * np.asarray(products / m, dtype=np.float64))
+        return _cosine_table(m)[products]
+    return np.cos(2.0 * math.pi * np.asarray(products / m, dtype=np.float64))
+
+
+def _kernel_sums(values, good_set: GoodSet) -> np.ndarray:
+    """S(v) = mean_i cos(2 pi (k_i v mod m) / m) for every residue v in
+    values, the cosines from _cosines."""
+    return np.mean(_cosines(values, good_set), axis=1)
 
 
 def _cosine_kernel(values, good_set: GoodSet) -> np.ndarray:
-    """(mean_i cos(2 pi (k_i v mod m) / m))^2 for every residue v in values,
-    the cosines from _cosines."""
-    return np.mean(_cosines(values, good_set, 2.0 * math.pi), axis=1) ** 2
+    """S(v)^2 for every residue v in values: the goodness value and the
+    single closed form."""
+    return _kernel_sums(values, good_set) ** 2
+
+
+@functools.lru_cache(maxsize=1)
+def _spectrum(modulus: int, parameters: tuple[int, ...]) -> np.ndarray:
+    histogram = np.bincount(np.asarray(parameters, dtype=np.int64), minlength=modulus)
+    sums = np.fft.rfft(histogram).real / len(parameters)
+    sums.flags.writeable = False
+    return sums
+
+
+def spectrum(good_set: GoodSet) -> np.ndarray:
+    """S(b) = (1/t) sum_i cos(2 pi k_i b / m) for every b in [0, m/2], read-only:
+    the real part of the rfft of the parameter histogram over Z_m, divided
+    by t, cached for the last set.  S is even, so S(b) = spectrum[min(b, m - b)]
+    for b in [0, m).  TooLargeError past DEFAULT_VERIFY_LIMIT."""
+    if good_set.modulus > DEFAULT_VERIFY_LIMIT:
+        raise TooLargeError(
+            f"a {good_set.modulus.bit_length()}-bit modulus exceeds the spectrum's "
+            f"limit {DEFAULT_VERIFY_LIMIT}"
+        )
+    return _spectrum(good_set.modulus, good_set.parameters)
+
+
+def _cosine_sums(residues: np.ndarray, good_set: GoodSet) -> np.ndarray:
+    """S(v) for every residue v in [0, m) of an int64 or object array: one
+    spectrum gather for m <= DEFAULT_VERIFY_LIMIT; past it the cosine kernel
+    on the distinct residues, one _slices slice at a time."""
+    m = good_set.modulus
+    if m <= DEFAULT_VERIFY_LIMIT:
+        return spectrum(good_set)[np.minimum(residues, m - residues)]
+    distinct, index = np.unique(residues, return_inverse=True)
+    sums = np.empty(distinct.size)
+    for part in _slices(distinct.size, good_set):
+        sums[part] = _kernel_sums(distinct[part], good_set)
+    return sums[index]
 
 
 def _nonzero_residues(good_set: GoodSet, b) -> np.ndarray:
@@ -195,17 +255,33 @@ def is_good_for_all(good_set: GoodSet, residues: Sequence[int]) -> bool:
     )
 
 
-def _exhaustive_residues(modulus: int, limit: int) -> np.ndarray:
-    """[1, m-1] as int64: by the cosine's period m in b, every b != 0 mod m.
-    Guarded by a caller-supplied tractability limit."""
+def _check_exhaustive(modulus: int, limit: int) -> None:
+    """TooLargeError when m is past a caller-supplied tractability limit."""
     if modulus > limit:
         raise TooLargeError(f"a {modulus.bit_length()}-bit modulus exceeds the exhaustive limit {limit}")
-    return np.arange(1, modulus, dtype=np.int64)
+
+
+def _good_everywhere(good_set: GoodSet) -> bool:
+    """Goodness on every b in [1, m-1], for m <= DEFAULT_VERIFY_LIMIT, screened
+    from the spectrum (b and m - b share S(b)).  A value at least
+    _SCREEN_MARGIN past the error rate fails the set; the residues b and
+    m - b of every value within the margin of it are re-checked by
+    is_good_for_all, so the verdict is the cosine kernel's."""
+    values = spectrum(good_set)[1:] ** 2
+    if np.any(values >= good_set.error_rate + _SCREEN_MARGIN):
+        return False
+    near = np.flatnonzero(values > good_set.error_rate - _SCREEN_MARGIN) + 1
+    return is_good_for_all(good_set, np.union1d(near, good_set.modulus - near))
 
 
 def verify_exhaustive(good_set: GoodSet, limit: int = DEFAULT_VERIFY_LIMIT) -> bool:
-    """Check goodness for every b in [1, m-1], for m up to limit."""
-    return is_good_for_all(good_set, _exhaustive_residues(good_set.modulus, limit))
+    """Check goodness for every b in [1, m-1], for m up to limit: from the
+    spectrum up to DEFAULT_VERIFY_LIMIT, by the cosine kernel past it."""
+    m = good_set.modulus
+    _check_exhaustive(m, limit)
+    if m <= DEFAULT_VERIFY_LIMIT:
+        return _good_everywhere(good_set)
+    return is_good_for_all(good_set, np.arange(1, m, dtype=np.int64))
 
 
 def sample(epsilon: float, modulus: int, seed: int) -> GoodSet:
@@ -235,16 +311,20 @@ def sample_good(
     """Sample sets at seed, seed+1, ... until one passes the goodness check.
 
     With residues given (a list, a range or an array), goodness is checked
-    on exactly those values; otherwise on [1, m-1], which requires m <=
-    DEFAULT_VERIFY_LIMIT.  Returns the set and the seed that produced it.
+    on exactly those values by the cosine kernel; otherwise on [1, m-1] from
+    the spectrum, which requires m <= DEFAULT_VERIFY_LIMIT.  Returns the set
+    and the seed that produced it.
     Raises RuntimeError if SAMPLE_ATTEMPTS seeds all fail, which the Azuma
     bound makes overwhelmingly unlikely at the sampled size.
     """
     if residues is None:
-        residues = _exhaustive_residues(modulus, DEFAULT_VERIFY_LIMIT)
+        _check_exhaustive(modulus, DEFAULT_VERIFY_LIMIT)
+        good = _good_everywhere
+    else:
+        good = lambda candidate: is_good_for_all(candidate, residues)
     for attempt in range(SAMPLE_ATTEMPTS):
         candidate = sample(epsilon, modulus, seed + attempt)
-        if is_good_for_all(candidate, residues):
+        if good(candidate):
             return candidate, seed + attempt
     raise RuntimeError(
         f"no good set found in {SAMPLE_ATTEMPTS} attempts from seed {seed} "

@@ -13,6 +13,9 @@ import it as ``reference``.
 - azuma_failure_bound and cosine_sum: the sampling bound and the
   one-residue goodness value, from the formula in Python integers and
   math.cos.
+- closed_form_general_product: the generalized closed form as the mean of
+  the per-branch products of squared cosines, one cosine per row, branch
+  and polynomial, next to the library's sum over the cosine spectrum.
 - all_inputs: every input of an arity as one bit matrix, from
   itertools.product.
 - popcount_mod_oracle, equality_oracle, palindrome_oracle and
@@ -29,10 +32,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from qobdd.compiler import evaluate_linear_batch
 from qobdd.errors import LengthMismatchError, PromiseViolation, ZeroResidueError
-from qobdd.goodsets import GoodSet
+from qobdd.goodsets import GoodSet, _residue_products
 from qobdd.hsf import HSFInstance
-from qobdd.polynomials import SOPFormula
+from qobdd.polynomials import Characteristic, SOPFormula
 from qobdd.programs import NORM_TOL, QuantumBranchingProgram
 
 UNITARY_TOL = 1e-9
@@ -168,6 +172,19 @@ def cosine_sum(good_set: GoodSet, b: int) -> float:
         raise ZeroResidueError("goodness is undefined for b == 0 (mod m)")
     total = sum(math.cos(2.0 * math.pi * ((k * b) % m / m)) for k in good_set.parameters)
     return (total / good_set.size) ** 2
+
+
+def closed_form_general_product(
+    characteristic: Characteristic, good_set: GoodSet, bits: np.ndarray
+) -> np.ndarray:
+    """(1/t) sum_i prod_s cos^2(pi (k_i g_s(sigma) mod m) / m) for every row
+    sigma: the exact residues and products, one rounding, then np.cos per
+    row, branch and polynomial."""
+    product = np.ones((bits.shape[0], good_set.size))
+    for polynomial in characteristic.polynomials:
+        residues = evaluate_linear_batch(polynomial, bits)
+        product *= np.cos(math.pi * _residue_products(residues, good_set)) ** 2
+    return np.mean(product, axis=1)
 
 
 def all_inputs(arity: int) -> np.ndarray:

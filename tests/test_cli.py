@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -12,12 +11,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 import qobdd
 from qobdd import cli, compiler, goodsets, polynomials, programs, verification
-from qobdd.errors import _json_int, _json_ints
+from qobdd.errors import _json_ints, _json_list
 from qobdd.goodsets import sample
 from qobdd.polynomials import mod_polynomial
 
@@ -646,23 +643,23 @@ def test_eval_loads_parameters_as_json_integers(capsys, tmp_path, edit):
     assert json.loads(capsys.readouterr().out)["accept_probability"] == pytest.approx(1.0)
 
 
-@given(st.lists(st.one_of(
-    st.integers(-(2**70), 2**70),
-    st.integers(-(2**70), 2**70).map(str),
-    st.text(alphabet="-+_ 0123456789\u0663.e", max_size=4),
-    st.floats(allow_nan=False),
-    st.booleans(),
-    st.none(),
-), max_size=6))
-def test_json_ints_accepts_and_refuses_what_json_int_does(values):
-    try:
-        expected = tuple(map(_json_int, values))
-    except TypeError as error:
-        with pytest.raises(TypeError, match=re.escape(str(error))):
-            _json_ints(values)
-    else:
-        assert _json_ints(values) == expected
-        assert all(type(v) is int for v in _json_ints(values))
+@pytest.mark.parametrize(
+    "value, kind", [("12", "str"), ({"0": 1}, "dict"), (12, "int"), (1.5, "float")]
+)
+def test_json_list_and_ints_refuse_a_non_list_naming_its_type(value, kind):
+    for parse in (_json_list, _json_ints):
+        with pytest.raises(TypeError, match=f"expected a JSON list, got {kind}$"):
+            parse(value)
+
+
+def test_eval_refuses_a_recipe_whose_params_is_a_string(capsys, tmp_path):
+    def edit(recipe):
+        recipe["goodset"]["params"] = "".join(recipe["goodset"]["params"])
+
+    assert cli.main(["eval", "--program", _recipe_file(tmp_path, edit), "--input", "1110"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed program recipe" in captured.err and "got str" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -30,6 +30,7 @@ from qobdd.goodsets import (
     GoodSet,
     _cosine_table,
     _residue_products,
+    _spectrum,
     required_size,
     sample,
     sample_good,
@@ -52,7 +53,14 @@ from qobdd.programs import (
     sweep_buffer_bytes,
 )
 from qobdd.verification import input_block, sampled_inputs
-from reference import all_inputs, cosine_sum, is_read_once, run, validate
+from reference import (
+    all_inputs,
+    closed_form_general_product,
+    cosine_sum,
+    is_read_once,
+    run,
+    validate,
+)
 
 
 def test_zero_polynomial_accepts_everything():
@@ -521,10 +529,10 @@ def test_compiling_and_sweeping_stay_within_the_counted_budget(monkeypatch, sour
 
 
 def test_one_row_closed_forms_take_the_cosine_table_by_the_modulus():
-    # Over m = 3^9 a one-row single form builds the 2 pi table and a one-row
-    # generalized form the pi table, once each; the batches of all 4,096
-    # inputs gather from the same two.  Both paths give the same values, so
-    # every row equals its scalar form.
+    # Over m = 3^9 a one-row single form builds the cosine table and a
+    # one-row generalized form the set's spectrum, once each; the batches of
+    # all 4,096 inputs gather from the same two.  A row's value does not
+    # depend on the batch, so every row equals its scalar form.
     modulus = 3**9
     coefficients = tuple(7**j % modulus for j in range(13))
     polynomial = LinearPolynomial(modulus=modulus, arity=12, coefficients=coefficients)
@@ -535,27 +543,34 @@ def test_one_row_closed_forms_take_the_cosine_table_by_the_modulus():
     good_set = GoodSet(modulus=modulus, error_rate=0.3, parameters=tuple(parameters))
     bits = all_inputs(12)
     _cosine_table.cache_clear()
+    _spectrum.cache_clear()
     closed_form_single(polynomial, good_set, bits[0].tolist())
     assert _cosine_table.cache_info()[:2] == (0, 1)  # (hits, misses)
-    # Its two polynomials share the pi table: one miss, one hit.
+    assert _spectrum.cache_info().misses == 0
+    # Its two polynomials and four terms read one spectrum, and no table.
     closed_form_general(characteristic, good_set, bits[0].tolist())
-    assert _cosine_table.cache_info()[:2] == (1, 2)
+    assert _spectrum.cache_info().misses == 1
+    assert _cosine_table.cache_info().misses == 1
     scalar = [
         (closed_form_single(polynomial, good_set, row), closed_form_general(characteristic, good_set, row))
         for row in bits[::61].tolist()
     ]
     single = closed_form_single_batch(polynomial, good_set, bits)
     general = closed_form_general_batch(characteristic, good_set, bits)
-    assert _cosine_table.cache_info().misses == 2
+    assert _cosine_table.cache_info().misses == 1
+    assert _spectrum.cache_info().misses == 1
     assert scalar == list(zip(single[::61], general[::61]))
 
 
 
 @pytest.mark.parametrize("modulus", [3**9, 3**40], ids=["int64", "object"])
 def test_sliced_closed_forms_equal_the_unsliced_ones(monkeypatch, modulus):
-    # Both closed forms run their kernels over slices of at most
-    # goodsets._CHUNK_ENTRIES residue-parameter entries; with three residues'
-    # worth per slice they must give the values of one whole-batch kernel.
+    # The single form runs its kernel over slices of at most
+    # goodsets._CHUNK_ENTRIES residue-parameter entries, and the generalized
+    # one takes _CHUNK_ENTRIES rows at a time (past the spectrum, over 3^40,
+    # its kernel runs over slices as the single form's does).  With three
+    # residues' worth per slice and three rows per slice they must give the
+    # values of one whole batch.
     rng = random.Random(17)
     polynomials = tuple(
         LinearPolynomial(
@@ -574,19 +589,57 @@ def test_sliced_closed_forms_equal_the_unsliced_ones(monkeypatch, modulus):
 
     calls = {}
 
-    def count_calls(name):
-        kernel, calls[name] = getattr(compiler, name), []
+    def count_calls(module, name):
+        kernel, calls[name] = getattr(module, name), []
 
         def counted(values, *args):
             calls[name].append(len(values))
             return kernel(values, *args)
 
-        monkeypatch.setattr(compiler, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
-    count_calls("_cosine_kernel")  # the single form's kernel
-    count_calls("_cosines")  # the generalized form's
+    count_calls(compiler, "_cosine_kernel")  # the single form's kernel
+    count_calls(compiler, "_cosine_sums")  # the generalized form's terms
+    if modulus > goodsets.DEFAULT_VERIFY_LIMIT:
+        count_calls(goodsets, "_kernel_sums")  # and their kernel past the spectrum
     monkeypatch.setattr(goodsets, "_CHUNK_ENTRIES", 3 * good_set.size)
+    monkeypatch.setattr(compiler, "_CHUNK_ENTRIES", 3)
     assert np.array_equal(closed_form_single_batch(polynomials[0], good_set, bits), single)
     assert np.array_equal(closed_form_general_batch(characteristic, good_set, bits), general)
     for sizes in calls.values():
         assert len(sizes) > 1 and max(sizes) <= 3
+    # Thirteen terms per slice of rows: (3^3 - 1) / 2.
+    assert len(calls["_cosine_sums"]) == 13 * math.ceil(1024 / 3)
+
+
+# The generalized closed form sums the cosine spectrum over (3^l - 1)/2
+# terms instead of taking the per-branch products: the same function,
+# rounded differently, so it stays within 1e-15 of the product form.
+
+EXPANSION_TOL = 1e-15
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("modulus", [2, 3**9, 2**16, 2**64 + 13], ids=["2", "3^9", "2^16", "2^64+13"])
+def test_general_closed_form_equals_the_per_branch_products(modulus, count):
+    rng = random.Random(modulus + count)
+    characteristic = Characteristic(
+        modulus=modulus,
+        arity=8,
+        polynomials=tuple(
+            LinearPolynomial(
+                modulus=modulus, arity=8, coefficients=tuple(rng.randrange(modulus) for _ in range(9))
+            )
+            for _ in range(count)
+        ),
+    )
+    good_set = GoodSet(
+        modulus=modulus, error_rate=0.3, parameters=tuple(rng.randrange(modulus) for _ in range(64))
+    )
+    bits = all_inputs(8)
+    np.testing.assert_allclose(
+        closed_form_general_batch(characteristic, good_set, bits),
+        closed_form_general_product(characteristic, good_set, bits),
+        rtol=0,
+        atol=EXPANSION_TOL,
+    )

@@ -22,17 +22,20 @@ from qobdd.goodsets import (
     DEFAULT_VERIFY_LIMIT,
     GoodSet,
     _cosine_kernel,
+    _cosine_sums,
     _cosine_table,
     _cosines,
     _nonzero_residues,
     _reduced_products,
     _residue_products,
+    _spectrum,
     is_good_for,
     is_good_for_all,
     required_size,
     required_size_raw,
     sample,
     sample_good,
+    spectrum,
     verify_exhaustive,
 )
 from reference import azuma_failure_bound, cosine_sum
@@ -239,13 +242,13 @@ def test_cosine_sum_bounded_and_periodic(data):
 # the sets sample_good picks do not move.
 
 
-def direct_cosines(values, good, scale):
+def direct_cosines(values, good):
     """The cosines by the direct path: one np.cos per pair, no table."""
-    return np.cos(scale * _residue_products(values, good))
+    return np.cos(2.0 * math.pi * _residue_products(values, good))
 
 
 def direct_kernel(values, good):
-    return np.mean(direct_cosines(values, good, 2.0 * math.pi), axis=1) ** 2
+    return np.mean(direct_cosines(values, good), axis=1) ** 2
 
 
 def direct_cosine_sum(good, b):
@@ -370,24 +373,27 @@ def test_sample_good_picks_the_per_residue_set_and_seed(chunk_entries, epsilon, 
 
 
 def test_exhaustive_check_exits_on_the_first_failing_chunk():
-    # Every cosine is 1: the set fails on residue 1, in the first of 128 chunks.
+    # Every cosine is 1: the set fails on residue 1, in the first of 128
+    # chunks of the kernel, and from the spectrum without any.
     bad = GoodSet(modulus=4096, error_rate=0.5, parameters=(0, 0))
     with mock.patch.object(goodsets, "_CHUNK_ENTRIES", 64), mock.patch.object(
         goodsets, "_cosine_kernel", wraps=goodsets._cosine_kernel
     ) as kernel:
-        assert not verify_exhaustive(bad)
+        assert not is_good_for_all(bad, range(1, 4096))
         assert kernel.call_count == 1
-        good = sample(0.25, 64, seed=3)
         kernel.reset_mock()
+        assert not verify_exhaustive(bad)
+        assert kernel.call_count == 0
+        good = sample(0.25, 64, seed=3)
         assert is_good_for_all(good, range(1, 64)) == verify_exhaustive(good)
-        assert kernel.call_count == 2 * math.ceil(63 / (64 // good.size))
+        assert kernel.call_count == math.ceil(63 / (64 // good.size))
 
 
 # The cosine table: every cosine over m <= DEFAULT_VERIFY_LIMIT is gathered
-# from a cached table of cos(scale j / m) instead of calling np.cos per pair.  The gathered cosines must be the direct ones bit
-# for bit, so every value, verdict and sampled set stays where it was.
+# from a cached table of cos(2 pi j / m) instead of calling np.cos per pair.
+# The gathered cosines must be the direct ones bit for bit, so every value,
+# verdict and sampled set stays where it was.
 
-SCALES = (2.0 * math.pi, math.pi)
 TABLE_MODULI = (
     [2, 3, 5, 7, 11, 13, 97, 101]
     + [2**k for k in (2, 5, 8, 16)]
@@ -413,15 +419,14 @@ def test_gathered_cosines_equal_the_direct_cosines(data):
         ),
         dtype=np.int64,
     )
-    for scale in SCALES:
-        expected = direct_cosines(values, good, scale)
-        _cosine_table.cache_clear()
-        cold = _cosines(values, good, scale)
-        warm = _cosines(values, good, scale)
-        assert _cosine_table.cache_info()[:2] == (1, 1)  # (hits, misses)
-        for gathered in (cold, warm):
-            assert gathered.shape == expected.shape
-            assert np.array_equal(gathered, expected)
+    expected = direct_cosines(values, good)
+    _cosine_table.cache_clear()
+    cold = _cosines(values, good)
+    warm = _cosines(values, good)
+    assert _cosine_table.cache_info()[:2] == (1, 1)  # (hits, misses)
+    for gathered in (cold, warm):
+        assert gathered.shape == expected.shape
+        assert np.array_equal(gathered, expected)
 
 
 @given(st.data())
@@ -446,16 +451,15 @@ def test_power_of_two_moduli_reduce_to_the_integers_of_the_remainder(data):
 def test_tables_are_read_only_and_at_most_two_are_held():
     _cosine_table.cache_clear()
     for m in (16, 27, 125):
-        for scale in SCALES:
-            table = _cosine_table(m, scale)
-            assert not table.flags.writeable
-            assert np.array_equal(table, np.cos(scale * (np.arange(m) / m)))
+        table = _cosine_table(m)
+        assert not table.flags.writeable
+        assert np.array_equal(table, np.cos(2.0 * math.pi * (np.arange(m) / m)))
     assert _cosine_table.cache_info().currsize == 2
 
 
 def test_the_modulus_alone_decides_the_table():
     # PERM_4's modulus: a 1-residue check builds its table, and every later
-    # check at that (m, scale), whatever its size, gathers from it.
+    # check at that m, whatever its size, gathers from it.
     good = sample(0.2, 390_625, seed=7)
     _cosine_table.cache_clear()
     assert is_good_for(good, 5) == (direct_cosine_sum(good, 5) < 0.2)
@@ -492,3 +496,67 @@ def test_exhaustive_verdicts_equal_the_direct_values_for_every_small_modulus():
             assert verdict == bool(np.all(direct < epsilon)), (m, epsilon)
             verdicts[epsilon].add(verdict)
     assert all(seen == {True, False} for seen in verdicts.values())
+
+
+# The spectrum: S(b) = (1/t) sum_i cos(2 pi k_i b / m) for every residue from
+# one rfft of the parameter histogram.  Exhaustive checks screen with it and
+# the generalized closed form reads it; its values are within 1e-15 of the
+# kernel's, and every verdict near the error rate is the kernel's.
+
+SPECTRUM_TOL = 1e-15
+
+
+def test_spectrum_equals_the_kernel_means_for_every_small_modulus():
+    # Eight parameters: the FFT's error grows like log2(m) roundings of the
+    # largest histogram entry over t, and with a single parameter it reached
+    # 2.2e-15 over these moduli, still six orders under _SCREEN_MARGIN.
+    for m in range(2, 2**12 + 1):
+        params = tuple(np.random.default_rng(m).integers(0, m, 8).tolist())
+        good = GoodSet(m, 0.5, params)
+        residues = np.arange(m)
+        sums = spectrum(good)
+        assert sums.shape == (m // 2 + 1,)
+        kernel = np.mean(_cosines(residues, good), axis=1)
+        np.testing.assert_allclose(_cosine_sums(residues, good), kernel, rtol=0, atol=SPECTRUM_TOL)
+        assert np.array_equal(_cosine_sums(residues, good), sums[np.minimum(residues, m - residues)])
+
+
+def test_spectrum_is_cached_for_the_last_set_and_read_only():
+    good = sample(0.2, 390_625, seed=7)
+    _spectrum.cache_clear()
+    sums = spectrum(good)
+    assert spectrum(good) is sums
+    assert not sums.flags.writeable
+    other = sample(0.2, 390_625, seed=8)
+    spectrum(other)
+    assert _spectrum.cache_info()[1:] == (2, 1, 1)  # misses, maxsize, currsize
+    with pytest.raises(TooLargeError):
+        spectrum(sample(0.5, DEFAULT_VERIFY_LIMIT + 1, seed=1))
+
+
+# The spectrum reads the worst residue of the first set 1.7e-16 under the
+# kernel, and of the second 1.1e-16 over it: at eps equal to the kernel's
+# worst value the kernel fails a set, one ulp past it the kernel passes it.
+UNDER = (45, 49, 73, 92, 3, 13, 79, 92)
+OVER = (12, 12, 77, 48, 57, 58, 69, 2)
+
+
+@pytest.mark.parametrize(
+    "parameters, nudge, good",
+    [
+        (UNDER, lambda worst: worst, False),
+        (OVER, lambda worst: np.nextafter(worst, 1.0), True),
+        (UNDER, lambda worst: worst - 1e-13, False),
+        (OVER, lambda worst: worst + 1e-13, True),
+    ],
+    ids=["at-under", "ulp-past-over", "under-by-1e-13", "past-by-1e-13"],
+)
+def test_residues_near_the_error_rate_get_the_kernels_verdict(parameters, nudge, good):
+    worst = float(np.max(_cosine_kernel(np.arange(1, 97), GoodSet(97, 0.5, parameters))))
+    epsilon = float(nudge(worst))
+    assert bool(np.all(_cosine_kernel(np.arange(1, 97), GoodSet(97, 0.5, parameters)) < epsilon)) == good
+    with mock.patch.object(goodsets, "_cosine_kernel", wraps=goodsets._cosine_kernel) as kernel:
+        assert verify_exhaustive(GoodSet(97, epsilon, parameters)) == good
+        # One kernel call, on the two residues of the worst value.
+        assert kernel.call_count == 1
+        assert sorted(kernel.call_args.args[0].tolist()) in ([b, 97 - b] for b in range(1, 49))

@@ -6,8 +6,10 @@ reads: characteristic files (polynomials.load_characteristic, a list of
 "products"}), Cayley files (the hsf command's loader, {"table", "subgroup"}
 and an optional "order") and program files (compiler.recipe_from_json_dict
 behind {"fingerprint": {"kind", "polynomials", "goodset"}}).  Each field is
-drawn valid or as another JSON value, and any key may be left out.  Whatever
-a file holds, `build`, `eval` and `hsf` without --sweep exit 0 or 2, raise
+drawn valid or as another JSON value, and any key may be left out.  Program
+files are also drawn fully valid but for an error rate at the extremes, so
+that eval reaches required_size, the compile and both closed forms past its
+loader checks.  Whatever a file holds, `build`, `eval` and `hsf` without --sweep exit 0 or 2, raise
 nothing and print no traceback.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -24,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qobdd import cli, compiler
+from qobdd.errors import TooLargeError
 from qobdd.goodsets import required_size, sample
 from qobdd.polynomials import mod_polynomial
 
@@ -156,6 +160,40 @@ def program_files(draw):
     return draw(record({"fingerprint": field(recipe)})), arity
 
 
+# Error rates at the extremes: the smallest subnormal, one whose set size is
+# finite but past any program, the largest below 1, and an ordinary one.
+EXTREME_EPSILONS = [5e-324, 1e-300, 1 - 2**-53, 0.5]
+
+
+@st.composite
+def valid_program_files(draw):
+    """A recipe valid in every field but the error rate, drawn from
+    EXTREME_EPSILONS: one or two polynomials with coefficients in [0, m)
+    and required_size(epsilon, m) parameters in [0, m), or eight where
+    that size is past every float or past 2^12."""
+    modulus = draw(st.sampled_from(MODULI))
+    kind = draw(st.sampled_from(["single", "general"]))
+    count = 1 if kind == "single" else draw(st.integers(1, 2))
+    arity = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    entries = [
+        {"m": str(modulus), "n": arity, "coeffs": [str(rng.randrange(modulus)) for _ in range(arity + 1)]}
+        for _ in range(count)
+    ]
+    epsilon = draw(st.sampled_from(EXTREME_EPSILONS))
+    try:
+        size = required_size(epsilon, modulus)
+    except TooLargeError:
+        size = 8
+    params = [str(rng.randrange(modulus)) for _ in range(size if size <= 2**12 else 8)]
+    recipe = {
+        "kind": kind,
+        "polynomials": entries,
+        "goodset": {"m": str(modulus), "epsilon": epsilon, "params": params},
+    }
+    return {"fingerprint": recipe}, arity
+
+
 def run(argv: list[str]) -> dict | None:
     """The command's JSON output, or None when it exits 2."""
     out, err = io.StringIO(), io.StringIO()
@@ -175,7 +213,7 @@ def input_of(arity: int, bits: tuple[str, bool]) -> str:
     return (text * arity)[: arity + longer]
 
 
-@given(characteristics(), sops(), cayley_files(), program_files(), BITS)
+@given(characteristics(), sops(), cayley_files(), st.one_of(program_files(), valid_program_files()), BITS)
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_fuzzed_input_files_exit_0_or_2(characteristic, sop, cayley, program, bits):
     with tempfile.TemporaryDirectory() as directory:
