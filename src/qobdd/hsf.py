@@ -227,13 +227,18 @@ def hsf_eval(instance: HSFInstance, bits: Sequence[int]) -> int:
 
 
 def _blocks(instance: HSFInstance, bit_matrix: np.ndarray) -> np.ndarray:
-    """Each row's block per group element, (rows, order) integers: value - 1."""
+    """Each row's block per group element, (rows, order) int64: value - 1.
+    The w bit planes are shifted in most significant first, so only the
+    first is cast to an int64 array."""
     rows, width = bit_matrix.shape
     if width != instance.arity:
         raise LengthMismatchError(f"expected {instance.arity} bits, got {width}")
-    w = instance.bits_per_value
-    weights = 1 << np.arange(w - 1, -1, -1, dtype=np.int64)
-    return bit_matrix.reshape(rows, instance.group.order, w).astype(np.int64) @ weights
+    planes = bit_matrix.reshape(rows, instance.group.order, instance.bits_per_value)
+    blocks = planes[:, :, 0].astype(np.int64)
+    for u in range(1, planes.shape[2]):
+        blocks <<= 1
+        blocks |= planes[:, :, u]
+    return blocks
 
 
 def _distinct_counts(values: np.ndarray) -> np.ndarray:

@@ -17,11 +17,14 @@ accept_probability is its 1-row case.  The state after k reads depends only
 on the first k values read.  So every batch is sorted on its read values,
 and the reads all its rows share run once, on one column.  Two kernels take
 the rest.  A batch holding every pattern of the remaining reads (an
-exhaustive chunk, in any read order) doubles the column at each read.  Any
-other batch is swept in tiles with one column per distinct read prefix.
-Both stay: one kernel alone measured 1.2-4.9x slower on exhaustive chunks.
-The tests hold both against a dense per-input simulation that expands every
-stack to its d x d matrix.
+exhaustive chunk, in any read order) doubles the column at each read, in
+groups of reads that each fill at most a tile: the first group doubles the
+one column, and each later group doubles a whole batch of the states before
+it at once, because a block product on a few columns costs about as much as
+one on a tile.  Any other batch is swept in tiles with one column per
+distinct read prefix.  Both stay: one kernel alone measured 1.2-4.9x slower
+on exhaustive chunks.  The tests hold both against a dense per-input
+simulation that expands every stack to its d x d matrix.
 """
 
 from __future__ import annotations
@@ -135,11 +138,25 @@ def _norm_drift(states: np.ndarray) -> float:
     return float(np.max(np.abs(np.sqrt(_squared_norms(states)) - 1.0)))
 
 
-def _accepted(program: QuantumBranchingProgram, states: np.ndarray) -> np.ndarray:
-    """Each column's acceptance probability, from its accepting rows alone:
-    |<u|psi>|^2 when the program interferes, the projection's squared norm
-    otherwise."""
-    rows = states[list(program.accepting)]
+def _accepting_rows(accepting: tuple[int, ...]) -> slice | list[int]:
+    """A selector of the accepting rows of a state array: a slice, which
+    reads them in place, when they are evenly spaced, as every compiled
+    program's are (i * 2^l); their index list, which copies them, otherwise."""
+    if accepting:
+        first, last = accepting[0], accepting[-1]
+        step = accepting[1] - first if len(accepting) > 1 else 1
+        if step > 0 and accepting == tuple(range(first, last + 1, step)):
+            return slice(first, last + 1, step)
+    return list(accepting)
+
+
+def _accepted(
+    program: QuantumBranchingProgram, states: np.ndarray, accepting: slice | list[int]
+) -> np.ndarray:
+    """Each column's acceptance probability, from the accepting rows alone
+    (accepting selects them, see _accepting_rows): |<u|psi>|^2 when the
+    program interferes, the projection's squared norm otherwise."""
+    rows = states[accepting]
     if not program.interfere:
         return _squared_norms(rows)
     return _squared_norms(rows.sum(axis=0, keepdims=True)) / rows.shape[0]
@@ -152,6 +169,7 @@ def _sweep_sorted_tile(
     column: np.ndarray,
     buffers: list[np.ndarray],
     mask: np.ndarray,
+    accepting: slice | list[int],
 ) -> tuple[np.ndarray, float]:
     """Acceptance of a tile of sorted rows, with one state column per
     distinct read prefix.
@@ -166,7 +184,8 @@ def _sweep_sorted_tile(
     A read whose bit is 1 on some columns applies on_one to all of them into
     buffers[1] and keeps the products where the bit is 1, and the drift is
     measured on the columns it leaves.  The states live in buffers[0]; the
-    buffers swap, so no state array is allocated per read.
+    buffers swap, so no state array is allocated per read.  accepting
+    selects the accepting rows (_accepting_rows).
     """
     rows = values.shape[1]
     # The read that opens each row's column: the first read from start on at
@@ -208,56 +227,55 @@ def _sweep_sorted_tile(
             np.copyto(view(mask), ones)
             np.putmask(view(buffers[0]), view(mask), view(buffers[1]))
         max_drift = max(max_drift, _norm_drift(view(buffers[0])))
-    probabilities = _accepted(program, view(buffers[0]))
+    probabilities = _accepted(program, view(buffers[0]), accepting)
     if starts.size < rows:
         probabilities = probabilities[np.cumsum(opened) - 1]
     return probabilities, max_drift
 
 
-def _doubled(
-    column: np.ndarray, instructions: Sequence[Instruction], states: np.ndarray
-) -> float:
-    """Fill states, (d, 2^r), with a (d, 1) state column after each of the
-    2^r bit patterns of r reads; return the largest drift.
-
-    Each read writes the on_one products of the filled columns after them,
-    so read i sets bit i of a pattern's column.  No state is overwritten:
-    every state a read produces is still in states at the end, where the
-    drift is measured once.
-    """
-    states[:, :1] = column
-    filled = 1
-    for instruction in instructions:
-        _apply_blocks(instruction.on_one, states[:, :filled], out=states[:, filled : 2 * filled])
-        filled *= 2
-    return _norm_drift(states)
-
-
 def _completions(
     program: QuantumBranchingProgram,
-    column: np.ndarray,
+    roots: np.ndarray,
     groups: list[Sequence[Instruction]],
     buffers: list[np.ndarray],
+    accepting: slice | list[int],
 ) -> tuple[np.ndarray, float]:
-    """Acceptance of a (d, 1) state column after every bit pattern of the
-    grouped reads, and the largest drift.
+    """Acceptance of each state column of roots after every bit pattern of
+    the grouped reads, and the largest drift.
 
-    The first group doubles the column into its buffer, up to its roots;
-    each root then runs the remaining groups on its own, reusing their
-    buffers, so no state array outgrows a group's.  The probabilities come
-    root by root: read i of group g sets bit i + (the sizes of the groups
-    after g) of a pattern's position.
+    Every group's buffer has the same columns, a tile at most.  A group of
+    g reads doubles its roots in batches of (buffer columns >> g), so each
+    batch fills the buffer: the batch is copied to the buffer's head, and
+    each read writes the on_one products of the filled columns after them.
+    So read i sets bit i of a pattern p, and column p k + j holds root j of
+    a k-root batch after p.  The first group doubles the one shared column,
+    and each filled buffer holds the roots of the next group.  Later groups
+    double whole batches because a block product on a few columns
+    costs about as much as one on many (a (128, 4, 4) matmul: 7 us on 1 or
+    16 columns, 19 us on 128): doubling roots one at a time spent most of
+    the sweep on calls.  Every state a read produces reaches a buffer of
+    the last group, as a root or a product, and its drift is measured
+    there, once.  The probabilities come batch by batch, in the order
+    sweep_accept_probabilities undoes.
     """
-    states = buffers[0]
-    max_drift = _doubled(column, groups[0], states)
-    if len(groups) == 1:
-        return _accepted(program, states), max_drift
+    group, states = groups[0], buffers[0]
+    batch = states.shape[1] >> len(group)
     parts = []
-    for root in range(states.shape[1]):
-        probabilities, drift = _completions(
-            program, states[:, root : root + 1], groups[1:], buffers[1:]
-        )
-        parts.append(probabilities)
+    max_drift = 0.0
+    for first in range(0, roots.shape[1], batch):
+        filled = batch
+        states[:, :filled] = roots[:, first : first + batch]
+        for instruction in group:
+            _apply_blocks(instruction.on_one, states[:, :filled], out=states[:, filled : 2 * filled])
+            filled *= 2
+        if len(groups) == 1:
+            parts.append(_accepted(program, states, accepting))
+            drift = _norm_drift(states)
+        else:
+            probabilities, drift = _completions(
+                program, states, groups[1:], buffers[1:], accepting
+            )
+            parts.append(probabilities)
         max_drift = max(max_drift, drift)
     return np.concatenate(parts), max_drift
 
@@ -297,7 +315,8 @@ def sweep_accept_probabilities(
     When no read is left, that column is every row's state.  When the rows
     are every bit pattern of the remaining reads, once each, the column
     doubles at each of them (_completions), in groups of at most log2(tile)
-    reads, the last group the largest.  Any other batch is swept in tiles of
+    reads, the first group the largest, and every group after the first
+    doubles a batch of roots at once.  Any other batch is swept in tiles of
     sorted rows, each starting from the column and keeping one state column
     per distinct read prefix (_sweep_sorted_tile).  The results match a dense
     per-input simulation up to floating-point rounding.  Returns the
@@ -332,22 +351,34 @@ def sweep_accept_probabilities(
         if bit:
             column = _apply_blocks(instruction.on_one, column)
             max_drift = max(max_drift, _norm_drift(column))
+    accepting = _accepting_rows(program.accepting)
     tile, size = _tiling(program.dimension)
     if shared == len(reads):
-        swept, drift = np.repeat(_accepted(program, column), count), 0.0
+        swept, drift = np.repeat(_accepted(program, column, accepting), count), 0.0
     elif count == 1 << (len(reads) - shared) and np.all(keys[:-1] != keys[1:]):
         # 2^r distinct keys over r unshared reads are every pattern of them;
         # past 64 reads there are too few key bits for that many.
-        bounds = list(range(len(reads), shared, -size))[::-1]
+        width = min(len(reads) - shared, size)
+        bounds = list(range(shared + width, len(reads), size)) + [len(reads)]
         starts = [shared] + bounds[:-1]
         groups = [reads[a:b] for a, b in zip(starts, bounds)]
-        buffers = [np.empty((program.dimension, 1 << len(group))) for group in groups]
-        swept, drift = _completions(program, column, groups, buffers)
+        # One block for every group's buffer: freed whole, it is reused by the
+        # next sweep rather than faulted in afresh, as separate buffers were
+        # (glibc malloc: 4,784 against 8 page faults per HSF Z_8/<4> certify).
+        buffers = list(np.empty((len(groups), program.dimension, 1 << width)))
+        swept, drift = _completions(program, column, groups, buffers, accepting)
         # Each row's position among the patterns, as _completions orders them.
-        shifts = [k - a + len(reads) - b for a, b in zip(starts, bounds) for k in range(a, b)]
+        # low lists the reads that set the bits of a column of the current
+        # group's buffer, low to high: the root bits a batch keeps, then the
+        # group's reads.  The root bits that number the batch move to high:
+        # they sit above the bits of every completion of the batch.
+        low, high = [], []
+        for a, b in zip(starts, bounds):
+            batch = width - (b - a)
+            low, high = low[:batch] + list(range(a, b)), low[batch:] + high
         index = np.zeros(count, dtype=np.intp)
-        for row, shift in zip(values[shared:], shifts):
-            index |= np.left_shift(row, shift, dtype=np.intp)
+        for shift, k in enumerate(low + high):
+            index |= np.left_shift(values[k], shift, dtype=np.intp)
         swept = swept[index]
     else:
         entries = program.dimension * min(tile, count)
@@ -358,7 +389,7 @@ def sweep_accept_probabilities(
         for first in range(0, count, tile):
             stop = min(first + tile, count)
             swept[first:stop], tile_drift = _sweep_sorted_tile(
-                program, values[:, first:stop], shared, column, buffers, mask
+                program, values[:, first:stop], shared, column, buffers, mask, accepting
             )
             drift = max(drift, tile_drift)
     probabilities = np.empty(count)

@@ -34,6 +34,7 @@ from qobdd.compiler import (
     evaluate_linear_batch,
 )
 from qobdd.errors import LengthMismatchError, ModulusMismatchError
+from qobdd.hsf import FiniteGroup, HSFInstance, compile_hsf, cyclic_subgroup
 from qobdd.goodsets import (
     GoodSet,
     _cosine_kernel,
@@ -1050,3 +1051,148 @@ def test_sorted_prefix_sweep_shares_equal_rows_past_the_sort_key():
     assert max(columns) == 2
     np.testing.assert_allclose(swept, dense_probabilities(program, bits), rtol=0, atol=DENSE_TOL)
     assert drift <= 1e-9
+
+
+# An exhaustive chunk doubles its first group from the shared column; every
+# later group doubles a whole batch of roots at once, so its products run on
+# at least (tile >> g) columns, and each state is written once.
+
+
+def benchmark_program(case: str) -> QuantumBranchingProgram:
+    """The programs of the exhaustive benchmark certifications: HSF Z_8/<4>
+    (d = 512) and MOD_3 at n = 16 (d = 64), both of arity 16."""
+    if case == "hsf-z8-4":
+        instance = HSFInstance.create(FiniteGroup.cyclic(8), cyclic_subgroup(8, 4))
+        return compile_hsf(instance, 0.25, seed=7).program
+    good_set, _ = sample_good(0.2, 3, seed=7)
+    return compile_single(mod_polynomial(16, 3), good_set).program
+
+
+@pytest.mark.parametrize("case, dimension", [("hsf-z8-4", 512), ("mod3-n16", 64)])
+def test_doubling_runs_later_groups_on_whole_batches(case, dimension):
+    program = benchmark_program(case)
+    assert program.dimension == dimension
+    # The last 8,192-row chunk: its three shared reads are all 1, and the
+    # other 13 double.
+    bits = input_block(16, 65536 - 8192, 65536)
+    products = []
+    apply_blocks = programs._apply_blocks
+
+    def recorded(stack, states, out=None):
+        products.append((states.shape[1], out))
+        return apply_blocks(stack, states, out=out)
+
+    with mock.patch.object(programs, "_apply_blocks", recorded), mock.patch.object(
+        programs, "_completions", wraps=programs._completions
+    ) as completions:
+        swept, drift = sweep_accept_probabilities(program, bits)
+    groups, buffers = completions.call_args_list[0].args[2:4]
+    tile, _ = programs._tiling(program.dimension)
+    assert len(groups) >= 2 and sum(map(len, groups)) == 13
+    # The shared reads run on the one column, outside every buffer.
+    assert [columns for columns, out in products if out is None] == [1, 1, 1]
+    doubled = [
+        (columns, next(k for k, buffer in enumerate(buffers) if np.shares_memory(out, buffer)))
+        for columns, out in products
+        if out is not None
+    ]
+    first = len(groups[0])
+    assert [group for _, group in doubled[:first]] == [0] * first
+    for columns, group in doubled[first:]:
+        assert group >= 1 and columns >= tile >> len(groups[group])
+    assert sum(columns for columns, _ in doubled) == (1 << 13) - 1
+    # The same rows plus a duplicate take the tiles.
+    tiled, tiled_drift = sweep_accept_probabilities(program, np.concatenate([bits, bits[:1]]))
+    np.testing.assert_allclose(swept, tiled[:-1], rtol=0, atol=1e-14)
+    assert max(drift, tiled_drift) <= 1e-12
+
+
+@pytest.mark.parametrize("tile_factor", [4, 6, 8])
+def test_doubling_through_three_or_more_groups_matches_run(tile_factor):
+    # A tile of 4, 6 or 8 columns doubles 8 reads in groups of 2, 2 or 3
+    # reads: 4, 4 and 3 groups, batches of 1 or 2 roots.  A 6-column tile
+    # still doubles in 4-column buffers.
+    good_set, _ = sample_good(0.3, 5, seed=4)
+    other = LinearPolynomial(modulus=5, arity=8, coefficients=(1, 0, 2, 0, 3, 0, 4, 1, 2))
+    characteristic = Characteristic(modulus=5, arity=8, polynomials=(mod_polynomial(8, 5), other))
+    rng = np.random.default_rng(tile_factor)
+    dense = QuantumBranchingProgram(
+        dimension=6,
+        arity=8,
+        instructions=tuple(Instruction(j, random_orthogonal(rng, 6)) for j in range(1, 9)),
+        initial_state=random_state(rng, 6),
+        accepting=(0, 1, 3),
+        interfere=True,
+    )
+    bits = all_inputs(8)
+    for program in (
+        compile_single(mod_polynomial(8, 5), good_set).program,
+        compile_general(characteristic, good_set).program,
+        dense,
+    ):
+        with mock.patch.object(
+            programs, "_TILE_ENTRIES", tile_factor * program.dimension
+        ), mock.patch.object(programs, "_completions", wraps=programs._completions) as completions:
+            swept, drift = sweep_accept_probabilities(program, bits)
+        groups = completions.call_args_list[0].args[2]
+        assert len(groups) >= 3 and sum(map(len, groups)) == 8
+        np.testing.assert_allclose(swept, dense_probabilities(program, bits), rtol=0, atol=DENSE_TOL)
+        assert drift <= 1e-9
+
+
+def test_doubling_drift_sees_first_group_states_that_later_groups_undo():
+    # Read 1 stretches e_0 to 1.01 e_1 and read 2 shrinks it back, so the
+    # only drifting state is the first group's product, which the second
+    # group's buffer holds as a root.  A 2-column tile makes each read a
+    # group of its own.
+    program = QuantumBranchingProgram(
+        dimension=2,
+        arity=2,
+        instructions=(
+            Instruction(variable_index=1, on_one=np.array([[0.0, -1 / 1.01], [1.01, 0.0]])),
+            Instruction(variable_index=2, on_one=np.diag([1.0, 1 / 1.01])),
+        ),
+        initial_state=np.array([1.0, 0.0]),
+        accepting=(0,),
+    )
+    with mock.patch.object(programs, "_TILE_ENTRIES", 4), mock.patch.object(
+        programs, "_completions", wraps=programs._completions
+    ) as completions:
+        drift, sorted_drift = assert_prefix_path_matches(
+            program, all_inputs(2), 2, check_norm=False
+        )
+    assert [len(group) for group in completions.call_args_list[0].args[2]] == [1, 1]
+    assert drift == pytest.approx(0.01)
+    assert sorted_drift == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("case", ["mod3-n16", "hsf-z8-4"])
+def test_exhaustive_sweep_peaks_within_its_buffer_count(case):
+    program = benchmark_program(case)
+    bits = input_block(16, 0, 8192)
+    tracemalloc.start()
+    try:
+        sweep_accept_probabilities(program, bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= programs.sweep_buffer_bytes(program.dimension, program.arity)
+
+
+def test_evenly_spaced_accepting_rows_are_read_in_place():
+    assert programs._accepting_rows((0, 4, 8, 12)) == slice(0, 13, 4)
+    assert programs._accepting_rows((5,)) == slice(5, 6, 1)
+    assert programs._accepting_rows((0, 1, 3)) == [0, 1, 3]
+    assert programs._accepting_rows(()) == []
+    good_set, _ = sample_good(0.3, 5, seed=4)
+    program = compile_single(mod_polynomial(6, 5), good_set).program
+    selector = programs._accepting_rows(program.accepting)
+    states = np.random.default_rng(0).standard_normal((program.dimension, 5))
+    assert isinstance(selector, slice)
+    assert np.shares_memory(states[selector], states)
+    for interfere in (False, True):
+        variant = dataclasses.replace(program, interfere=interfere)
+        assert np.array_equal(
+            programs._accepted(variant, states, selector),
+            programs._accepted(variant, states, list(program.accepting)),
+        )
