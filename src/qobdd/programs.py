@@ -22,9 +22,12 @@ groups of reads that each fill at most a tile: the first group doubles the
 one column, and each later group doubles a whole batch of the states before
 it at once, because a block product on a few columns costs about as much as
 one on a tile.  Any other batch is swept in tiles with one column per
-distinct read prefix.  Both stay: one kernel alone measured 1.2-4.9x slower
-on exhaustive chunks.  The tests hold both against a dense per-input
-simulation that expands every stack to its d x d matrix.
+distinct read prefix, laid out after each read as the prefixes that read 0
+and then those that read 1: a read gathers the parent columns once and
+applies U(1) to the one children alone, with no mask.  Both stay: one kernel
+alone measured 1.2-4.9x slower on exhaustive chunks.  The tests hold both
+against a dense per-input simulation that expands every stack to its d x d
+matrix.
 """
 
 from __future__ import annotations
@@ -168,69 +171,63 @@ def _sweep_sorted_tile(
     start: int,
     column: np.ndarray,
     buffers: list[np.ndarray],
-    mask: np.ndarray,
     accepting: slice | list[int],
 ) -> tuple[np.ndarray, float]:
     """Acceptance of a tile of sorted rows, with one state column per
     distinct read prefix.
 
     values[k, i] is row i's bit at read k.  Every row shares its first start
-    reads, after which the state is column.  A row gets a column of its own,
-    copied from its prefix's, at the first read from start on where it
-    differs from the row before it; until then, and for good when it differs
-    nowhere, it shares the column of the row that opened its prefix.  Once
-    more than half the rows have columns, every row gets one: the few
-    prefixes left to share save less than the copies of further splits cost.
-    A read whose bit is 1 on some columns applies on_one to all of them into
-    buffers[1] and keeps the products where the bit is 1, and the drift is
-    measured on the columns it leaves.  The states live in buffers[0]; the
-    buffers swap, so no state array is allocated per read.  accepting
-    selects the accepting rows (_accepting_rows).
+    reads, after which the state is column.  Row i's state is column at[i] of
+    buffers[0], whose columns are laid out, after each read, as the prefixes
+    that read 0 and then the prefixes that read 1.  A read gathers each
+    child's parent column into buffers[1], zero children first, and applies
+    on_one to the one children alone, into the buffer the gather freed; the
+    products are copied back and their drift is measured there, once, and a
+    zero child is its parent's state, measured already.  So a read computes
+    only the states it produces.  There is no mask: applying on_one to every
+    column and keeping the products where the bit is 1 by np.putmask cost
+    more than the products it kept (on a (512, 256) tile, about 150 us for
+    the masked write against 90 us for the product).  A read that no row
+    reads as 1 changes nothing, and one that every row reads as 1 runs on
+    every column in order.  The buffers swap, so no state array is allocated
+    per read.  accepting selects the accepting rows (_accepting_rows).
     """
-    rows = values.shape[1]
-    # The read that opens each row's column: the first read from start on at
-    # which it differs from the row before it (the last row of differs, past
-    # every read, for a row equal to the one before it); row 0 holds column.
-    lead = values[start:]
-    differs = np.ones((lead.shape[0] + 1, rows - 1), dtype=bool)
-    np.not_equal(lead[:, 1:], lead[:, :-1], out=differs[:-1])
-    splits = np.concatenate(([-1], start + differs.argmax(axis=0)))
-    opened = splits < 0
-    starts = np.zeros(1, dtype=np.intp)
     d = program.dimension
 
-    def view(flat: np.ndarray) -> np.ndarray:
-        return flat[: d * starts.size].reshape(d, starts.size)
+    def view(flat: np.ndarray, columns: int) -> np.ndarray:
+        return flat[: d * columns].reshape(d, columns)
 
-    view(buffers[0])[:] = column
+    at = np.zeros(values.shape[1], dtype=np.intp)
+    count = 1
+    view(buffers[0], count)[:] = column
     max_drift = 0.0
-    for k, instruction in enumerate(program.instructions[start:], start):
-        if starts.size < rows:
-            new = splits == k
-            if new.any():
-                states = view(buffers[0])
-                prefix = np.cumsum(opened) - 1
-                opened |= new
-                if 2 * np.count_nonzero(opened) > rows:
-                    opened[:] = True
-                starts = np.flatnonzero(opened)
-                # The indices are in range; mode="raise" would buffer out.
-                np.take(states, prefix[starts], axis=1, out=view(buffers[1]), mode="clip")
-                buffers.reverse()
-        ones = values[k, starts] if starts.size < rows else values[k]
-        if not ones.any():
+    for bits, instruction in zip(values[start:], program.instructions[start:]):
+        if not bits.any():
             continue
-        _apply_blocks(instruction.on_one, view(buffers[0]), out=view(buffers[1]))
-        if ones.all():
-            buffers.reverse()
+        states = view(buffers[0], count)
+        if bits.all():
+            product = _apply_blocks(instruction.on_one, states, out=view(buffers[1], count))
         else:
-            np.copyto(view(mask), ones)
-            np.putmask(view(buffers[0]), view(mask), view(buffers[1]))
-        max_drift = max(max_drift, _norm_drift(view(buffers[0])))
-    probabilities = _accepted(program, view(buffers[0]), accepting)
-    if starts.size < rows:
-        probabilities = probabilities[np.cumsum(opened) - 1]
-    return probabilities, max_drift
+            # A row's child is its column, plus count when it reads 1; present
+            # marks the zero children, then the one children, in parent order.
+            keys = at + count * bits
+            present = np.zeros(2 * count, dtype=bool)
+            present[keys] = True
+            at = (np.cumsum(present) - 1)[keys]
+            parents = np.flatnonzero(present)
+            zeros = np.count_nonzero(present[:count])
+            parents[zeros:] -= count
+            count = parents.size
+            children = view(buffers[1], count)
+            # The indices are in range; mode="raise" would buffer out.
+            np.take(states, parents, axis=1, out=children, mode="clip")
+            product = _apply_blocks(
+                instruction.on_one, children[:, zeros:], out=view(buffers[0], count - zeros)
+            )
+            children[:, zeros:] = product
+        buffers.reverse()
+        max_drift = max(max_drift, _norm_drift(product))
+    return _accepted(program, view(buffers[0], count), accepting)[at], max_drift
 
 
 def _completions(
@@ -290,11 +287,11 @@ def _tiling(dimension: int) -> tuple[int, int]:
 def sweep_buffer_bytes(dimension: int, reads: int) -> int:
     """The most bytes of state buffers one sweep of a real program of this
     width and read count allocates, whatever its batch: the tiles' two
-    state buffers and their mask, plus the doubling path's buffer per group
-    (it doubles at most _KEY_READS reads: no batch holds more patterns)."""
+    state buffers, plus the doubling path's buffer per group (it doubles at
+    most _KEY_READS reads: no batch holds more patterns)."""
     tile, size = _tiling(dimension)
     groups = -(-min(reads, _KEY_READS) // size)
-    return dimension * tile * (2 * 8 + 1) + groups * dimension * (8 << size)
+    return dimension * tile * 2 * 8 + groups * dimension * (8 << size)
 
 
 def sweep_accept_probabilities(
@@ -318,7 +315,9 @@ def sweep_accept_probabilities(
     reads, the first group the largest, and every group after the first
     doubles a batch of roots at once.  Any other batch is swept in tiles of
     sorted rows, each starting from the column and keeping one state column
-    per distinct read prefix (_sweep_sorted_tile).  The results match a dense
+    per distinct read prefix, the prefixes that read 0 before those that
+    read 1, so each read applies on_one to the columns whose bit is 1 alone
+    (_sweep_sorted_tile).  The results match a dense
     per-input simulation up to floating-point rounding.  Returns the
     probabilities and the largest norm drift of the initial state or any
     state a read produces.
@@ -383,13 +382,12 @@ def sweep_accept_probabilities(
     else:
         entries = program.dimension * min(tile, count)
         buffers = [np.empty(entries), np.empty(entries)]
-        mask = np.empty(entries, dtype=bool)
         swept = np.empty(count)
         drift = 0.0
         for first in range(0, count, tile):
             stop = min(first + tile, count)
             swept[first:stop], tile_drift = _sweep_sorted_tile(
-                program, values[:, first:stop], shared, column, buffers, mask, accepting
+                program, values[:, first:stop], shared, column, buffers, accepting
             )
             drift = max(drift, tile_drift)
     probabilities = np.empty(count)

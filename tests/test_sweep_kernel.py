@@ -56,7 +56,7 @@ from qobdd.programs import (
     program_to_json_dict,
     sweep_accept_probabilities,
 )
-from qobdd.verification import input_block
+from qobdd.verification import input_block, sampled_inputs
 from reference import _block_diagonal, all_inputs, closed_form_general_product, cosine_sum, run
 
 DENSE_TOL = 1e-12
@@ -994,8 +994,8 @@ def test_sorted_prefix_sweep_past_the_sort_key(tile_factor):
 
 def test_sorted_prefix_sweep_shares_read_prefixes():
     # Inputs 0..47 of n = 6 in shuffled order, an incomplete batch: read k
-    # acts on one column per distinct prefix of k + 1 bits, 2 + 3 + 6 + 12 +
-    # 24 + 48 = 95 columns in all instead of 6 * 48 = 288.
+    # acts on one column per distinct prefix of k + 1 bits whose bit k is 1,
+    # 1 + 1 + 3 + 6 + 12 + 24 = 47 columns in all instead of 6 * 48 = 288.
     good_set, _ = sample_good(0.3, 5, seed=4)
     program = compile_single(mod_polynomial(6, 5), good_set).program
     bits = input_block(6, 0, 48)[np.random.default_rng(0).permutation(48)]
@@ -1008,7 +1008,7 @@ def test_sorted_prefix_sweep_shares_read_prefixes():
 
     with mock.patch.object(programs, "_apply_blocks", counted):
         swept, _ = sweep_accept_probabilities(program, bits)
-    assert sum(columns) == 95
+    assert sum(columns) == 47
     np.testing.assert_allclose(swept, dense_probabilities(program, bits), rtol=0, atol=DENSE_TOL)
 
 
@@ -1053,17 +1053,55 @@ def test_sorted_prefix_sweep_shares_equal_rows_past_the_sort_key():
     assert drift <= 1e-9
 
 
+def test_tile_reads_apply_u1_to_the_one_children_alone():
+    # The benchmark's sampled PERM_4 batch: each read after the shared ones
+    # applies U(1) to one column per distinct prefix through it, in its tile,
+    # whose last bit is 1; each shared read that is 1 to the one column.
+    # The count is taken from the sorted read values alone.
+    program = benchmark_program("perm4")
+    bits = sampled_inputs(16, 4096, 7)
+    reads = bits[:, [instruction.variable_index - 1 for instruction in program.instructions]]
+    reads = reads[np.lexsort(reads.T[::-1])]
+    shared = int(np.append((reads == reads[0]).all(axis=0), False).argmin())
+    expected = int(reads[0, :shared].sum())
+    tile, _ = programs._tiling(program.dimension)
+    for first in range(0, len(reads), tile):
+        for k in range(shared, reads.shape[1]):
+            expected += int(np.unique(reads[first : first + tile, : k + 1], axis=0)[:, k].sum())
+    columns = []
+    apply_blocks = programs._apply_blocks
+
+    def counted(stack, states, out=None):
+        columns.append(states.shape[1])
+        return apply_blocks(stack, states, out=out)
+
+    with mock.patch.object(programs, "_apply_blocks", counted):
+        swept, drift, path = swept_path(program, bits)
+    assert path is None and program.dimension == 512 and len(reads) // tile == 16
+    assert sum(columns) == expected
+    assert drift <= 1e-12
+    polynomial = perm_polynomial(4)
+    good_set = sample(0.2, polynomial.modulus, seed=7)
+    np.testing.assert_allclose(
+        swept, closed_form_single_batch(polynomial, good_set, bits), rtol=0, atol=1e-12
+    )
+
+
 # An exhaustive chunk doubles its first group from the shared column; every
 # later group doubles a whole batch of roots at once, so its products run on
 # at least (tile >> g) columns, and each state is written once.
 
 
 def benchmark_program(case: str) -> QuantumBranchingProgram:
-    """The programs of the exhaustive benchmark certifications: HSF Z_8/<4>
-    (d = 512) and MOD_3 at n = 16 (d = 64), both of arity 16."""
+    """The programs of the benchmark certifications, all of arity 16: the
+    exhaustive HSF Z_8/<4> (d = 512) and MOD_3 at n = 16 (d = 64), and the
+    sampled PERM_4 at epsilon 0.2 (d = 512)."""
     if case == "hsf-z8-4":
         instance = HSFInstance.create(FiniteGroup.cyclic(8), cyclic_subgroup(8, 4))
         return compile_hsf(instance, 0.25, seed=7).program
+    if case == "perm4":
+        polynomial = perm_polynomial(4)
+        return compile_single(polynomial, sample(0.2, polynomial.modulus, seed=7)).program
     good_set, _ = sample_good(0.2, 3, seed=7)
     return compile_single(mod_polynomial(16, 3), good_set).program
 
@@ -1166,6 +1204,40 @@ def test_doubling_drift_sees_first_group_states_that_later_groups_undo():
     assert sorted_drift == pytest.approx(0.01)
 
 
+def test_tile_drift_sees_a_stretched_state_that_later_reads_copy_as_a_zero_child():
+    # The program above on three of its four inputs, so it takes the tiles.
+    # Read 1 stretches e_0 to 1.01 e_1; input (1, 0) keeps that state as the
+    # zero child of read 2, whose one children both have unit norm.
+    # Every state a read produces is measured once: the initial column, the
+    # one child of read 1, the two of read 2, and never the zero child.
+    program = QuantumBranchingProgram(
+        dimension=2,
+        arity=2,
+        instructions=(
+            Instruction(variable_index=1, on_one=np.array([[0.0, -1 / 1.01], [1.01, 0.0]])),
+            Instruction(variable_index=2, on_one=np.diag([1.0, 1 / 1.01])),
+        ),
+        initial_state=np.array([1.0, 0.0]),
+        accepting=(0,),
+    )
+    bits = np.array([[1, 0], [1, 1], [0, 1]], dtype=np.uint8)
+    measured = []
+    norm_drift = programs._norm_drift
+
+    def recorded(states):
+        measured.append(states.shape[1])
+        return norm_drift(states)
+
+    with mock.patch.object(programs, "_norm_drift", recorded):
+        swept, drift, path = swept_path(program, bits)
+    assert path is None
+    assert measured == [1, 1, 2]
+    assert drift == pytest.approx(0.01)
+    np.testing.assert_allclose(
+        swept, dense_probabilities(program, bits, check_norm=False), rtol=0, atol=DENSE_TOL
+    )
+
+
 @pytest.mark.parametrize("case", ["mod3-n16", "hsf-z8-4"])
 def test_exhaustive_sweep_peaks_within_its_buffer_count(case):
     program = benchmark_program(case)
@@ -1176,6 +1248,19 @@ def test_exhaustive_sweep_peaks_within_its_buffer_count(case):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak <= programs.sweep_buffer_bytes(program.dimension, program.arity)
+
+
+def test_tile_sweep_peaks_within_its_buffer_count():
+    program = benchmark_program("perm4")
+    bits = sampled_inputs(16, 4096, 7)
+    tracemalloc.start()
+    try:
+        _, _, path = swept_path(program, bits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path is None
     assert peak <= programs.sweep_buffer_bytes(program.dimension, program.arity)
 
 
